@@ -16,7 +16,7 @@ import io
 import json
 import sys
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .algebra import as_rational
 from .cobordism import (
@@ -28,7 +28,6 @@ from .cobordism import (
     distinct_cobordism_types,
     elliptic_span,
     family_polynomial,
-    genus_as_functional,
     partitions_of,
     pontryagin_numbers,
     span_membership,
@@ -41,8 +40,12 @@ from .cobordism import (
 from .errors import ConsistencyError, FunctionalParseError
 from .genera import (
     ahat,
+    ahat_sequence,
+    elliptic_polynomials,
     elliptic_q_coefficients,
+    l_sequence,
     signature,
+    twisted_ahat_polynomial,
     twisted_ahat_tangent,
 )
 from .manifolds import (
@@ -175,20 +178,21 @@ _GENUS_EVALUATORS: dict[str, Callable[[ManifoldModel], Fraction]] = {
     "ahat_t": twisted_ahat_tangent,
 }
 
-_named_cache: dict[tuple, Functional] = {}
+# the same genera as polynomials in the Pontryagin classes of a 4k-manifold
+_GENUS_POLYNOMIALS: dict[str, Callable[[int], Mapping]] = {
+    "sign": lambda k: l_sequence(k).polynomial(k),
+    "ahat": lambda k: ahat_sequence(k).polynomial(k),
+    "ahat_t": twisted_ahat_polynomial,
+}
 
 
 def _named_functional(name: str, dim: int, q_index: int | None = None) -> Functional:
-    key = (name, dim, q_index)
-    if key not in _named_cache:
-        if name == "ell":
-            order = max(dim // 4, q_index)
-            _named_cache[key] = genus_as_functional(
-                lambda m: elliptic_q_coefficients(m, order)[q_index], dim
-            )
-        else:
-            _named_cache[key] = genus_as_functional(_GENUS_EVALUATORS[name], dim)
-    return _named_cache[key]
+    k = dim // 4
+    if name == "ell":
+        poly = elliptic_polynomials(k, max(k, q_index))[q_index]
+    else:
+        poly = _GENUS_POLYNOMIALS[name](k)
+    return Functional.from_polynomial(dim, poly)
 
 
 def _parse_atom(sc: _Scanner):

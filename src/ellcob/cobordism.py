@@ -25,7 +25,7 @@ from .manifolds import (
     pontryagin_classes,
     product,
 )
-from .genera import elliptic_q_coefficients
+from .genera import elliptic_polynomials
 
 __all__ = [
     "Partition",
@@ -126,6 +126,12 @@ class Functional:
                 clean[partition] = c
         object.__setattr__(self, "coefficients", clean)
 
+    @classmethod
+    def from_polynomial(cls, dim: int, poly: Mapping[tuple[int, ...], Fraction]) -> "Functional":
+        """The functional M -> <poly(p_1, p_2, ...), [M]> for a polynomial in
+        Pontryagin classes given as partition -> coefficient."""
+        return cls(dim, {I: poly.get(I, 0) for I in partitions_of(dim // 4)})
+
     def evaluate(self, vec: CharNumberVector) -> Fraction:
         if vec.dimension != self.dimension:
             raise ValueError("functional and vector dimensions differ")
@@ -224,15 +230,10 @@ def genus_as_functional(evaluator: Callable[[ManifoldModel], Fraction], dim: int
 
 def elliptic_span(dim: int, q_order: int) -> tuple[list[Functional], int]:
     """Functionals of the q-coefficients 0..q_order of q^(k/2)*phi and
-    the rank of their span."""
-    manifolds, matrix = _basis_data(dim)
-    series = [elliptic_q_coefficients(b, q_order) for b in manifolds]
-    functionals = []
-    for j in range(q_order + 1):
-        lam = matrix.solve([s[j] for s in series])
-        if lam is None:
-            raise ConsistencyError("elliptic coefficient is not a Pontryagin functional")
-        functionals.append(Functional(dim, dict(zip(partitions_of(dim // 4), lam))))
+    the rank of their span, read off the universal elliptic polynomials."""
+    if dim % 4 or dim < 4:
+        raise ValueError(f"the elliptic span needs a positive dimension divisible by 4, not {dim}")
+    functionals = [Functional.from_polynomial(dim, poly) for poly in elliptic_polynomials(dim // 4, q_order)]
     rows = [f.as_row() for f in functionals]
     return functionals, RationalMatrix(rows).rank()
 

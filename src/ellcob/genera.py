@@ -5,9 +5,21 @@ A genus is encoded by an even power series f(x) = 1 + f_2 x^2 + f_4 x^4
 
 * root pipeline: evaluate the product of f over the stable tangent
   roots and pair the result (only for root-split tangent data);
-* universal pipeline: expand the product of f over k formal variables,
-  rewrite the symmetric result in elementary symmetric functions of the
-  squared variables, substitute Pontryagin classes, and pair.
+* universal pipeline: write the product of f over formal variables as a
+  polynomial in their elementary symmetric functions, i.e. in the
+  Pontryagin classes, and pair its Pontryagin monomials.
+
+The universal polynomials are computed in the partition basis
+(Milnor-Stasheff, *Characteristic Classes*, 19; Macdonald, *Symmetric
+Functions*, I.2).  With t = x^2 and f(t) = f_0 * exp(sum_r l_r t^r),
+the product over the variables t_i is f_0^n * exp(sum_r l_r s_r), where
+s_r = sum_i t_i^r are the power sums.  Its weight parts obey the
+recursion w E_w = sum_r r l_r s_r E_(w-r), and Newton's identities write
+each s_r in the elementary symmetric functions, so every intermediate
+is indexed by the partitions of the weight: p(k) entries instead of the
+C(2k, k) monomials of an expansion over k variables.  The arithmetic
+only adds and multiplies coefficients, which are rationals for
+ordinary genera and scalar q-series for the twisted ones.
 
 Both routes are run whenever root data is available and must agree
 exactly; a mismatch raises :class:`ConsistencyError`.
@@ -27,6 +39,7 @@ import warnings
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from .algebra import GradedElement, QSeries, as_rational
@@ -48,9 +61,11 @@ __all__ = [
     "evaluate_genus",
     "signature",
     "ahat",
+    "twisted_ahat_polynomial",
     "twisted_ahat_tangent",
     "TwistCharacter",
     "twist_character",
+    "elliptic_polynomials",
     "elliptic_q_coefficients",
 ]
 
@@ -131,108 +146,65 @@ class CharacteristicSeries:
 
 
 # ---------------------------------------------------------------------------
-# symmetric-function reduction: products over formal variables -> p-monomials
+# the partition basis: symmetric polynomials in t_i = x_i^2
 #
-# Variables below are t_i = x_i^2, so weight j means degree 4j on the
-# manifold.  The reduction is generic over the coefficient arithmetic:
-# plain Fractions for ordinary genera, scalar QSeries for the q-twist.
+# A symmetric polynomial is a dict from partitions (non-increasing tuples)
+# to coefficients; the partition (j1, j2, ...) names the monomial
+# e_j1 e_j2 ... of elementary symmetric functions, i.e. p_j1 p_j2 ... in
+# Pontryagin classes, of weight j1 + j2 + ... (degree 4 times that).
 
 
-def _mvp_mul(p: Mapping[tuple, object], q: Mapping[tuple, object], kmax: int) -> dict:
-    out: dict[tuple, object] = {}
-    for e1, c1 in p.items():
-        d1 = sum(e1)
-        for e2, c2 in q.items():
-            if d1 + sum(e2) > kmax:
-                continue
-            mono = tuple(a + b for a, b in zip(e1, e2))
-            term = c1 * c2
-            cur = out.get(mono)
-            out[mono] = term if cur is None else cur + term
-    return {e: c for e, c in out.items() if c}
-
-
-def _expand_symmetric_product(factor: Sequence, nvars: int, kmax: int) -> dict:
-    """Expansion of prod_i (sum_j factor[j] t_i^j) truncated at total degree kmax."""
-    poly: dict[tuple, object] = {(0,) * nvars: Fraction(1)}
-    for i in range(nvars):
-        new: dict[tuple, object] = {}
-        for exps, c in poly.items():
-            room = kmax - sum(exps)
-            for j, fj in enumerate(factor):
-                if j > room:
-                    break
-                if not fj:
-                    continue
-                mono = exps[:i] + (exps[i] + j,) + exps[i + 1:]
-                term = c * fj
-                cur = new.get(mono)
-                new[mono] = term if cur is None else cur + term
-        poly = {e: c for e, c in new.items() if c}
-    return poly
+def _merge(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted(a + b, reverse=True))
 
 
 @lru_cache(maxsize=None)
-def _elementary_poly(nvars: int, j: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-    from itertools import combinations
-
-    terms = []
-    for subset in combinations(range(nvars), j):
-        exps = [0] * nvars
-        for i in subset:
-            exps[i] = 1
-        terms.append((tuple(exps), Fraction(1)))
-    return tuple(terms)
-
-
-@lru_cache(maxsize=None)
-def _elementary_product(nvars: int, partition: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-    """Expansion of prod over parts j of e_j, as a monomial table."""
-    poly: dict[tuple, Fraction] = {(0,) * nvars: Fraction(1)}
-    weight = sum(partition)
-    for j in partition:
-        poly = _mvp_mul(poly, dict(_elementary_poly(nvars, j)), weight)
-    return tuple(sorted(poly.items()))
+def _power_sum(r: int) -> dict[tuple[int, ...], int]:
+    """s_r = sum_i t_i^r in the e-basis, by Newton's identities
+    s_r = sum_(0<i<r) (-1)^(i-1) e_i s_(r-i) + (-1)^(r-1) r e_r."""
+    out = {(r,): (-1) ** (r - 1) * r}
+    for i in range(1, r):
+        for lam, c in _power_sum(r - i).items():
+            key = _merge(lam, (i,))
+            out[key] = out.get(key, 0) + (-1) ** (i - 1) * c
+    return {lam: c for lam, c in out.items() if c}
 
 
-def _symmetric_to_partitions(poly: Mapping[tuple, object], nvars: int) -> dict[int, dict[tuple[int, ...], object]]:
-    """Rewrite a symmetric polynomial in the elementary symmetric basis.
+def _add_power_sum_times(out: dict, r: int, poly: Mapping, scale) -> None:
+    """out += scale * s_r * poly."""
+    s_r = _power_sum(r).items()
+    for lam, c in poly.items():
+        c = c * scale
+        for mu, d in s_r:
+            key = _merge(lam, mu)
+            term = c * d
+            cur = out.get(key)
+            out[key] = term if cur is None else cur + term
 
-    Returns, per total degree w, the coefficients indexed by the
-    partition of w naming the monomial prod p_j (e_j substituted by p_j).
-    Classical greedy algorithm on the lex-leading term; feeding it a
-    non-symmetric polynomial is an internal error.
+
+def _symmetric_expansion(factor: Sequence, max_weight: int) -> list[dict]:
+    """Weight parts E_0..E_max_weight of prod_i F(t_i) in the e-basis,
+    for F(t) = sum_j factor[j] t^j with factor[0] the unit coefficient.
+
+    Coefficients may be Fractions or scalar QSeries.  With
+    log F = sum_r l_r t^r, the values m[r] = r l_r come from
+    t F'(t) = t (log F)'(t) F(t), and the weight parts from
+    w E_w = sum_r m[r] s_r E_(w-r).
     """
-    by_weight: dict[int, dict[tuple, object]] = {}
-    for exps, c in poly.items():
-        by_weight.setdefault(sum(exps), {})[exps] = c
-    out: dict[int, dict[tuple[int, ...], object]] = {}
-    for w, work in sorted(by_weight.items()):
-        res: dict[tuple[int, ...], object] = {}
-        work = dict(work)
-        while work:
-            lam = max(work)
-            if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
-                raise ConsistencyError("symmetric reduction met a non-symmetric leading term")
-            c = work.pop(lam)
-            parts: list[int] = []
-            padded = tuple(lam) + (0,)
-            for j in range(len(lam)):
-                parts.extend([j + 1] * (padded[j] - padded[j + 1]))
-            partition = tuple(sorted(parts, reverse=True))
-            res[partition] = c
-            for exps, q in _elementary_product(nvars, partition):
-                if exps == lam:
-                    continue
-                term = c * q
-                cur = work.get(exps)
-                acc = -term if cur is None else cur - term
-                if acc:
-                    work[exps] = acc
-                else:
-                    work.pop(exps, None)
-        out[w] = res
-    return out
+    m = [None]
+    for r in range(1, max_weight + 1):
+        acc = factor[r] * r
+        for j in range(1, r):
+            acc = acc - m[j] * factor[r - j]
+        m.append(acc)
+    parts: list[dict] = [{(): factor[0]}]
+    for w in range(1, max_weight + 1):
+        out: dict = {}
+        for r in range(1, w + 1):
+            if m[r]:
+                _add_power_sum_times(out, r, parts[w - r], m[r] * Fraction(1, w))
+        parts.append({lam: c for lam, c in out.items() if c})
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +252,7 @@ def universal_k_polynomials(
     max_weight: int,
     num_vars: int | None = None,
 ) -> MultiplicativeSequence:
-    """Symmetric-function expansion of prod f(x_i) into p-monomials.
+    """prod f(x_i) as polynomials in the Pontryagin classes, weight by weight.
 
     The number of formal variables defaults to max_weight; anything
     >= max_weight gives the same answer (stability), fewer variables
@@ -293,11 +265,7 @@ def universal_k_polynomials(
     nvars = max_weight if num_vars is None else num_vars
     if nvars < max_weight:
         raise ValueError("need at least as many formal variables as the weight")
-    if max_weight == 0 or nvars == 0:
-        return MultiplicativeSequence(series.name, max_weight, {0: {(): Fraction(1)}}, series)
-    factor = list(series.coeffs[: max_weight + 1])
-    poly = _expand_symmetric_product(factor, nvars, max_weight)
-    weights = _symmetric_to_partitions(poly, nvars)
+    weights = dict(enumerate(_symmetric_expansion(series.coeffs, max_weight)))
     return MultiplicativeSequence(series.name, max_weight, weights, series)
 
 
@@ -313,6 +281,35 @@ def ahat_sequence(max_weight: int) -> MultiplicativeSequence:
 
 # ---------------------------------------------------------------------------
 # genus evaluation
+
+
+def _cross_checked(m: ManifoldModel, what: str, universal: Callable, roots: Callable):
+    """The universal value on m, confirmed by the roots route whenever m
+    carries tangent roots."""
+    value = universal(m)
+    if isinstance(m.tangent, StableRoots):
+        direct = roots(m)
+        if direct != value:
+            raise ConsistencyError(
+                f"{what} pipelines disagree on {m.name}: universal {value}, roots {direct}"
+            )
+    return value
+
+
+def _pontryagin_dot(m: ManifoldModel, polys: Sequence[Mapping[tuple[int, ...], Fraction]]) -> list[Fraction]:
+    """sum_I poly[I] * <p_I, [m]> for each poly, in one Pontryagin-number pass."""
+    p = pontryagin_classes(m)
+    values = [Fraction(0)] * len(polys)
+    for partition in dict.fromkeys(I for poly in polys for I in poly):
+        mono = m.ring.one()
+        for part in partition:
+            mono = mono * p[part - 1]
+        pnum = pair(m, mono)
+        if pnum:
+            for j, poly in enumerate(polys):
+                if partition in poly:
+                    values[j] += poly[partition] * pnum
+    return values
 
 
 def evaluate_genus(m: ManifoldModel, seq: MultiplicativeSequence) -> Fraction:
@@ -331,18 +328,16 @@ def evaluate_genus(m: ManifoldModel, seq: MultiplicativeSequence) -> Fraction:
     k = dim // 4
     if seq.max_weight < k:
         raise ValueError(f"sequence {seq.name} carries weight <= {seq.max_weight}, need {k}")
-    p = pontryagin_classes(m)
-    value = pair(m, seq.evaluate_top(p, k, m.ring))
-    if isinstance(m.tangent, StableRoots):
+
+    def roots(m: ManifoldModel) -> Fraction:
         total = m.ring.one()
         for x in m.tangent.roots:
             total = total * seq.source.evaluate_at(x)
-        direct = pair(m, total)
-        if direct != value:
-            raise ConsistencyError(
-                f"genus pipelines disagree on {m.name}: universal {value}, roots {direct}"
-            )
-    return value
+        return pair(m, total)
+
+    return _cross_checked(
+        m, "genus", lambda m: pair(m, seq.evaluate_top(pontryagin_classes(m), k, m.ring)), roots
+    )
 
 
 def signature(m: ManifoldModel) -> Fraction:
@@ -470,35 +465,39 @@ def _poly_at(coeffs: Sequence[Fraction], tpowers: Sequence[GradedElement], m: Ma
     return acc
 
 
-def _elliptic_universal(m: ManifoldModel, order: int) -> list[Fraction]:
-    dim = m.real_dimension
-    k = dim // 4
-    x2_order = k + 1
-    tw = twist_character(order, x2_order)
-    ah = CharacteristicSeries.ahat_genus(x2_order)
-    # F(t, q) = f_ahat(t) * g(t, q), coefficients as scalar q-series
-    factor: list[QSeries] = []
+@lru_cache(maxsize=None)
+def elliptic_polynomials(k: int, order: int) -> tuple[Mapping[tuple[int, ...], Fraction], ...]:
+    """The q-coefficients 0..order of q^(k/2) * phi as polynomials in the
+    Pontryagin classes of a 4k-manifold, one partition table per power of q.
+
+    Per root pair the factor is F(t, q) = f_ahat(t) * g(t, q); its
+    constant term g(0, q) is factored out before the expansion and put
+    back once per stable root pair, dim/2 = 2k times in all.
+    """
+    if order < 0:
+        raise ValueError("q-order must be nonnegative")
+    tw = twist_character(order, k + 1)
+    ah = CharacteristicSeries.ahat_genus(k + 1)
+    g0 = tw.scalar_part()
+    unit = g0.inverse()
+    factor = []
     for j in range(k + 1):
         acc = QSeries.constant(Fraction(0), order)
         for i in range(j + 1):
             if ah.coeffs[i]:
                 acc = acc + tw.x2_coeffs[j - i] * ah.coeffs[i]
-        factor.append(acc)
-    poly = _expand_symmetric_product(factor, k, k)
-    weights = _symmetric_to_partitions(poly, k)
-    top = weights.get(k, {})
-    p = pontryagin_classes(m)
-    paired = [Fraction(0)] * (order + 1)
-    for partition, qcoeff in top.items():
-        mono = m.ring.one()
-        for part in partition:
-            mono = mono * p[part - 1]
-        pnum = pair(m, mono)
-        if pnum:
-            for n in range(order + 1):
-                paired[n] += qcoeff.coeffs[n] * pnum
-    correction = tw.scalar_part() ** (dim // 2 - k)
-    return list((correction * QSeries(paired)).coeffs)
+        factor.append(acc * unit)
+    top = _symmetric_expansion(factor, k)[k]
+    correction = g0 ** (2 * k)
+    series = {lam: c * correction for lam, c in top.items()}
+    return tuple(
+        MappingProxyType({lam: s.coeffs[n] for lam, s in series.items() if s.coeffs[n]})
+        for n in range(order + 1)
+    )
+
+
+def _elliptic_universal(m: ManifoldModel, order: int) -> list[Fraction]:
+    return _pontryagin_dot(m, elliptic_polynomials(m.real_dimension // 4, order))
 
 
 def elliptic_q_coefficients(m: ManifoldModel, order: int | None = None) -> list[Fraction]:
@@ -506,46 +505,54 @@ def elliptic_q_coefficients(m: ManifoldModel, order: int | None = None) -> list[
 
     Coefficient 0 is the A-hat genus; coefficient 1 is minus the A-hat
     genus twisted by the complexified tangent bundle.  For spin models
-    every coefficient is an integer.
+    every coefficient is an integer.  Root-split models are computed
+    through both pipelines, which must agree exactly.
     """
     dim = m.real_dimension
     if dim % 4:
         raise ValueError(f"{m.name} has dimension {dim}; the expansion needs a multiple of 4")
     if order is None:
         order = dim // 4
-    if order < 0:
-        raise ValueError("q-order must be nonnegative")
-    if isinstance(m.tangent, StableRoots):
-        return _elliptic_roots(m, order)
-    return _elliptic_universal(m, order)
+    return _cross_checked(
+        m, "elliptic genus",
+        lambda m: _elliptic_universal(m, order), lambda m: _elliptic_roots(m, order),
+    )
 
 
 # ---------------------------------------------------------------------------
 # twisted A-hat
 
 
-def _twisted_universal(m: ManifoldModel) -> Fraction:
-    dim = m.real_dimension
-    k = dim // 4
-    if k == 0:
-        return Fraction(dim) * pair(m, m.ring.one())
-    ah = CharacteristicSeries.ahat_genus(k + 1)
-    aclass = _expand_symmetric_product(list(ah.coeffs[: k + 1]), k, k)
-    ch: dict[tuple, Fraction] = {(0,) * k: Fraction(dim)}
-    for i in range(k):
-        for r in range(1, k + 1):
-            mono = tuple(r if idx == i else 0 for idx in range(k))
-            ch[mono] = ch.get(mono, Fraction(0)) + Fraction(2, factorial(2 * r))
-    product_poly = _mvp_mul(aclass, ch, k)
-    top = _symmetric_to_partitions(product_poly, k).get(k, {})
-    p = pontryagin_classes(m)
-    value = Fraction(0)
-    for partition, coeff in top.items():
-        mono = m.ring.one()
-        for part in partition:
-            mono = mono * p[part - 1]
-        value += coeff * pair(m, mono)
-    return value
+@lru_cache(maxsize=None)
+def twisted_ahat_polynomial(k: int) -> Mapping[tuple[int, ...], Fraction]:
+    """A-hat(M) ch(T_C M) of a 4k-manifold as a polynomial in its
+    Pontryagin classes: the A-hat expansion times the character
+    dim + sum_r 2/(2r)! s_r, which keeps rank(T_C M) = dim M."""
+    parts = ahat_sequence(k).weights
+    out = {lam: c * (4 * k) for lam, c in parts[k].items()}
+    for r in range(1, k + 1):
+        _add_power_sum_times(out, r, parts[k - r], Fraction(2, factorial(2 * r)))
+    return MappingProxyType({lam: c for lam, c in out.items() if c})
+
+
+def _twisted_roots(m: ManifoldModel) -> Fraction:
+    x2_order = m.real_dimension // 4 + 1
+    ah = CharacteristicSeries.ahat_genus(x2_order)
+    one = m.ring.one()
+    aclass = one
+    ch = m.ring.scalar(m.real_dimension - 2 * len(m.tangent.roots))
+    for x in m.tangent.roots:
+        t = x * x
+        tpowers = [one]
+        for _ in range(x2_order):
+            tpowers.append(tpowers[-1] * t)
+        aclass = aclass * _poly_at(ah.coeffs, tpowers, m)
+        term = m.ring.scalar(2)
+        for r in range(1, x2_order + 1):
+            if not tpowers[r].is_zero:
+                term = term + tpowers[r] * Fraction(2, factorial(2 * r))
+        ch = ch + term
+    return pair(m, aclass * ch)
 
 
 def twisted_ahat_tangent(m: ManifoldModel) -> Fraction:
@@ -557,28 +564,7 @@ def twisted_ahat_tangent(m: ManifoldModel) -> Fraction:
     dim = m.real_dimension
     if dim % 4:
         raise ValueError(f"{m.name} has dimension {dim}; the twisted genus needs a multiple of 4")
-    k = dim // 4
-    value = _twisted_universal(m)
-    if isinstance(m.tangent, StableRoots):
-        x2_order = k + 1
-        ah = CharacteristicSeries.ahat_genus(x2_order)
-        one = m.ring.one()
-        aclass = one
-        ch = m.ring.scalar(dim - 2 * len(m.tangent.roots))
-        for x in m.tangent.roots:
-            t = x * x
-            tpowers = [one]
-            for _ in range(x2_order):
-                tpowers.append(tpowers[-1] * t)
-            aclass = aclass * _poly_at(ah.coeffs, tpowers, m)
-            term = m.ring.scalar(2)
-            for r in range(1, x2_order + 1):
-                if not tpowers[r].is_zero:
-                    term = term + tpowers[r] * Fraction(2, factorial(2 * r))
-            ch = ch + term
-        direct = pair(m, aclass * ch)
-        if direct != value:
-            raise ConsistencyError(
-                f"twisted A-hat pipelines disagree on {m.name}: universal {value}, roots {direct}"
-            )
-    return value
+    return _cross_checked(
+        m, "twisted A-hat",
+        lambda m: _pontryagin_dot(m, [twisted_ahat_polynomial(dim // 4)])[0], _twisted_roots,
+    )

@@ -303,6 +303,28 @@ class TestExitCodes:
         code, _, _ = run(capsys, ["--help"])
         assert code == 0
 
+    @pytest.mark.parametrize("dim", ["0", "6", "-4"])
+    @pytest.mark.parametrize(
+        "argv,subject",
+        [(["span"], "the elliptic span needs"), (["member", "-f", "p1"], "functionals need")],
+        ids=["span", "member"],
+    )
+    def test_dimension_not_positive_multiple_of_4_is_2(self, capsys, argv, subject, dim):
+        code, out, err = run(capsys, argv + ["--dim", dim])
+        assert code == 2 and out == ""
+        assert err == f"error: {subject} a positive dimension divisible by 4, not {dim}\n"
+
+    def test_elliptic_pipeline_disagreement_is_3(self, capsys, monkeypatch):
+        import ellcob.genera as genera
+
+        original = genera._elliptic_roots
+        monkeypatch.setattr(
+            genera, "_elliptic_roots", lambda m, order: [c + 1 for c in original(m, order)]
+        )
+        code, out, err = run(capsys, ["elliptic", "--manifold", "X12:c=2"])
+        assert code == 3 and out == ""
+        assert "internal consistency failure: elliptic genus pipelines disagree" in err
+
     def test_consistency_error_is_3(self, capsys, monkeypatch):
         def boom(_):
             raise ConsistencyError("pipelines disagreed")

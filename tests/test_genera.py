@@ -27,6 +27,7 @@ from ellcob.genera import (
     twisted_ahat_tangent,
     universal_k_polynomials,
 )
+from ellcob.errors import ConsistencyError
 from ellcob.genera import _elliptic_roots, _elliptic_universal
 from ellcob.manifolds import (
     LineBundleSum,
@@ -244,6 +245,20 @@ class TestEllipticExpansion:
     def test_root_and_universal_pipelines_agree(self):
         for m in (bundle_12(1), bundle_12(2), build_cp(2), build_cp(4)):
             assert _elliptic_roots(m, 2) == _elliptic_universal(m, 2), m.name
+
+    @pytest.mark.parametrize("side", ["_elliptic_roots", "_elliptic_universal"])
+    def test_perturbed_pipeline_raises(self, side, monkeypatch):
+        import ellcob.genera as genera
+
+        original = getattr(genera, side)
+
+        def perturbed(m, order):
+            coeffs = original(m, order)
+            return coeffs[:-1] + [coeffs[-1] + 1]
+
+        monkeypatch.setattr(genera, side, perturbed)
+        with pytest.raises(ConsistencyError, match="elliptic genus pipelines disagree"):
+            elliptic_q_coefficients(bundle_12(2), 2)
 
     def test_integrality_on_spin_models(self):
         spin_models = (build_hp(1), build_hp(2), bundle_12(2), product(build_hp(1), build_hp(1)))

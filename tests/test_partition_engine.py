@@ -1,0 +1,99 @@
+"""The partition-basis engine behind every universal genus polynomial.
+
+Oracles:
+  * the monomial expansion with greedy elementary-symmetric rewrite in
+    ``symmetric_reference`` (an independent implementation, exact
+    equality of every table);
+  * the projective-space basis solve (``genus_as_functional``) fed with
+    roots-route genus values, for the span and the named functionals;
+  * classical signatures at weight 12, out of reach of the monomial
+    route.
+"""
+from fractions import Fraction
+from functools import lru_cache
+
+import pytest
+
+import symmetric_reference as ref
+from ellcob.cli import parse_functional
+from ellcob.cobordism import basis_manifolds, elliptic_span, genus_as_functional
+from ellcob.genera import (
+    CharacteristicSeries,
+    _elliptic_roots,
+    _twisted_roots,
+    ahat_sequence,
+    elliptic_polynomials,
+    l_sequence,
+    signature,
+    twisted_ahat_polynomial,
+)
+from ellcob.manifolds import build_cp, build_hp, pair
+
+DIMS = (4, 8, 12, 16, 20)
+
+
+class TestAgainstMonomialRoute:
+    @pytest.mark.parametrize("name,sequence", [("l_genus", l_sequence), ("ahat_genus", ahat_sequence)])
+    def test_k_polynomials_up_to_weight_6(self, name, sequence):
+        expected = ref.k_polynomials(getattr(CharacteristicSeries, name)(7), 6)
+        for w in range(7):
+            assert sequence(w).weights == {v: expected[v] for v in range(w + 1)}, w
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_twisted_ahat_factor(self, k):
+        assert dict(twisted_ahat_polynomial(k)) == ref.twisted_ahat_top(k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_elliptic_factor(self, k):
+        assert [dict(t) for t in elliptic_polynomials(k, k)] == ref.elliptic_top(k, k)
+
+
+def _roots_genus(series):
+    def evaluate(m):
+        total = m.ring.one()
+        for x in m.tangent.roots:
+            total = total * series.evaluate_at(x)
+        return pair(m, total)
+    return evaluate
+
+
+@lru_cache(maxsize=None)
+def _basis_elliptic(dim, order):
+    return {b.name: _elliptic_roots(b, order) for b in basis_manifolds(dim)}
+
+
+def _oracle(dim, name, q_index=None):
+    """The named genus as a functional by basis solve over roots-route values."""
+    k = dim // 4
+    if name == "sign":
+        return genus_as_functional(_roots_genus(CharacteristicSeries.l_genus(k + 1)), dim)
+    if name == "ahat":
+        return genus_as_functional(_roots_genus(CharacteristicSeries.ahat_genus(k + 1)), dim)
+    if name == "ahat_t":
+        return genus_as_functional(_twisted_roots, dim)
+    values = _basis_elliptic(dim, max(k, q_index))
+    return genus_as_functional(lambda m: values[m.name][q_index], dim)
+
+
+class TestAgainstBasisSolve:
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_elliptic_span(self, dim):
+        functionals, _ = elliptic_span(dim, dim // 4)
+        for j, f in enumerate(functionals):
+            # reprs show every coefficient exactly and in order
+            assert repr(f) == repr(_oracle(dim, "ell", j)), j
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_named_functionals(self, dim):
+        for name in ("sign", "ahat", "ahat_t"):
+            assert repr(parse_functional(name, dim)) == repr(_oracle(dim, name)), name
+        for j in range(dim // 4 + 2):
+            assert repr(parse_functional(f"ell[{j}]", dim)) == repr(_oracle(dim, "ell", j)), j
+
+
+class TestWeightTwelve:
+    def test_signature_of_hp12(self):
+        assert signature(build_hp(12)) == Fraction(1)
+
+    def test_signature_of_cp24_both_routes(self):
+        assert signature(build_cp(24)) == Fraction(1)
