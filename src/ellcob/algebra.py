@@ -1,35 +1,34 @@
 """Exact scalars, truncated graded rings, q-series and rational matrices.
 
-Every scalar in this package is a ``fractions.Fraction``; nothing here
-rounds, ever.  The central object is :class:`GradedElement`, a sparse
+Every scalar this package hands out is a ``fractions.Fraction``; nothing
+here rounds, ever.  The central object is :class:`GradedElement`, a sparse
 polynomial in named even-degree generators kept in normal form with
 respect to single-head-generator rewrite rules (``a**r -> lower order``)
-and truncated above the ring's top dimension.  :class:`QSeries` carries
-truncated power series in a formal parameter q whose coefficients are
-either scalars or elements of one ring.  :class:`RationalMatrix` does
-exact rank and solve.
+and truncated above the ring's top dimension; products run over integer
+numerators and reduce through a per-ring table.  :class:`QSeries`
+carries truncated power series in q with scalar or ring coefficients.
+:class:`RationalMatrix` does exact rank and solve.
 
-All objects are immutable once constructed and all operations are pure,
-so values can be shared freely between threads.
+Elements, series and matrices are immutable and all operations are pure.
+Each :class:`RingSpec` carries a reduction cache, filled idempotently
+(an entry depends only on its key), so everything is safe to share.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from functools import reduce
+from math import lcm
+from operator import add
+from typing import Mapping, Sequence, Union
 
 __all__ = [
     "Rational",
     "as_rational",
     "RingSpec",
     "GradedElement",
-    "normalize",
-    "ring_mul",
-    "ring_pow",
     "QSeries",
     "series_mul",
     "RationalMatrix",
-    "rank",
-    "solve",
     "interpolate_polynomial",
 ]
 
@@ -59,7 +58,7 @@ class RingSpec:
     order.  Elements of degree above ``truncation_dimension`` are zero.
     """
 
-    __slots__ = ("generators", "degrees", "truncation_dimension", "rules", "_index", "_signature")
+    __slots__ = ("generators", "degrees", "truncation_dimension", "rules", "_index", "_signature", "_table")
 
     def __init__(
         self,
@@ -115,6 +114,7 @@ class RingSpec:
             self.truncation_dimension,
             tuple(sorted((g, p, tuple(sorted(rhs.items()))) for g, (p, rhs) in rules.items())),
         )
+        self._table: dict[tuple[int, ...], tuple] = {}  # raw monomial -> its normal form
 
     # -- identity -----------------------------------------------------
 
@@ -177,6 +177,15 @@ class RingSpec:
             else:
                 out[exps] = out.get(exps, Fraction(0)) + coeff
         return {e: c for e, c in out.items() if c}
+
+    def _reduce(self, exps: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], Scalar], ...]:
+        """Tabled normal form of one monomial: ``(exps, int or Fraction)`` pairs."""
+        reduced = tuple(
+            (e, c.numerator if c.denominator == 1 else c)
+            for e, c in self.normalize_terms({exps: 1}).items()
+        )
+        self._table[exps] = reduced
+        return reduced
 
     def is_normal_monomial(self, exps: tuple[int, ...]) -> bool:
         if self.degree_of(exps) > self.truncation_dimension:
@@ -248,9 +257,6 @@ class GradedElement:
         picked = {e: c for e, c in self.terms.items() if self.ring.degree_of(e) == d}
         return GradedElement(self.ring, picked, _trusted=True)
 
-    def degrees_present(self) -> set[int]:
-        return {self.ring.degree_of(e) for e in self.terms}
-
     # -- arithmetic -----------------------------------------------------
 
     def _check_ring(self, other: "GradedElement") -> None:
@@ -281,12 +287,28 @@ class GradedElement:
     def __mul__(self, other: Union["GradedElement", Scalar]) -> "GradedElement":
         if isinstance(other, GradedElement):
             self._check_ring(other)
-            raw: dict[tuple[int, ...], Fraction] = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    mono = tuple(a + b for a, b in zip(e1, e2))
-                    raw[mono] = raw.get(mono, Fraction(0)) + c1 * c2
-            return GradedElement(self.ring, raw)
+            den1, num1 = _over_common_denominator(self.terms)
+            den2, num2 = _over_common_denominator(other.terms)
+            raw: dict[tuple[int, ...], int] = {}
+            for e1, c1 in num1:
+                for e2, c2 in num2:
+                    mono = tuple(map(add, e1, e2))
+                    raw[mono] = raw.get(mono, 0) + c1 * c2
+            # normalize is linear, so reducing each raw monomial gives the normal form
+            table = self.ring._table
+            acc: dict[tuple[int, ...], Scalar] = {}
+            for mono, c in raw.items():
+                if not c:
+                    continue
+                reduced = table.get(mono)
+                if reduced is None:
+                    reduced = self.ring._reduce(mono)
+                for e, r in reduced:
+                    acc[e] = acc.get(e, 0) + c * r
+            den = den1 * den2
+            return GradedElement(
+                self.ring, {e: Fraction(c, den) for e, c in acc.items() if c}, _trusted=True
+            )
         if isinstance(other, (int, Fraction)):
             c = as_rational(other)
             if not c:
@@ -335,17 +357,12 @@ class GradedElement:
         return " + ".join(bits).replace("+ -", "- ")
 
 
-def normalize(element: GradedElement) -> GradedElement:
-    """Re-run reduction on an element.  Idempotent by construction."""
-    return GradedElement(element.ring, element.terms)
-
-
-def ring_mul(x: GradedElement, y: GradedElement) -> GradedElement:
-    return x * y
-
-
-def ring_pow(x: GradedElement, n: int) -> GradedElement:
-    return x ** n
+def _over_common_denominator(terms: Mapping[tuple[int, ...], Fraction]) -> tuple[int, list]:
+    """``(d, [(exps, n)])`` with every coefficient equal to ``n / d``."""
+    # no lcm(*...): its argument tuples pile up on the interpreter's tuple
+    # free lists, and peak RSS creeps with the number of products
+    den = reduce(lcm, (c.denominator for c in terms.values()), 1)
+    return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -515,13 +532,6 @@ class RationalMatrix:
         self.cols = width
         self.entries = rows
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[Scalar]]) -> "RationalMatrix":
-        return cls(list(rows))
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i][j]
-
     def matvec(self, vec: Sequence[Scalar]) -> list[Fraction]:
         if len(vec) != self.cols:
             raise ValueError("vector length does not match matrix width")
@@ -529,23 +539,7 @@ class RationalMatrix:
         return [sum((row[j] * v[j] for j in range(self.cols)), Fraction(0)) for row in self.entries]
 
     def rank(self) -> int:
-        m = [row[:] for row in self.entries]
-        r = 0
-        for col in range(self.cols):
-            pivot = next((i for i in range(r, self.rows) if m[i][col]), None)
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            inv = 1 / m[r][col]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][col]:
-                    f = m[i][col]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            r += 1
-            if r == self.rows:
-                break
-        return r
+        return len(_rref([row[:] for row in self.entries], self.cols))
 
     def solve(self, rhs: Sequence[Scalar]) -> list[Fraction] | None:
         """One exact solution of self * x = rhs, or None if inconsistent.
@@ -555,28 +549,11 @@ class RationalMatrix:
         if len(rhs) != self.rows:
             raise ValueError("right-hand side length does not match matrix height")
         aug = [row[:] + [as_rational(b)] for row, b in zip(self.entries, rhs)]
-        pivots: list[tuple[int, int]] = []
-        r = 0
-        for col in range(self.cols):
-            pivot = next((i for i in range(r, self.rows) if aug[i][col]), None)
-            if pivot is None:
-                continue
-            aug[r], aug[pivot] = aug[pivot], aug[r]
-            inv = 1 / aug[r][col]
-            aug[r] = [x * inv for x in aug[r]]
-            for i in range(self.rows):
-                if i != r and aug[i][col]:
-                    f = aug[i][col]
-                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-            pivots.append((r, col))
-            r += 1
-            if r == self.rows:
-                break
-        for i in range(r, self.rows):
-            if aug[i][self.cols]:
-                return None
+        pivots = _rref(aug, self.cols)
+        if any(aug[i][self.cols] for i in range(len(pivots), self.rows)):
+            return None
         x = [Fraction(0)] * self.cols
-        for row, col in pivots:
+        for row, col in enumerate(pivots):
             x[col] = aug[row][self.cols]
         return x
 
@@ -584,12 +561,29 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols})"
 
 
-def rank(matrix: RationalMatrix) -> int:
-    return matrix.rank()
+def _rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
+    """Gauss-Jordan on the first ``ncols`` columns of ``rows``, in place.
 
-
-def solve(matrix: RationalMatrix, rhs: Sequence[Scalar]) -> list[Fraction] | None:
-    return matrix.solve(rhs)
+    Returns the pivot column of each leading row, in row order; rows
+    past the last pivot are zero in those columns.
+    """
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][col]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return pivots
 
 
 def interpolate_polynomial(points: Sequence[tuple[Scalar, Scalar]]) -> list[Fraction]:

@@ -409,6 +409,10 @@ def _cmd_pontryagin(args: argparse.Namespace) -> int:
 
 def _cmd_genus(args: argparse.Namespace) -> int:
     m = _load_manifold(args)
+    if m.real_dimension % 4:  # the library's evaluate_genus would warn and return 0
+        raise ValueError(
+            f"{m.name} has dimension {m.real_dimension}; the genus {args.which} needs a multiple of 4"
+        )
     value = _GENUS_EVALUATORS[args.which](m)
     _emit_json({
         "dimension": m.real_dimension,

@@ -5,6 +5,7 @@ Oracles: hand-reduced normal forms for a small quotient ring, classical
 power-series identities, and sympy (test-only) for matrix ranks.
 """
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from ellcob.algebra import (
     interpolate_polynomial,
     series_mul,
 )
+from ellcob.manifolds import LineBundleSum, build_proj_bundle
 
 F = Fraction
 
@@ -139,6 +141,99 @@ class TestRingProperties:
     def test_one_is_identity(self, x):
         ring = x.ring
         assert (x * ring.one()).terms == x.terms
+
+
+# -- the tabled product against the worklist route -------------------------
+
+rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def rule_rings(draw):
+    """1-3 generators of degree 2 or 4 and single-head rules with rational
+    coefficients.  The rule for generator i only uses generators >= i and
+    lowers the exponent of i, so reduction terminates."""
+    degs = draw(st.lists(st.sampled_from([2, 4]), min_size=1, max_size=3))
+    n = len(degs)
+    rules = {}
+    for i in range(n):
+        if not draw(st.booleans()):
+            continue
+        power = draw(st.integers(1, 3))
+        head = power * degs[i]
+        monos = [
+            (0,) * i + rest
+            for rest in product(range(power), *[range(head // d + 1) for d in degs[i + 1:]])
+            if sum(e * d for e, d in zip(rest, degs[i:])) == head
+        ]
+        picked = draw(st.lists(st.sampled_from(monos), unique=True, max_size=3)) if monos else []
+        rules[f"g{i}"] = (power, {m: draw(rationals) for m in picked})
+    top = draw(st.integers(0, 8)) * 2
+    return RingSpec([(f"g{i}", d) for i, d in enumerate(degs)], top, rules)
+
+
+def raw_terms(draw, ring):
+    """Unreduced terms: small exponents, rational coefficients."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        exps = tuple(draw(st.integers(0, 3)) for _ in range(ring.ngens))
+        terms[exps] = terms.get(exps, F(0)) + draw(rationals)
+    return terms
+
+
+def worklist_product(x, y):
+    """The unreduced exponent-sum product, normalized by the worklist."""
+    raw = {}
+    for e1, c1 in x.terms.items():
+        for e2, c2 in y.terms.items():
+            mono = tuple(a + b for a, b in zip(e1, e2))
+            raw[mono] = raw.get(mono, F(0)) + c1 * c2
+    return GradedElement(x.ring, raw)
+
+
+@st.composite
+def rule_ring_pairs(draw):
+    ring = draw(rule_rings())
+    return GradedElement(ring, raw_terms(draw, ring)), GradedElement(ring, raw_terms(draw, ring))
+
+
+@st.composite
+def bundle_ring_pairs(draw):
+    base = draw(st.integers(1, 3))
+    degrees = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+    ring = build_proj_bundle(LineBundleSum(base, tuple(degrees))).ring
+    return GradedElement(ring, raw_terms(draw, ring)), GradedElement(ring, raw_terms(draw, ring))
+
+
+class TestTabledProduct:
+    @settings(max_examples=150, deadline=None)
+    @given(rule_ring_pairs())
+    def test_matches_worklist(self, pair):
+        x, y = pair
+        xy = x * y
+        assert xy == worklist_product(x, y)
+        assert all(type(c) is Fraction for c in xy.terms.values())
+
+    @settings(max_examples=60, deadline=None)
+    @given(bundle_ring_pairs())
+    def test_matches_worklist_on_bundles(self, pair):
+        x, y = pair
+        assert x * y == worklist_product(x, y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rule_ring_pairs())
+    def test_equal_rings_give_equal_products(self, pair):
+        x, y = pair
+        ring = x.ring
+        twin = RingSpec(
+            list(zip(ring.generators, ring.degrees)),
+            ring.truncation_dimension,
+            {ring.generators[g]: (p, rhs) for g, (p, rhs) in ring.rules.items()},
+        )
+        assert twin == ring and twin is not ring
+        xy = x * y
+        assert GradedElement(twin, x.terms) * GradedElement(twin, y.terms) == xy
+        assert xy.terms == (x * y).terms  # the filled table gives the same answer again
 
 
 class TestHomogeneousParts:

@@ -6,6 +6,7 @@ wrap and then frozen byte-for-byte; the CLI is a thin adapter, so any
 drift in these bytes is a real interface change.
 """
 import json
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -313,6 +314,15 @@ class TestExitCodes:
         code, out, err = run(capsys, argv + ["--dim", dim])
         assert code == 2 and out == ""
         assert err == f"error: {subject} a positive dimension divisible by 4, not {dim}\n"
+
+    @pytest.mark.parametrize("which", ["sign", "ahat", "ahat_t"])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_genus_dimension_not_multiple_of_4_is_2(self, capsys, n, which):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a UserWarning would escape main() and fail here
+            code, out, err = run(capsys, ["genus", "--manifold", f"cp:{n}", "--which", which])
+        assert code == 2 and out == ""
+        assert err == f"error: cp:{n} has dimension {2 * n}; the genus {which} needs a multiple of 4\n"
 
     def test_elliptic_pipeline_disagreement_is_3(self, capsys, monkeypatch):
         import ellcob.genera as genera
