@@ -369,6 +369,11 @@ def _over_common_denominator(terms: Mapping[tuple[int, ...], Fraction]) -> tuple
 # q-series
 
 
+def _zero_like(value):
+    """The zero of value's kind, scalar or ring, built without a product."""
+    return value.ring.zero() if isinstance(value, GradedElement) else Fraction(0)
+
+
 def _coeff_kind(value) -> tuple:
     if isinstance(value, (int, Fraction)):
         return ("scalar",)
@@ -403,15 +408,14 @@ class QSeries:
 
     @classmethod
     def constant(cls, value, order: int) -> "QSeries":
-        zero = value * 0
-        return cls([value] + [zero] * order)
+        return cls([value] + [_zero_like(value)] * order)
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
     def _zero_coeff(self):
-        return self.coeffs[0] * 0
+        return _zero_like(self.coeffs[0])
 
     def coefficient(self, i: int):
         return self.coeffs[i] if i <= self.order else self._zero_coeff()
@@ -448,8 +452,8 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        zero = self.coeffs[0] * other.coeffs[0] * 0
-        out = [zero] * (n + 1)
+        ring_valued = isinstance(self.coeffs[0], GradedElement)
+        out = [(self if ring_valued else other)._zero_coeff()] * (n + 1)
         for i, a in enumerate(self.coeffs[: n + 1]):
             if not a:
                 continue

@@ -4,7 +4,11 @@ A genus is encoded by an even power series f(x) = 1 + f_2 x^2 + f_4 x^4
 + ... ; its value on a manifold can be computed two independent ways:
 
 * root pipeline: evaluate the product of f over the stable tangent
-  roots and pair the result (only for root-split tangent data);
+  roots and pair the result (only for root-split tangent data).  Equal
+  roots are grouped (``root_groups``) and a root x of multiplicity m
+  contributes (f^m)(x), the m-th power taken on the scalar series,
+  which equals f(x)^m exactly: one ring-valued product per distinct
+  root instead of m;
 * universal pipeline: write the product of f over formal variables as a
   polynomial in their elementary symmetric functions, i.e. in the
   Pontryagin classes, and pair its Pontryagin monomials.
@@ -50,6 +54,7 @@ from .manifolds import (
     StableRoots,
     pair,
     pontryagin_classes,
+    root_groups,
 )
 
 __all__ = [
@@ -98,6 +103,37 @@ def _inv_even(a: Sequence[Fraction], order: int) -> list[Fraction]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _even_power(coeffs: tuple[Fraction, ...], m: int) -> tuple[Fraction, ...]:
+    """f^m (m >= 1) at the order N of f, so (f^m)(x) = f(x)^m whenever
+    x^(2N + 2) = 0.  Cached by value, not by object."""
+    out = coeffs
+    for _ in range(m - 1):
+        out = _mul_even(out, coeffs, len(coeffs) - 1)
+    return tuple(out)
+
+
+def _t_powers(x: GradedElement, order: int) -> list[GradedElement]:
+    """1, t, ..., t^order for t = x^2, cut before the first zero power."""
+    t = x * x
+    out = [x.ring.one()]
+    while len(out) <= order:
+        tp = out[-1] * t
+        if tp.is_zero:
+            break
+        out.append(tp)
+    return out
+
+
+def _poly_at(coeffs: Sequence[Fraction], tpowers: Sequence[GradedElement]) -> GradedElement:
+    """sum_j coeffs[j] t^j, given the nonzero powers of t."""
+    acc = tpowers[0].ring.zero()
+    for c, tp in zip(coeffs, tpowers):
+        if c:
+            acc = acc + tp * c
+    return acc
+
+
 class CharacteristicSeries:
     """The even power series f(x) defining a genus; coeffs[j] is the
     coefficient of x^(2j), and coeffs[0] must be 1."""
@@ -130,16 +166,7 @@ class CharacteristicSeries:
 
     def evaluate_at(self, x: GradedElement) -> GradedElement:
         """f(x) for a nilpotent degree-2 ring element x."""
-        t = x * x
-        acc = x.ring.scalar(self.coeffs[0])
-        tp = x.ring.one()
-        for j in range(1, len(self.coeffs)):
-            tp = tp * t
-            if tp.is_zero:
-                break
-            if self.coeffs[j]:
-                acc = acc + tp * self.coeffs[j]
-        return acc
+        return _poly_at(self.coeffs, _t_powers(x, self.order))
 
     def __repr__(self) -> str:
         return f"CharacteristicSeries({self.name}, order={self.order})"
@@ -328,16 +355,19 @@ def evaluate_genus(m: ManifoldModel, seq: MultiplicativeSequence) -> Fraction:
     k = dim // 4
     if seq.max_weight < k:
         raise ValueError(f"sequence {seq.name} carries weight <= {seq.max_weight}, need {k}")
-
-    def roots(m: ManifoldModel) -> Fraction:
-        total = m.ring.one()
-        for x in m.tangent.roots:
-            total = total * seq.source.evaluate_at(x)
-        return pair(m, total)
-
     return _cross_checked(
-        m, "genus", lambda m: pair(m, seq.evaluate_top(pontryagin_classes(m), k, m.ring)), roots
+        m, "genus",
+        lambda m: pair(m, seq.evaluate_top(pontryagin_classes(m), k, m.ring)),
+        lambda m: _genus_roots(m, seq.source),
     )
+
+
+def _genus_roots(m: ManifoldModel, series: CharacteristicSeries) -> Fraction:
+    """The product of f(x) over the stable roots, one (f^m)(x) per distinct root."""
+    total = m.ring.one()
+    for x, mult in root_groups(m.tangent.roots):
+        total = total * CharacteristicSeries(series.name, _even_power(series.coeffs, mult)).evaluate_at(x)
+    return pair(m, total)
 
 
 def signature(m: ManifoldModel) -> Fraction:
@@ -423,46 +453,31 @@ def twist_character(q_order: int, x2_order: int) -> TwistCharacter:
     return TwistCharacter(q_order, x2_order, coeffs)
 
 
-def _lift_scalar_series(s: QSeries, ring) -> QSeries:
-    one = ring.one()
-    return QSeries([one * c for c in s.coeffs])
+@lru_cache(maxsize=None)
+def _elliptic_factor(order: int, x2_order: int, m: int) -> tuple[tuple[Fraction, ...], ...]:
+    """(f_ahat(t) g(t, q))^m (m >= 1); entry [n][j] multiplies q^n t^j."""
+    if m == 1:
+        tw = twist_character(order, x2_order)
+        g = [[s.coeffs[n] for s in tw.x2_coeffs] for n in range(order + 1)]
+        grid = _bimul([CharacteristicSeries.ahat_genus(x2_order).coeffs], g, order, x2_order)
+    else:
+        grid = _bimul(_elliptic_factor(order, x2_order, m - 1), _elliptic_factor(order, x2_order, 1),
+                      order, x2_order)
+    return tuple(map(tuple, grid))
 
 
 def _elliptic_roots(m: ManifoldModel, order: int) -> list[Fraction]:
-    k = m.real_dimension // 4
-    x2_order = k + 1
-    tw = twist_character(order, x2_order)
-    ah = CharacteristicSeries.ahat_genus(x2_order)
-    one = m.ring.one()
-    roots = m.tangent.roots
-    aclass = one
-    acc = QSeries([one] + [m.ring.zero()] * order)
-    for x in roots:
-        t = x * x
-        tpowers = [one]
-        for _ in range(x2_order):
-            tpowers.append(tpowers[-1] * t)
-        aclass = aclass * _poly_at(ah.coeffs, tpowers, m)
-        g_coeffs = []
-        for n in range(order + 1):
-            coeff = m.ring.zero()
-            for j, tp in enumerate(tpowers):
-                scal = tw.x2_coeffs[j].coeffs[n]
-                if scal and not tp.is_zero:
-                    coeff = coeff + tp * scal
-            g_coeffs.append(coeff)
-        acc = acc * QSeries(g_coeffs)
-    correction = tw.scalar_part() ** (m.real_dimension // 2 - len(roots))
-    acc = acc * _lift_scalar_series(correction, m.ring)
-    return [pair(m, aclass * acc.coeffs[n]) for n in range(order + 1)]
-
-
-def _poly_at(coeffs: Sequence[Fraction], tpowers: Sequence[GradedElement], m: ManifoldModel) -> GradedElement:
-    acc = m.ring.zero()
-    for j, c in enumerate(coeffs):
-        if j < len(tpowers) and c and not tpowers[j].is_zero:
-            acc = acc + tpowers[j] * c
-    return acc
+    """One ring-valued q-series product per distinct root x of multiplicity
+    mult, with factor (f_ahat g)^mult(x); the rank correction g(0, q) per
+    missing root pair multiplies the paired values (pair is linear)."""
+    x2_order = m.real_dimension // 4 + 1
+    acc = QSeries.constant(m.ring.one(), order)
+    for x, mult in root_groups(m.tangent.roots):
+        tpowers = _t_powers(x, x2_order)
+        acc = acc * QSeries([_poly_at(row, tpowers) for row in _elliptic_factor(order, x2_order, mult)])
+    g0 = twist_character(order, x2_order).scalar_part()
+    correction = g0 ** (m.real_dimension // 2 - len(m.tangent.roots))
+    return (QSeries([pair(m, c) for c in acc.coeffs]) * correction).coeffs
 
 
 @lru_cache(maxsize=None)
@@ -536,22 +551,17 @@ def twisted_ahat_polynomial(k: int) -> Mapping[tuple[int, ...], Fraction]:
 
 
 def _twisted_roots(m: ManifoldModel) -> Fraction:
+    """A-hat^mult(x) and mult (e^x + e^-x - 2) per distinct root x; the
+    character starts at dim, so rank(T_C M) = dim M."""
     x2_order = m.real_dimension // 4 + 1
-    ah = CharacteristicSeries.ahat_genus(x2_order)
-    one = m.ring.one()
-    aclass = one
-    ch = m.ring.scalar(m.real_dimension - 2 * len(m.tangent.roots))
-    for x in m.tangent.roots:
-        t = x * x
-        tpowers = [one]
-        for _ in range(x2_order):
-            tpowers.append(tpowers[-1] * t)
-        aclass = aclass * _poly_at(ah.coeffs, tpowers, m)
-        term = m.ring.scalar(2)
-        for r in range(1, x2_order + 1):
-            if not tpowers[r].is_zero:
-                term = term + tpowers[r] * Fraction(2, factorial(2 * r))
-        ch = ch + term
+    ah = CharacteristicSeries.ahat_genus(x2_order).coeffs
+    two_cosh_minus_two = [0] + [Fraction(2, factorial(2 * r)) for r in range(1, x2_order + 1)]
+    aclass = m.ring.one()
+    ch = m.ring.scalar(m.real_dimension)
+    for x, mult in root_groups(m.tangent.roots):
+        tpowers = _t_powers(x, x2_order)
+        aclass = aclass * _poly_at(_even_power(ah, mult), tpowers)
+        ch = ch + _poly_at(two_cosh_minus_two, tpowers) * mult
     return pair(m, aclass * ch)
 
 

@@ -12,6 +12,8 @@ fundamental class.  Tangent data comes in two kinds:
   the twisted bundle along the fibres.  The list is stable: it may be
   longer than half the real dimension, the surplus being trivial
   summands accounted for explicitly by rank corrections downstream.
+  Roots repeat (b appears l+1 times); ``root_groups`` collects equal
+  roots with their multiplicities.
 
 * ``ExplicitPontryagin``: the total Pontryagin class is stored directly.
   Quaternionic projective space HP^n carries
@@ -43,6 +45,7 @@ __all__ = [
     "build_hp",
     "build_proj_bundle",
     "product",
+    "root_groups",
     "total_pontryagin",
     "pontryagin_classes",
     "pair",
@@ -265,12 +268,24 @@ def product(m1: ManifoldModel, m2: ManifoldModel) -> ManifoldModel:
 # characteristic data
 
 
+def root_groups(roots: Sequence[GradedElement]) -> tuple[tuple[GradedElement, int], ...]:
+    """Equal roots collected once: ``(root, multiplicity)`` pairs in order
+    of first appearance, keyed by normal-form terms."""
+    groups: dict[frozenset, tuple[GradedElement, int]] = {}
+    for x in roots:
+        key = frozenset(x.terms.items())
+        root, mult = groups.get(key, (x, 0))
+        groups[key] = (root, mult + 1)
+    return tuple(groups.values())
+
+
 def total_pontryagin(m: ManifoldModel) -> GradedElement:
-    """1 + p_1 + p_2 + ...; from roots this is the product of (1 + x_i^2)."""
+    """1 + p_1 + p_2 + ...; from roots this is the product of (1 + x_i^2),
+    one power (1 + x^2)^m per distinct root x of multiplicity m."""
     if isinstance(m.tangent, StableRoots):
         total = m.ring.one()
-        for x in m.tangent.roots:
-            total = total * (m.ring.one() + x * x)
+        for x, mult in root_groups(m.tangent.roots):
+            total = total * (m.ring.one() + x * x) ** mult
         return total
     total = m.ring.one()
     for cls in m.tangent.classes:

@@ -11,6 +11,10 @@ slower, so the tests only run it at small weights.
 Coefficients may be Fractions or scalar QSeries.  Results are, per
 weight, dicts from partitions (non-increasing tuples naming products of
 elementary symmetric functions) to nonzero coefficients.
+
+The per-root products at the end multiply one ring-valued factor per
+stable root, with no series powers; they are the oracle for the roots
+routes in ``ellcob``, which group equal roots.
 """
 from fractions import Fraction
 from functools import lru_cache
@@ -20,6 +24,7 @@ from math import factorial
 from ellcob.algebra import QSeries
 from ellcob.errors import ConsistencyError
 from ellcob.genera import CharacteristicSeries, twist_character
+from ellcob.manifolds import pair
 
 
 def _mvp_mul(p, q, kmax):
@@ -138,3 +143,62 @@ def elliptic_top(k, order):
     correction = tw.scalar_part() ** k
     series = {lam: c * correction for lam, c in top.items()}
     return [{lam: s.coeffs[n] for lam, s in series.items() if s.coeffs[n]} for n in range(order + 1)]
+
+
+# ---------------------------------------------------------------------------
+# per-root products
+
+
+def _series_at(coeffs, x):
+    """sum_j coeffs[j] (x^2)^j, one power of x^2 at a time."""
+    t = x * x
+    acc, tp = x.ring.scalar(coeffs[0]), x.ring.one()
+    for c in coeffs[1:]:
+        tp = tp * t
+        if c:
+            acc = acc + tp * c
+    return acc
+
+
+def total_pontryagin_per_root(m):
+    total = m.ring.one()
+    for x in m.tangent.roots:
+        total = total * (m.ring.one() + x * x)
+    return total
+
+
+def genus_per_root(m, series):
+    total = m.ring.one()
+    for x in m.tangent.roots:
+        total = total * _series_at(series.coeffs, x)
+    return pair(m, total)
+
+
+def twisted_ahat_per_root(m):
+    """A-hat(M) ch(T_C M) with ch = dim - 2 #roots + sum_i 2 cosh(x_i)."""
+    x2_order = m.real_dimension // 4 + 1
+    ah = CharacteristicSeries.ahat_genus(x2_order).coeffs
+    two_cosh = [Fraction(2, factorial(2 * r)) for r in range(x2_order + 1)]
+    aclass = m.ring.one()
+    ch = m.ring.scalar(m.real_dimension - 2 * len(m.tangent.roots))
+    for x in m.tangent.roots:
+        aclass = aclass * _series_at(ah, x)
+        ch = ch + _series_at(two_cosh, x)
+    return pair(m, aclass * ch)
+
+
+def elliptic_per_root(m, order):
+    """q-coefficients of A-hat(M) times prod_i g(x_i, q), with the rank
+    correction g(0, q)^(dim/2 - #roots) lifted into the ring."""
+    x2_order = m.real_dimension // 4 + 1
+    tw = twist_character(order, x2_order)
+    ah = CharacteristicSeries.ahat_genus(x2_order).coeffs
+    one = m.ring.one()
+    aclass = one
+    acc = QSeries([one] + [m.ring.zero()] * order)
+    for x in m.tangent.roots:
+        aclass = aclass * _series_at(ah, x)
+        acc = acc * QSeries([_series_at([s.coeffs[n] for s in tw.x2_coeffs], x) for n in range(order + 1)])
+    correction = tw.scalar_part() ** (m.real_dimension // 2 - len(m.tangent.roots))
+    acc = acc * QSeries([one * c for c in correction.coeffs])
+    return [pair(m, aclass * c) for c in acc.coeffs]
