@@ -6,7 +6,8 @@ polynomial in named even-degree generators kept in normal form with
 respect to single-head-generator rewrite rules (``a**r -> lower order``)
 and truncated above the ring's top dimension; products run over integer
 numerators and reduce through a per-ring table.  :class:`QSeries`
-carries truncated power series in q with scalar or ring coefficients.
+carries truncated power series with scalar, ring or scalar-series
+coefficients.
 :class:`RationalMatrix` does exact rank and solve.
 
 Elements, series and matrices are immutable and all operations are pure.
@@ -27,7 +28,6 @@ __all__ = [
     "RingSpec",
     "GradedElement",
     "QSeries",
-    "series_mul",
     "RationalMatrix",
     "interpolate_polynomial",
 ]
@@ -247,12 +247,6 @@ class GradedElement:
     def constant(self) -> Fraction:
         return self.coefficient((0,) * self.ring.ngens)
 
-    def degree(self) -> int:
-        """Top degree among the surviving monomials (0 for the zero element)."""
-        if not self.terms:
-            return 0
-        return max(self.ring.degree_of(e) for e in self.terms)
-
     def homogeneous_part(self, d: int) -> "GradedElement":
         picked = {e: c for e, c in self.terms.items() if self.ring.degree_of(e) == d}
         return GradedElement(self.ring, picked, _trusted=True)
@@ -370,8 +364,12 @@ def _over_common_denominator(terms: Mapping[tuple[int, ...], Fraction]) -> tuple
 
 
 def _zero_like(value):
-    """The zero of value's kind, scalar or ring, built without a product."""
-    return value.ring.zero() if isinstance(value, GradedElement) else Fraction(0)
+    """The zero of value's kind, scalar, ring or series, built without a product."""
+    if isinstance(value, GradedElement):
+        return value.ring.zero()
+    if isinstance(value, QSeries):
+        return QSeries([Fraction(0)] * len(value.coeffs))
+    return Fraction(0)
 
 
 def _coeff_kind(value) -> tuple:
@@ -379,14 +377,18 @@ def _coeff_kind(value) -> tuple:
         return ("scalar",)
     if isinstance(value, GradedElement):
         return ("ring", value.ring)
+    if isinstance(value, QSeries) and isinstance(value.coeffs[0], Fraction):
+        return ("series",)
     raise TypeError(f"unsupported series coefficient {type(value).__name__}")
 
 
 class QSeries:
     """Power series in q truncated at a fixed order, exact coefficients.
 
-    Coefficients are either all scalars or all elements of one ring;
-    index i holds the coefficient of q**i, so ``order == len(coeffs)-1``.
+    Coefficients are all scalars, all elements of one ring, or all
+    scalar series (a series in a second variable, such as t = x^2, whose
+    coefficients are q-series); index i holds the coefficient of q**i,
+    so ``order == len(coeffs)-1``.
     """
 
     __slots__ = ("coeffs",)
@@ -396,14 +398,12 @@ class QSeries:
         if not coeffs:
             raise ValueError("a series needs at least the q^0 coefficient")
         kinds = {_coeff_kind(c)[0] for c in coeffs}
+        if len(kinds) > 1:
+            raise TypeError("series coefficients must be all scalars, all ring elements or all series")
         if kinds == {"scalar"}:
             coeffs = [as_rational(c) for c in coeffs]
-        elif "scalar" in kinds:
-            raise TypeError("series coefficients must be all scalar or all ring elements")
-        else:
-            rings = {c.ring for c in coeffs}
-            if len(rings) != 1:
-                raise ValueError("series coefficients must live in a single ring")
+        elif kinds == {"ring"} and len({c.ring for c in coeffs}) != 1:
+            raise ValueError("series coefficients must live in a single ring")
         self.coeffs = coeffs
 
     @classmethod
@@ -447,11 +447,12 @@ class QSeries:
         return QSeries([-c for c in self.coeffs])
 
     def __mul__(self, other) -> "QSeries":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(as_rational(other))
+        if isinstance(other, (int, Fraction, GradedElement)):
+            return self.scale(other)
         if not isinstance(other, QSeries):
             return NotImplemented
         n = min(self.order, other.order)
+        # a scalar coefficient times a ring element is a ring element
         ring_valued = isinstance(self.coeffs[0], GradedElement)
         out = [(self if ring_valued else other)._zero_coeff()] * (n + 1)
         for i, a in enumerate(self.coeffs[: n + 1]):
@@ -499,21 +500,6 @@ class QSeries:
 
     def __repr__(self) -> str:
         return f"QSeries({self.coeffs!r})"
-
-
-def series_mul(s: QSeries, t: QSeries, order: int) -> QSeries:
-    """Cauchy product truncated at q**order.
-
-    Both inputs must carry the same coefficient kind: scalars with
-    scalars, or ring elements of one common ring.
-    """
-    ks = _coeff_kind(s.coeffs[0])
-    kt = _coeff_kind(t.coeffs[0])
-    if ks[0] != kt[0]:
-        raise TypeError("cannot multiply scalar and ring-valued series; lift the scalar one first")
-    if ks[0] == "ring" and ks[1] != kt[1]:
-        raise ValueError("ring-valued series over different rings cannot be multiplied")
-    return (s.truncated(order) * t.truncated(order)).truncated(order)
 
 
 # ---------------------------------------------------------------------------

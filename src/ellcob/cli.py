@@ -147,9 +147,15 @@ class _Scanner:
         if not self.eat(literal):
             raise self.error(f"expected {literal!r}")
 
+    def at_digit(self, offset: int = 0) -> bool:
+        """Whether the character ``offset`` places ahead is an ASCII digit;
+        str.isdigit() also takes digits that int() rejects, such as '²'."""
+        i = self.pos + offset
+        return i < len(self.text) and self.text[i] in "0123456789"
+
     def unsigned_int(self) -> int:
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.at_digit():
             self.pos += 1
         if self.pos == start:
             raise self.error("expected an integer", start)
@@ -199,7 +205,7 @@ def _parse_atom(sc: _Scanner):
     """One atom: ('p', index, exponent) or ('genus', name, q_index)."""
     sc.skip_ws()
     start = sc.pos
-    if sc.peek() == "p" and sc.pos + 1 < len(sc.text) and sc.text[sc.pos + 1].isdigit():
+    if sc.peek() == "p" and sc.at_digit(1):
         sc.pos += 1
         index = sc.unsigned_int()
         if index < 1:
@@ -233,7 +239,7 @@ def _parse_term(sc: _Scanner):
     """One term: (coefficient, atoms).  Grammar: [rational '*'] atom ('*' atom)*."""
     sc.skip_ws()
     coeff = Fraction(1)
-    if sc.peek().isdigit():
+    if sc.at_digit():
         num = sc.unsigned_int()
         den = 1
         mark = sc.pos
@@ -296,16 +302,15 @@ def parse_functional(text: str, dim: int) -> Functional:
             _, name, q_index = genus_atoms[0]
             result = result.plus(_named_functional(name, dim, q_index).scaled(coeff))
         else:
-            parts: list[int] = []
-            for _, index, exponent in atoms:
-                parts.extend([index] * exponent)
-            partition = Partition(parts)
-            if 4 * partition.weight != dim:
+            # checked before the parts list is built: it is as long as the exponents
+            weight = sum(index * exponent for _, index, exponent in atoms)
+            if 4 * weight != dim:
                 raise sc.error(
-                    f"{partition.key()} has weight {partition.weight}, "
+                    f"{sc.text[term_start:sc.pos].strip()} has weight {weight}, "
                     f"dim {dim} needs {dim // 4}",
                     term_start,
                 )
+            partition = Partition([index for _, index, exponent in atoms for _ in range(exponent)])
             result = result.plus(Functional(dim, {partition: coeff}))
         sc.skip_ws()
         if sc.at_end():

@@ -12,9 +12,14 @@ Coefficients may be Fractions or scalar QSeries.  Results are, per
 weight, dicts from partitions (non-increasing tuples naming products of
 elementary symmetric functions) to nonzero coefficients.
 
-The per-root products at the end multiply one ring-valued factor per
-stable root, with no series powers; they are the oracle for the roots
-routes in ``ellcob``, which group equal roots.
+The per-root products multiply one ring-valued factor per stable root,
+with no series powers; they are the oracle for the roots route in
+``ellcob``, which groups equal roots.  ``elliptic_by_roots`` runs that
+roots route alone, scaled like the public elliptic values.
+
+``twist_character_dense`` builds g(x, q) by dense products over a grid
+of q- and x-degrees, odd powers of x included; it is the oracle for
+``twist_character``, which builds each factor even in x.
 """
 from fractions import Fraction
 from functools import lru_cache
@@ -23,7 +28,7 @@ from math import factorial
 
 from ellcob.algebra import QSeries
 from ellcob.errors import ConsistencyError
-from ellcob.genera import CharacteristicSeries, twist_character
+from ellcob.genera import CharacteristicSeries, _elliptic_sequence, _roots_route, twist_character
 from ellcob.manifolds import pair
 
 
@@ -202,3 +207,63 @@ def elliptic_per_root(m, order):
     correction = tw.scalar_part() ** (m.real_dimension // 2 - len(m.tangent.roots))
     acc = acc * QSeries([one * c for c in correction.coeffs])
     return [pair(m, aclass * c) for c in acc.coeffs]
+
+
+def elliptic_by_roots(m, order):
+    """q-coefficients 0..order of q^(k/2) phi(m) from the library's roots
+    route alone: g(0, q)^(2k) times the genus of F."""
+    k = m.real_dimension // 4
+    value = _roots_route(m, _elliptic_sequence(k, order).source)
+    return (value * twist_character(order, k + 1).scalar_part() ** (2 * k)).coeffs
+
+
+# ---------------------------------------------------------------------------
+# dense bivariate construction of the twist character
+
+
+def _bimul(a, b, nmax, rmax):
+    out = [[Fraction(0)] * (rmax + 1) for _ in range(nmax + 1)]
+    for n1, row in enumerate(a):
+        for r1, c1 in enumerate(row):
+            if not c1:
+                continue
+            for n2 in range(nmax + 1 - n1):
+                brow = b[n2]
+                for r2 in range(rmax + 1 - r1):
+                    c2 = brow[r2]
+                    if c2:
+                        out[n1 + n2][r1 + r2] += c1 * c2
+    return out
+
+
+def twist_character_dense(q_order, x2_order):
+    """g(x, q) from its 2 * q_order factors (1 - q^n e^(+-x))^(+-1), each
+    expanded in x; entry [j][n] is the coefficient of x^(2j) q^n.  The
+    odd powers of x must cancel."""
+    n_max, r_max = q_order, 2 * x2_order
+    grid = [[Fraction(0)] * (r_max + 1) for _ in range(n_max + 1)]
+    grid[0][0] = Fraction(1)
+
+    def exp_row(rate):
+        return [Fraction(rate ** r, factorial(r)) for r in range(r_max + 1)]
+
+    for n in range(1, n_max + 1):
+        for sign in (1, -1):
+            f = [[Fraction(0)] * (r_max + 1) for _ in range(n_max + 1)]
+            if n % 2:
+                # 1 - q^n e^(sign x)
+                f[0][0] = Fraction(1)
+                for r, c in enumerate(exp_row(sign)):
+                    f[n][r] -= c
+            else:
+                # (1 - q^n e^(sign x))^(-1) = sum_j q^(nj) e^(sign j x)
+                for j in range(n_max // n + 1):
+                    for r, c in enumerate(exp_row(sign * j)):
+                        f[n * j][r] += c
+            grid = _bimul(grid, f, n_max, r_max)
+
+    for n in range(n_max + 1):
+        for r in range(1, r_max + 1, 2):
+            if grid[n][r]:
+                raise ConsistencyError("twist factor failed to be even in x")
+    return [[grid[n][2 * j] for n in range(n_max + 1)] for j in range(x2_order + 1)]

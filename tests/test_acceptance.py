@@ -28,8 +28,9 @@ from ellcob.cobordism import (
 )
 from ellcob.genera import (
     CharacteristicSeries,
-    _elliptic_roots,
-    _elliptic_universal,
+    _elliptic_sequence,
+    _roots_route,
+    _universal_route,
     ahat,
     elliptic_q_coefficients,
     signature,
@@ -175,7 +176,8 @@ def test_criterion_10_property_suites():
         root_models = [build_cp(2), build_cp(4), x12(1), x12(2), y16(1),
                        product(build_cp(2), build_cp(2))]
         for m in root_models:
-            assert _elliptic_roots(m, 2) == _elliptic_universal(m, 2), m.name
+            seq = _elliptic_sequence(m.real_dimension // 4, 2)
+            assert _roots_route(m, seq.source) == _universal_route(m, seq), m.name
             signature(m)  # internally asserts both genus pipelines agree
 
         # universal polynomials are stable in the number of variables

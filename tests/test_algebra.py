@@ -17,7 +17,6 @@ from ellcob.algebra import (
     RingSpec,
     as_rational,
     interpolate_polynomial,
-    series_mul,
 )
 from ellcob.manifolds import LineBundleSum, build_proj_bundle
 
@@ -275,10 +274,6 @@ class TestQSeries:
     def test_negative_power(self):
         s = QSeries([F(2), F(1), F(0), F(0), F(0)])
         assert (s ** -1 * s).coeffs == QSeries.constant(F(1), 4).coeffs
-
-    def test_series_mul_function(self):
-        s = QSeries([F(1), F(1), F(0), F(0), F(0)])
-        assert series_mul(s, s, 4).coefficient(2) == F(1)
 
     def test_scalar_multiplication(self):
         s = QSeries([F(0), F(3), F(0), F(0), F(0)])

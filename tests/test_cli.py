@@ -5,11 +5,14 @@ Golden outputs below were captured from the library calls the commands
 wrap and then frozen byte-for-byte; the CLI is a thin adapter, so any
 drift in these bytes is a real interface change.
 """
+import contextlib
+import io
 import json
 import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ellcob.cli import main, parse_functional, parse_manifold
 from ellcob.cobordism import Partition, genus_as_functional
@@ -325,15 +328,33 @@ class TestExitCodes:
         assert err == f"error: cp:{n} has dimension {2 * n}; the genus {which} needs a multiple of 4\n"
 
     def test_elliptic_pipeline_disagreement_is_3(self, capsys, monkeypatch):
-        import ellcob.genera as genera
+        from ellcob.genera import CharacteristicSeries
 
-        original = genera._elliptic_roots
+        # doubled per distinct root; every X12 genus vanishes, so the model is CP^2
+        original = CharacteristicSeries.evaluate_at
         monkeypatch.setattr(
-            genera, "_elliptic_roots", lambda m, order: [c + 1 for c in original(m, order)]
+            CharacteristicSeries, "evaluate_at", lambda self, x, mult=1: original(self, x, mult) * 2
         )
-        code, out, err = run(capsys, ["elliptic", "--manifold", "X12:c=2"])
+        code, out, err = run(capsys, ["elliptic", "--manifold", "cp:2"])
         assert code == 3 and out == ""
         assert "internal consistency failure: elliptic genus pipelines disagree" in err
+
+    @pytest.mark.parametrize("exponent", ["1000000000000", "99999999999999999999"])
+    def test_huge_exponent_is_2(self, capsys, exponent):
+        # rejected by weight before a parts list as long as the exponent exists
+        code, out, err = run(capsys, ["member", "--dim", "12", f"--functional=p1^{exponent}"])
+        assert code == 2 and out == ""
+        assert err == f"error: p1^{exponent} has weight {exponent}, dim 12 needs 3 in 'p1^{exponent}' (at position 0)\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["member", "--dim", "12", "-f", "p\u00b2"], "unknown atom 'p\u00b2' in 'p\u00b2' (at position 0)"),
+        (["pontryagin", "--manifold", "cp:\u00b2"], "expected an integer in 'cp:\u00b2' (at position 3)"),
+    ], ids=["functional", "manifold"])
+    def test_non_ascii_digit_is_2(self, capsys, argv, message):
+        # '\u00b2' (superscript two) passes str.isdigit() but not int()
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_consistency_error_is_3(self, capsys, monkeypatch):
         def boom(_):
@@ -342,3 +363,48 @@ class TestExitCodes:
         monkeypatch.setattr("ellcob.cli.pontryagin_numbers", boom)
         code, _, err = run(capsys, ["pontryagin", "--manifold", "cp:2"])
         assert code == 3 and "consistency" in err
+
+
+# -f strings: well-formed expressions, and soups of grammar tokens and
+# junk.  A ']' only closes an ell[j] token with j <= 8, so no string asks
+# for a large q-order.
+_NUMBER = st.integers(0, 10 ** 25).map(str)
+_GENUS = st.one_of(st.sampled_from(["sign", "ahat", "ahat_t"]), st.builds("ell[{}]".format, st.integers(0, 8)))
+_PONTRYAGIN = st.one_of(
+    st.builds("p{}".format, st.integers(1, 5)),
+    st.builds("p{}^{}".format, st.integers(1, 5), st.integers(1, 5)),
+    st.builds("p{}^{}".format, _NUMBER, _NUMBER),
+)
+_MONOMIAL = st.lists(_PONTRYAGIN, min_size=1, max_size=3).map("*".join)
+_COEFFICIENT = st.one_of(st.just(""), st.builds("{}*".format, _NUMBER), st.builds("{}/{}*".format, _NUMBER, _NUMBER))
+_TERM = st.builds("{}{}".format, _COEFFICIENT, st.one_of(_GENUS, _MONOMIAL))
+_EXPRESSION = st.lists(st.tuples(st.sampled_from(["", "+", "-", " - "]), _TERM), min_size=1, max_size=4).map(
+    lambda terms: "".join(sign + term for sign, term in terms)
+)
+_TOKEN = st.one_of(
+    st.sampled_from(["p", "^", "*", "/", "+", "-", " ", "[", "sign", "ahat", "ahat_t", "ell"]),
+    _NUMBER,
+    st.builds("p{}".format, _NUMBER),
+    st.builds("p{}^{}".format, _NUMBER, _NUMBER),
+    st.builds("ell[{}]".format, st.integers(0, 8)),
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="]"),
+)
+
+
+class TestFunctionalFuzz:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        command=st.sampled_from(["member", "verdict"]),
+        dim=st.sampled_from([12, 16, 20]),
+        text=st.one_of(_EXPRESSION, st.lists(_TOKEN, max_size=10).map("".join)),
+    )
+    @example(command="member", dim=12, text="p1^99999999999999999999")
+    @example(command="verdict", dim=16, text="p\u00b2")
+    @example(command="member", dim=20, text="3/4*ell[8] - 10000000000000000000000000*p5")
+    def test_exit_is_0_or_2(self, command, dim, text):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--dim", str(dim), f"--functional={text}"])
+        assert code in (0, 2)
+        if code == 2:
+            assert err.getvalue().startswith("error: ")

@@ -10,25 +10,32 @@ Oracles:
   * hand-computed twisted values A-hat(CP^2; T_C) = 5/2 and
     A-hat(HP^2; T_C) = -1 (each derived twice by different routes
     before being frozen here);
-  * classical signature/A-hat values of projective spaces.
+  * classical signature/A-hat values of projective spaces;
+  * the dense bivariate construction of the twist character in
+    ``symmetric_reference``.
 """
 from fractions import Fraction
 
 import pytest
 
+import symmetric_reference as ref
 from ellcob.genera import (
     CharacteristicSeries,
+    MultiplicativeSequence,
+    _elliptic_sequence,
+    _roots_route,
+    _universal_route,
     ahat,
     ahat_sequence,
     elliptic_q_coefficients,
     evaluate_genus,
     l_sequence,
     signature,
+    twist_character,
     twisted_ahat_tangent,
     universal_k_polynomials,
 )
 from ellcob.errors import ConsistencyError
-from ellcob.genera import _elliptic_roots, _elliptic_universal
 from ellcob.manifolds import (
     LineBundleSum,
     build_cp,
@@ -244,21 +251,8 @@ class TestEllipticExpansion:
 
     def test_root_and_universal_pipelines_agree(self):
         for m in (bundle_12(1), bundle_12(2), build_cp(2), build_cp(4)):
-            assert _elliptic_roots(m, 2) == _elliptic_universal(m, 2), m.name
-
-    @pytest.mark.parametrize("side", ["_elliptic_roots", "_elliptic_universal"])
-    def test_perturbed_pipeline_raises(self, side, monkeypatch):
-        import ellcob.genera as genera
-
-        original = getattr(genera, side)
-
-        def perturbed(m, order):
-            coeffs = original(m, order)
-            return coeffs[:-1] + [coeffs[-1] + 1]
-
-        monkeypatch.setattr(genera, side, perturbed)
-        with pytest.raises(ConsistencyError, match="elliptic genus pipelines disagree"):
-            elliptic_q_coefficients(bundle_12(2), 2)
+            seq = _elliptic_sequence(m.real_dimension // 4, 2)
+            assert _roots_route(m, seq.source) == _universal_route(m, seq), m.name
 
     def test_integrality_on_spin_models(self):
         spin_models = (build_hp(1), build_hp(2), bundle_12(2), product(build_hp(1), build_hp(1)))
@@ -278,6 +272,42 @@ class TestEllipticExpansion:
     def test_default_order_is_quarter_dimension(self):
         coeffs = elliptic_q_coefficients(build_cp(2))
         assert len(coeffs) == 2  # dim 4 -> k = 1 -> orders 0..1
+
+
+class TestTwistCharacter:
+    @pytest.mark.parametrize("q_order", range(7))
+    def test_equals_dense_bivariate_product(self, q_order):
+        for x2_order in range(8):
+            tw = twist_character(q_order, x2_order)
+            assert [s.coeffs for s in tw.x2_coeffs] == ref.twist_character_dense(q_order, x2_order), x2_order
+
+
+class TestCrossCheck:
+    """Every genus runs both routes on a root-split model; a skew in
+    either route surfaces as a ConsistencyError carrying the genus's
+    label.  On CP^2 every one of the four genera is nonzero (see the
+    frozen values above), so doubling one route's value always shows."""
+
+    GENERA = {
+        "signature": (signature, "^genus pipelines disagree"),
+        "ahat": (ahat, "^genus pipelines disagree"),
+        "twisted_ahat": (twisted_ahat_tangent, "^twisted A-hat pipelines disagree"),
+        "elliptic": (lambda m: elliptic_q_coefficients(m, 2), "^elliptic genus pipelines disagree"),
+    }
+    ROUTES = {
+        "roots": (CharacteristicSeries, "evaluate_at"),
+        "universal": (MultiplicativeSequence, "evaluate_top"),
+    }
+
+    @pytest.mark.parametrize("genus", GENERA)
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_perturbed_route_raises(self, route, genus, monkeypatch):
+        owner, name = self.ROUTES[route]
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda self, *args: original(self, *args) * 2)
+        evaluate, label = self.GENERA[genus]
+        with pytest.raises(ConsistencyError, match=label):
+            evaluate(build_cp(2))
 
 
 class TestEvaluateGenusErrors:

@@ -1,15 +1,15 @@
-"""Roots routes that multiply once per distinct root.
+"""The roots route multiplies once per distinct root.
 
-A root x of multiplicity m enters the roots routes as (f^m)(x), the
-power taken on the scalar series.  The oracle is the per-root product
-in ``symmetric_reference``, compared by exact equality, on models whose
-roots repeat in many patterns: projective bundles with twisting degrees
-in {-1, 0, 1}, complex projective spaces (every root equal), products
-with X12, explicit root lists in a small ring, and one model with no
-repeated root.
+A root x of multiplicity m enters the roots route as (f^m)(x), the
+power taken on the series, rational or q-series valued.  The oracle is
+the per-root product in ``symmetric_reference``, compared by exact
+equality, on models whose roots repeat in many patterns: projective
+bundles with twisting degrees in {-1, 0, 1}, complex projective spaces
+(every root equal), products with X12, explicit root lists in a small
+ring, and one model with no repeated root.
 
 The last class checks that the cross-check still guards the grouped
-routes: a multiplicity off by one in either direction must surface as
+route: a multiplicity off by one in either direction must surface as
 a ConsistencyError in the library and as exit code 3 on the CLI.
 """
 import pytest
@@ -22,9 +22,7 @@ from ellcob.cli import main
 from ellcob.cobordism import x12
 from ellcob.errors import ConsistencyError
 from ellcob.genera import (
-    _elliptic_roots,
-    _genus_roots,
-    _twisted_roots,
+    _roots_route,
     ahat_sequence,
     elliptic_q_coefficients,
     l_sequence,
@@ -100,26 +98,26 @@ class TestAgainstPerRootProducts:
     def test_l_and_ahat_roots_route(self, m):
         k = m.real_dimension // 4
         for seq in (l_sequence(k), ahat_sequence(k)):
-            assert _genus_roots(m, seq.source) == ref.genus_per_root(m, seq.source), seq.name
+            assert _roots_route(m, seq.source) == ref.genus_per_root(m, seq.source), seq.name
 
     @settings(max_examples=30, deadline=None)
     @given(MODELS.filter(lambda m: m.real_dimension % 4 == 0))
     @example(NO_REPEATED_ROOT)
     @example(build_cp(8))
     def test_twisted_roots_route(self, m):
-        assert _twisted_roots(m) == ref.twisted_ahat_per_root(m)
+        assert -ref.elliptic_by_roots(m, 1)[1] == ref.twisted_ahat_per_root(m)
 
     @settings(max_examples=20, deadline=None)
     @given(MODELS.filter(lambda m: m.real_dimension % 4 == 0), st.integers(0, 2))
     @example(NO_REPEATED_ROOT, 2)
     @example(build_cp(8), 2)
     def test_elliptic_roots_route(self, m, order):
-        assert _elliptic_roots(m, order) == ref.elliptic_per_root(m, order)
+        assert ref.elliptic_by_roots(m, order) == ref.elliptic_per_root(m, order)
 
 
 @pytest.fixture(params=[1, -1], ids=["one_more", "one_fewer"])
 def skewed_groups(request, monkeypatch):
-    """The roots routes see the first root's multiplicity off by one."""
+    """The roots route sees the first root's multiplicity off by one."""
     original = genera.root_groups
 
     def skewed(roots):

@@ -19,8 +19,6 @@ from ellcob.cli import parse_functional
 from ellcob.cobordism import basis_manifolds, elliptic_span, genus_as_functional
 from ellcob.genera import (
     CharacteristicSeries,
-    _elliptic_roots,
-    _twisted_roots,
     ahat_sequence,
     elliptic_polynomials,
     l_sequence,
@@ -59,7 +57,7 @@ def _roots_genus(series):
 
 @lru_cache(maxsize=None)
 def _basis_elliptic(dim, order):
-    return {b.name: _elliptic_roots(b, order) for b in basis_manifolds(dim)}
+    return {b.name: ref.elliptic_by_roots(b, order) for b in basis_manifolds(dim)}
 
 
 def _oracle(dim, name, q_index=None):
@@ -70,7 +68,7 @@ def _oracle(dim, name, q_index=None):
     if name == "ahat":
         return genus_as_functional(_roots_genus(CharacteristicSeries.ahat_genus(k + 1)), dim)
     if name == "ahat_t":
-        return genus_as_functional(_twisted_roots, dim)
+        return genus_as_functional(lambda m: -ref.elliptic_by_roots(m, 1)[1], dim)
     values = _basis_elliptic(dim, max(k, q_index))
     return genus_as_functional(lambda m: values[m.name][q_index], dim)
 
