@@ -49,10 +49,8 @@ from .genera import (
     universal_k_polynomials,
 )
 from .manifolds import (
-    ExplicitPontryagin,
     LineBundleSum,
     ManifoldModel,
-    StableRoots,
     build_cp,
     build_hp,
     build_point,
@@ -74,7 +72,7 @@ __all__ = [
     # errors
     "ConsistencyError", "FunctionalParseError",
     # manifolds
-    "ExplicitPontryagin", "LineBundleSum", "ManifoldModel", "StableRoots",
+    "LineBundleSum", "ManifoldModel",
     "build_cp", "build_hp", "build_point", "build_proj_bundle",
     "is_spin", "pair", "pontryagin_classes", "product", "total_pontryagin",
     # genera

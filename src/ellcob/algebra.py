@@ -187,11 +187,6 @@ class RingSpec:
         self._table[exps] = reduced
         return reduced
 
-    def is_normal_monomial(self, exps: tuple[int, ...]) -> bool:
-        if self.degree_of(exps) > self.truncation_dimension:
-            return False
-        return all(exps[g] < power for g, (power, _) in self.rules.items())
-
     # -- element constructors ------------------------------------------
 
     def element(self, terms: Mapping[tuple[int, ...], Scalar]) -> "GradedElement":
@@ -313,16 +308,27 @@ class GradedElement:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "GradedElement":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("ring elements only take nonnegative integer powers")
-        result = self.ring.one()
+        """Integer powers; a negative power needs constant term 1, where
+        the inverse of 1 + y (y nilpotent) is the finite sum of (-y)^j."""
+        if not isinstance(n, int):
+            raise ValueError("ring elements only take integer powers")
         base = self
+        if n < 0:
+            if self.constant() != 1:
+                raise ValueError("negative powers need constant term 1")
+            minus_y = self.ring.one() - self
+            base, term, n = self.ring.one(), minus_y, -n
+            while term:
+                base = base + term
+                term = term * minus_y
+        result = None
         while n:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return self.ring.one() if result is None else result
 
     # -- comparison -----------------------------------------------------
 
@@ -470,32 +476,43 @@ class QSeries:
         return QSeries([c * value for c in self.coeffs])
 
     def inverse(self) -> "QSeries":
-        """Multiplicative inverse; the constant term must be an invertible scalar."""
+        """Multiplicative inverse; the constant term must be an invertible
+        scalar, or the scalar series 1, which is its own inverse."""
         a0 = self.coeffs[0]
-        if not isinstance(a0, Fraction) or not a0:
-            raise ValueError("series inverse needs a nonzero scalar constant term")
-        inv0 = 1 / a0
-        out = [inv0] + [Fraction(0)] * self.order
+        if isinstance(a0, QSeries) and a0 == QSeries.constant(Fraction(1), a0.order):
+            inv0, out = Fraction(1), [a0]
+        elif isinstance(a0, Fraction) and a0:
+            inv0 = 1 / a0
+            out = [inv0]
+        else:
+            raise ValueError("series inverse needs a nonzero scalar or unit series constant term")
         for n in range(1, self.order + 1):
-            acc = Fraction(0)
+            acc = _zero_like(a0)
             for i in range(1, n + 1):
-                acc += self.coeffs[i] * out[n - i]
-            out[n] = -inv0 * acc
+                if self.coeffs[i]:
+                    acc = acc + self.coeffs[i] * out[n - i]
+            out.append(acc * -inv0)
         return QSeries(out)
 
     def __pow__(self, n: int) -> "QSeries":
+        """Integer powers of a series with scalar or scalar-series coefficients."""
         if not isinstance(n, int):
             raise TypeError("series powers must be integers")
-        if not isinstance(self.coeffs[0], Fraction):
-            raise TypeError("integer powers are only supported for scalar series")
+        a0 = self.coeffs[0]
+        if isinstance(a0, GradedElement):
+            raise TypeError("integer powers are only supported for scalar and scalar-series coefficients")
         base = self if n >= 0 else self.inverse()
         n = abs(n)
-        result = QSeries([Fraction(1)] + [Fraction(0)] * self.order)
+        result = None
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
+            if n:
+                base = base * base
+        if result is None:
+            one = Fraction(1) if isinstance(a0, Fraction) else QSeries.constant(Fraction(1), a0.order)
+            result = QSeries.constant(one, self.order)
         return result
 
     def __repr__(self) -> str:
@@ -521,12 +538,6 @@ class RationalMatrix:
         self.rows = len(rows)
         self.cols = width
         self.entries = rows
-
-    def matvec(self, vec: Sequence[Scalar]) -> list[Fraction]:
-        if len(vec) != self.cols:
-            raise ValueError("vector length does not match matrix width")
-        v = [as_rational(x) for x in vec]
-        return [sum((row[j] * v[j] for j in range(self.cols)), Fraction(0)) for row in self.entries]
 
     def rank(self) -> int:
         return len(_rref([row[:] for row in self.entries], self.cols))

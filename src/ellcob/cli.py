@@ -479,14 +479,23 @@ def _cmd_member(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_int(text: str) -> int:
+    """An optionally signed integer in ASCII digits, as in both grammars."""
+    sc = _Scanner(text)
+    value = sc.signed_int()
+    if not sc.at_end():
+        raise sc.error("trailing input after integer")
+    return value
+
+
 def _parse_range(text: str) -> tuple[int, int]:
-    lo, sep, hi = text.partition("..")
-    if not sep:
-        raise FunctionalParseError(f"range must look like a..b, not {text!r}")
-    try:
-        a, b = int(lo), int(hi)
-    except ValueError:
-        raise FunctionalParseError(f"range bounds must be integers in {text!r}") from None
+    """Bounds a..b, each an optionally signed integer in ASCII digits."""
+    sc = _Scanner(text)
+    a = sc.signed_int()
+    sc.expect("..")
+    b = sc.signed_int()
+    if not sc.at_end():
+        raise sc.error("trailing input after range")
     if a > b:
         raise FunctionalParseError(f"empty range {text!r}")
     return a, b
@@ -587,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_genus)
 
     p = manifold_cmd("elliptic", "q-expansion coefficients of the elliptic genus")
-    p.add_argument("--q-order", type=int, default=None,
+    p.add_argument("--q-order", default=None,
                    help="highest q power (default dim/4)")
     p.add_argument("--csv", action="store_true", help="CSV output")
     p.set_defaults(func=_cmd_elliptic)
@@ -596,15 +605,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_spin)
 
     p = sub.add_parser("span", help="elliptic-coefficient functionals and their rank")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--q-order", type=int, default=None,
+    p.add_argument("--dim", required=True)
+    p.add_argument("--q-order", default=None,
                    help="highest q power (default dim/4)")
     p.set_defaults(func=_cmd_span)
 
     p = sub.add_parser("member", help="is a functional in the elliptic span?")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", required=True)
     p.add_argument("-f", "--f", "--functional", dest="functional", required=True)
-    p.add_argument("--q-order", type=int, default=None)
+    p.add_argument("--q-order", default=None)
     p.set_defaults(func=_cmd_member)
 
     p = sub.add_parser("scan", help="evaluate a functional along a family")
@@ -616,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("verdict", help="bounded or unbounded on the designated families")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", required=True)
     p.add_argument("-f", "--f", "--functional", dest="functional", required=True)
     p.set_defaults(func=_cmd_verdict)
 
@@ -635,6 +644,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        # read here rather than by argparse, whose int() takes '1_2' and '١'
+        for name in ("dim", "q_order"):
+            if getattr(args, name, None) is not None:
+                setattr(args, name, _parse_int(getattr(args, name)))
         return args.func(args)
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)

@@ -390,10 +390,11 @@ def standard_family(name: str) -> FamilySpec:
     if name == "Z20":
         return FamilySpec("Z20", 20, lambda c: z20(2 * c), "c -> 2c (spin)", 7)
     if name.startswith("X12xHP:"):
-        try:
-            n = int(name.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"bad quaternionic factor in family name {name!r}") from None
+        suffix = name.split(":", 1)[1]
+        # ASCII digits only: int() would also take '1_0' and non-ASCII digits
+        if not (suffix.isascii() and suffix.isdigit()):
+            raise ValueError(f"bad quaternionic factor in family name {name!r}")
+        n = int(suffix)
         if n < 1:
             raise ValueError("the quaternionic factor needs positive dimension")
         return FamilySpec(

@@ -6,20 +6,19 @@ rationals (the L-genus x/tanh(x), the A-hat genus (x/2)/sinh(x/2)) or
 scalar q-series (the elliptic factor F below).  Its value on a manifold
 is computed two independent ways:
 
-* roots route: evaluate f at the stable tangent roots, multiply and
-  pair (only for root-split tangent data).  Equal roots are grouped
-  (``root_groups``) and a root x of multiplicity m contributes (f^m)(x),
-  the m-th power taken on the series and memoised on it, which equals
-  f(x)^m exactly: one ring-valued product per distinct root;
+* roots route: evaluate f at the Pontryagin roots of the model, multiply
+  and pair.  A root t = x^2 of multiplicity m contributes (f^m)(t),
+  the m-th power taken on the series at the nilpotency order of t and
+  memoised on it, which equals f(x)^m exactly; a negative m, a virtual
+  summand such as the (4u, -1) of HP^n, takes the inverse series;
 * universal route: write the product of f over formal variables as a
   polynomial in their elementary symmetric functions, i.e. in the
   Pontryagin classes (:class:`MultiplicativeSequence`), and dot it with
   the Pontryagin numbers.
 
-Both routes run whenever root data is available and must agree exactly;
-a mismatch raises :class:`ConsistencyError`.  With rational
-coefficients the value is a rational, with q-series coefficients a
-q-series of rationals.
+Both routes run on every model and must agree exactly; a mismatch
+raises :class:`ConsistencyError`.  With rational coefficients the value
+is a rational, with q-series coefficients a q-series of rationals.
 
 The universal polynomials are computed in the partition basis
 (Milnor-Stasheff, *Characteristic Classes*, 19; Macdonald, *Symmetric
@@ -34,7 +33,8 @@ and multiplies coefficients, so it runs unchanged on either kind.
 
 The elliptic genus is the index of the Dirac operator twisted by the
 standard exterior/symmetric power tower.  Per stable root pair its
-factor is f_ahat(t) g(t, q), with g from :func:`twist_character`.  With
+factor is f_ahat(t) g(t, q), with g from :func:`twist_character`, and
+(f_ahat g)^m for a Pontryagin root of multiplicity m.  With
 F = f_ahat(t) g(t, q) / g(0, q), whose constant term is 1, the
 elliptic genus of a 4k-manifold is g(0, q)^(2k) times the genus of F,
 on both routes alike: a trivial stable summand contributes F(0) = 1, so
@@ -56,13 +56,7 @@ from typing import Mapping, Sequence, Union
 
 from .algebra import GradedElement, QSeries, as_rational
 from .errors import ConsistencyError
-from .manifolds import (
-    ManifoldModel,
-    StableRoots,
-    pair,
-    pontryagin_classes,
-    root_groups,
-)
+from .manifolds import ManifoldModel, pair, pontryagin_classes
 
 __all__ = [
     "CharacteristicSeries",
@@ -75,7 +69,6 @@ __all__ = [
     "ahat",
     "twisted_ahat_polynomial",
     "twisted_ahat_tangent",
-    "TwistCharacter",
     "twist_character",
     "elliptic_polynomials",
     "elliptic_q_coefficients",
@@ -104,7 +97,7 @@ class CharacteristicSeries:
             raise ValueError("a characteristic series starts with constant term 1")
         self.name = name
         self.coeffs = coeffs
-        self._powers = {1: QSeries(coeffs)}  # m -> f^m as a series in t
+        self._powers: dict[tuple[int, int], QSeries] = {}  # (m, order) -> f^m in t
 
     @property
     def order(self) -> int:
@@ -128,32 +121,42 @@ class CharacteristicSeries:
         """F(t) = f_ahat(t) g(t, q) / g(0, q), coefficients truncated at q^q_order."""
         g = twist_character(q_order, order)
         ahat = QSeries([QSeries.constant(c, q_order) for c in cls.ahat_genus(order).coeffs])
-        return cls("elliptic", (ahat * QSeries(g.x2_coeffs)).scale(g.scalar_part().inverse()).coeffs)
+        return cls("elliptic", (ahat * QSeries(g)).scale(g[0].inverse()).coeffs)
 
-    def _power(self, m: int) -> QSeries:
-        """f^m (m >= 1) at the order of f, so (f^m)(x) = f(x)^m whenever
-        x^(2 order + 2) = 0."""
-        if m not in self._powers:
-            self._powers[m] = self._power(m - 1) * self._powers[1]
-        return self._powers[m]
+    def _power(self, m: int, order: int) -> QSeries:
+        """f^m as a series in t truncated at t^order, f padded with zeros
+        when shorter; m < 0 raises the inverse series to |m|."""
+        key = (m, order)
+        if key not in self._powers:
+            self._powers[key] = QSeries(self.coeffs).truncated(order) ** m
+        return self._powers[key]
 
-    def evaluate_at(self, x: GradedElement, mult: int = 1) -> GradedElement | QSeries:
-        """f(x)^mult for a nilpotent degree-2 ring element x: a ring element,
-        or a q-series of ring elements when the coefficients are q-series."""
-        coeffs = self._power(mult).coeffs
-        one = x.ring.one()
-        t = x * x
-        acc, tp = coeffs[0] * one, one
-        for c in coeffs[1:]:
+    def evaluate_at(self, t: GradedElement, mult: int = 1) -> GradedElement | QSeries:
+        """f(x)^mult at a Pontryagin root t = x^2, a nilpotent ring element:
+        a ring element, or a q-series of ring elements when the coefficients
+        are q-series.  f^mult is formed only up to the order r with
+        t^(r+1) = 0, and only nonzero coefficients scale the powers of t."""
+        powers = [t.ring.one()]
+        tp = t
+        while tp:
+            powers.append(tp)
             tp = tp * t
-            if tp.is_zero:
-                break
-            if c:
-                acc = acc + tp * c
-        return acc
+        coeffs = self._power(mult, len(powers) - 1).coeffs
+        if isinstance(coeffs[0], QSeries):
+            return QSeries([_combine([c.coeffs[n] for c in coeffs], powers) for n in range(len(coeffs[0].coeffs))])
+        return _combine(coeffs, powers)
 
     def __repr__(self) -> str:
         return f"CharacteristicSeries({self.name}, order={self.order})"
+
+
+def _combine(coeffs: Sequence[Fraction], powers: Sequence[GradedElement]) -> GradedElement:
+    """sum_j coeffs[j] powers[j] over the nonzero coefficients."""
+    acc = powers[0].ring.zero()
+    for c, tp in zip(coeffs, powers):
+        if c:
+            acc = acc + tp * c
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -259,24 +262,13 @@ class MultiplicativeSequence:
         return f"MultiplicativeSequence({self.name}, max_weight={self.max_weight})"
 
 
-def universal_k_polynomials(
-    series: CharacteristicSeries,
-    max_weight: int,
-    num_vars: int | None = None,
-) -> MultiplicativeSequence:
-    """prod f(x_i) as polynomials in the Pontryagin classes, weight by weight.
-
-    The number of formal variables defaults to max_weight; anything
-    >= max_weight gives the same answer (stability), fewer variables
-    cannot see all elementary symmetric functions and is rejected.
-    """
+def universal_k_polynomials(series: CharacteristicSeries, max_weight: int) -> MultiplicativeSequence:
+    """prod f(x_i) as polynomials in the Pontryagin classes, weight by weight;
+    the partition basis is stable in the number of variables by construction."""
     if series.order < max_weight:
         raise ValueError(
             f"series {series.name} carries x^2-order {series.order}, need {max_weight}"
         )
-    nvars = max_weight if num_vars is None else num_vars
-    if nvars < max_weight:
-        raise ValueError("need at least as many formal variables as the weight")
     weights = dict(enumerate(_symmetric_expansion(series.coeffs, max_weight)))
     return MultiplicativeSequence(series.name, max_weight, weights, series)
 
@@ -305,11 +297,14 @@ def _elliptic_sequence(k: int, order: int) -> MultiplicativeSequence:
 
 
 def _roots_route(m: ManifoldModel, series: CharacteristicSeries) -> Coefficient:
-    """The genus of series on m from its stable roots, one (f^mult)(x) per
-    distinct root x."""
-    total = series.coeffs[0] * m.ring.one()
-    for x, mult in root_groups(m.tangent.roots):
-        total = total * series.evaluate_at(x, mult)
+    """The genus of series on m from its Pontryagin roots, one (f^mult)(t)
+    per root t."""
+    total = None
+    for t, mult in m.roots:
+        value = series.evaluate_at(t, mult)
+        total = value if total is None else total * value
+    if total is None:  # no roots: the point, whose genus is f(0) = 1
+        return series.coeffs[0]
     if isinstance(total, QSeries):
         return QSeries([pair(m, c) for c in total.coeffs])
     return pair(m, total)
@@ -329,15 +324,13 @@ def _universal_route(m: ManifoldModel, seq: MultiplicativeSequence) -> Coefficie
 
 
 def _cross_checked(m: ManifoldModel, what: str, seq: MultiplicativeSequence) -> Coefficient:
-    """The universal value on m, confirmed by the roots route whenever m
-    carries tangent roots."""
+    """The universal value on m, confirmed by the roots route."""
     value = _universal_route(m, seq)
-    if isinstance(m.tangent, StableRoots):
-        direct = _roots_route(m, seq.source)
-        if direct != value:
-            raise ConsistencyError(
-                f"{what} pipelines disagree on {m.name}: universal {value}, roots {direct}"
-            )
+    direct = _roots_route(m, seq.source)
+    if direct != value:
+        raise ConsistencyError(
+            f"{what} pipelines disagree on {m.name}: universal {value}, roots {direct}"
+        )
     return value
 
 
@@ -348,8 +341,7 @@ def _cross_checked(m: ManifoldModel, what: str, seq: MultiplicativeSequence) -> 
 def evaluate_genus(m: ManifoldModel, seq: MultiplicativeSequence) -> Fraction:
     """Genus of m under seq; 0 (with a warning) when dim is not a multiple of 4.
 
-    When the model carries tangent roots the value is computed through
-    both routes and they must agree exactly.
+    The value is computed through both routes and they must agree exactly.
     """
     dim = m.real_dimension
     if dim % 4:
@@ -376,33 +368,14 @@ def ahat(m: ManifoldModel) -> Fraction:
 # the q-twist
 
 
-class TwistCharacter:
-    """Per-root-pair factor of the exterior/symmetric power tower.
-
-    g(x, q) = prod over odd n of (1 - q^n e^x)(1 - q^n e^-x) times the
-    inverses of the same expressions over even n, truncated at the given
-    q-order.  The result is even in x; x2_coeffs[j] is the scalar
-    q-series multiplying x^(2j).  g(0, q) governs the rank correction.
-    """
-
-    __slots__ = ("q_order", "x2_order", "x2_coeffs")
-
-    def __init__(self, q_order: int, x2_order: int, x2_coeffs: Sequence[QSeries]) -> None:
-        self.q_order = q_order
-        self.x2_order = x2_order
-        self.x2_coeffs = tuple(x2_coeffs)
-
-    def scalar_part(self) -> QSeries:
-        return self.x2_coeffs[0]
-
-    def __repr__(self) -> str:
-        return f"TwistCharacter(q_order={self.q_order}, x2_order={self.x2_order})"
-
-
 @lru_cache(maxsize=None)
-def twist_character(q_order: int, x2_order: int) -> TwistCharacter:
-    """g(x, q) as a series in t = x^2 with q-series coefficients, one
-    factor per n = 1..q_order, each even in x and built in closed form."""
+def twist_character(q_order: int, x2_order: int) -> tuple[QSeries, ...]:
+    """The per-root-pair factor of the exterior/symmetric power tower,
+    g(x, q) = prod over odd n of (1 - q^n e^x)(1 - q^n e^-x) times the
+    inverses of the same expressions over even n, truncated at q^q_order.
+    It is even in x: entry j is the scalar q-series multiplying x^(2j),
+    and entry 0, g(0, q), governs the rank correction.  One factor per
+    n = 1..q_order, each built even in x in closed form."""
     g = QSeries.constant(QSeries.constant(Fraction(1), q_order), x2_order)
     for n in range(1, q_order + 1):
         rows = [[Fraction(0)] * (q_order + 1) for _ in range(x2_order + 1)]  # rows[j][i]: t^j q^i
@@ -420,13 +393,13 @@ def twist_character(q_order: int, x2_order: int) -> TwistCharacter:
                     for j in range(x2_order + 1):
                         rows[j][n * (a + b)] += Fraction((a - b) ** (2 * j), factorial(2 * j))
         g = g * QSeries([QSeries(row) for row in rows])
-    return TwistCharacter(q_order, x2_order, g.coeffs)
+    return tuple(g.coeffs)
 
 
 @lru_cache(maxsize=None)
 def _rank_correction(k: int, order: int) -> QSeries:
     """g(0, q)^(2k), one factor per stable root pair of a 4k-manifold."""
-    return twist_character(order, k + 1).scalar_part() ** (2 * k)
+    return twist_character(order, k + 1)[0] ** (2 * k)
 
 
 def _elliptic(m: ManifoldModel, order: int, what: str) -> list[Fraction]:
@@ -456,8 +429,8 @@ def elliptic_q_coefficients(m: ManifoldModel, order: int | None = None) -> list[
 
     Coefficient 0 is the A-hat genus; coefficient 1 is minus the A-hat
     genus twisted by the complexified tangent bundle.  For spin models
-    every coefficient is an integer.  Root-split models are computed
-    through both routes, which must agree exactly.
+    every coefficient is an integer.  Both routes run and must agree
+    exactly.
     """
     dim = m.real_dimension
     if dim % 4:
@@ -478,7 +451,7 @@ def twisted_ahat_polynomial(k: int) -> Mapping[tuple[int, ...], Fraction]:
 
 def twisted_ahat_tangent(m: ManifoldModel) -> Fraction:
     """A-hat genus twisted by ch of the complexified tangent bundle, whose
-    rank is dim M however many stable roots the model lists."""
+    rank is dim M however many Pontryagin roots the model lists."""
     dim = m.real_dimension
     if dim % 4:
         raise ValueError(f"{m.name} has dimension {dim}; the twisted genus needs a multiple of 4")

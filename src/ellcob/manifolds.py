@@ -2,27 +2,24 @@
 
 A manifold model is a truncated cohomology ring, a tangent description,
 and the pairing monomial that evaluates a top-degree class against the
-fundamental class.  Tangent data comes in two kinds:
+fundamental class.  The tangent description is one tuple of Pontryagin
+roots ``(t, m)``: t is a degree-4 class and m a nonzero integer, and the
+total Pontryagin class is the product of (1 + t)^m.  A negative m marks
+a virtual summand.
 
-* ``StableRoots``: a list of degree-2 elements x_i such that the stable
-  complex tangent bundle splits as a sum of line bundles with first
-  Chern classes x_i.  Complex projective spaces use the classical
-  splitting T + C = (n+1) H; a projectivized sum of line bundles P(E)
-  over CP^l uses pullback roots of the base plus the roots a + d_i b of
-  the twisted bundle along the fibres.  The list is stable: it may be
-  longer than half the real dimension, the surplus being trivial
-  summands accounted for explicitly by rank corrections downstream.
-  Roots repeat (b appears l+1 times); ``root_groups`` collects equal
-  roots with their multiplicities.
+* A complex root x of the stable tangent bundle gives t = x^2.  CP^n
+  has (b^2, n+1) from the splitting T + C = (n+1) H.  A projectivized
+  sum of line bundles P(E) over CP^l has (b^2, l+1) from the base plus
+  ((a + d_i b)^2, 1) along the fibres; ``root_groups`` collects equal
+  squares.  The spin flag is read off the complex roots at build time.
+* Quaternionic projective space HP^n has (u, 2n+2) and (4u, -1), read
+  off p(HP^n) = (1+u)^(2n+2) (1+4u)^(-1) (Borel-Hirzebruch, Amer. J.
+  Math. 80, 1958).
 
-* ``ExplicitPontryagin``: the total Pontryagin class is stored directly.
-  Quaternionic projective space HP^n carries
-  p(HP^n) = (1+u)^(2n+2) * (1+4u)^(-1), which does not come from a
-  complex root list.
-
-Products concatenate root lists when both factors have them and fall
-back to the Whitney product of total Pontryagin classes otherwise.
-Models are immutable; build functions are pure.
+The list is stable: trivial summands are not listed, and rank
+corrections downstream account for them.  Products concatenate the
+Pontryagin roots of both factors.  Models are immutable; build functions
+are pure.
 """
 from __future__ import annotations
 
@@ -30,15 +27,12 @@ from fractions import Fraction
 from dataclasses import dataclass
 from itertools import combinations
 from math import prod
-from typing import Sequence, Union
+from typing import Sequence
 
 from .algebra import GradedElement, RingSpec, as_rational
 
 __all__ = [
     "LineBundleSum",
-    "StableRoots",
-    "ExplicitPontryagin",
-    "TangentData",
     "ManifoldModel",
     "build_point",
     "build_cp",
@@ -73,38 +67,17 @@ class LineBundleSum:
         return len(self.degrees)
 
 
-class StableRoots:
-    """Stable splitting of the complexified tangent bundle into line bundles."""
-
-    __slots__ = ("roots",)
-
-    def __init__(self, roots: Sequence[GradedElement]) -> None:
-        self.roots = tuple(roots)
-
-
-class ExplicitPontryagin:
-    """Pontryagin classes p_1..p_k given directly (k = dim/4)."""
-
-    __slots__ = ("classes",)
-
-    def __init__(self, classes: Sequence[GradedElement]) -> None:
-        self.classes = tuple(classes)
-
-
-TangentData = Union[StableRoots, ExplicitPontryagin]
-
-
 class ManifoldModel:
     """Everything the genus and cobordism machinery needs about one manifold."""
 
-    __slots__ = ("name", "real_dimension", "ring", "tangent", "pairing_exponents", "spin", "curvature_certificate")
+    __slots__ = ("name", "real_dimension", "ring", "roots", "pairing_exponents", "spin", "curvature_certificate")
 
     def __init__(
         self,
         name: str,
         real_dimension: int,
         ring: RingSpec,
-        tangent: TangentData,
+        roots: Sequence[tuple[GradedElement, int]],
         pairing_exponents: tuple[int, ...],
         spin: bool,
         curvature_certificate: str | None = None,
@@ -118,7 +91,7 @@ class ManifoldModel:
         self.name = name
         self.real_dimension = real_dimension
         self.ring = ring
-        self.tangent = tangent
+        self.roots = tuple(roots)
         self.pairing_exponents = tuple(pairing_exponents)
         self.spin = bool(spin)
         self.curvature_certificate = curvature_certificate
@@ -133,34 +106,28 @@ class ManifoldModel:
 
 def build_point() -> ManifoldModel:
     ring = RingSpec([], 0)
-    return ManifoldModel("pt", 0, ring, StableRoots([]), (), spin=True)
+    return ManifoldModel("pt", 0, ring, (), (), spin=True)
 
 
 def build_cp(n: int) -> ManifoldModel:
-    """Complex projective space CP^n: ring Q[b]/(b^(n+1)), roots (n+1) copies of b."""
+    """Complex projective space CP^n: ring Q[b]/(b^(n+1)), Pontryagin root b^2 of multiplicity n+1."""
     if n < 1:
         raise ValueError("CP^n needs n >= 1")
     ring = RingSpec([("b", 2)], 2 * n, {"b": (n + 1, {})})
     b = ring.gen("b")
-    tangent = StableRoots([b] * (n + 1))
     # first Chern class of the stable splitting is (n+1) b
-    return ManifoldModel(f"cp:{n}", 2 * n, ring, tangent, (n,), spin=(n % 2 == 1))
+    return ManifoldModel(f"cp:{n}", 2 * n, ring, ((b * b, n + 1),), (n,), spin=(n % 2 == 1))
 
 
 def build_hp(n: int) -> ManifoldModel:
-    """Quaternionic projective space HP^n with its explicit total Pontryagin class."""
+    """Quaternionic projective space HP^n: ring Q[u]/(u^(n+1)), Pontryagin
+    roots u of multiplicity 2n+2 and 4u of multiplicity -1."""
     if n < 1:
         raise ValueError("HP^n needs n >= 1")
     ring = RingSpec([("u", 4)], 4 * n, {"u": (n + 1, {})})
     u = ring.gen("u")
-    # (1 + 4u)^(-1) = sum (-4u)^j, exact because u is nilpotent
-    geom = ring.zero()
-    for j in range(n + 1):
-        geom = geom + (u ** j) * Fraction(-4) ** j
-    total = (ring.one() + u) ** (2 * n + 2) * geom
-    classes = [total.homogeneous_part(4 * i) for i in range(1, n + 1)]
     return ManifoldModel(
-        f"hp:{n}", 4 * n, ring, ExplicitPontryagin(classes), (n,), spin=True,
+        f"hp:{n}", 4 * n, ring, ((u, 2 * n + 2), (u * 4, -1)), (n,), spin=True,
         curvature_certificate="symmetric space metric",
     )
 
@@ -177,8 +144,9 @@ def build_proj_bundle(bundle: LineBundleSum) -> ManifoldModel:
     generated by a, b subject to b^(l+1) = 0 and the defining relation
     a^r = -sum_{i>=1} e_i(d) a^(r-i) b^i, where the e_i are the
     elementary symmetric functions of the twisting degrees d.  The
-    stable tangent roots are (l+1) copies of b from the base plus
-    a + d_i b from the bundle along the fibres.
+    stable complex tangent roots are (l+1) copies of b from the base
+    plus a + d_i b from the bundle along the fibres; their squares are
+    the Pontryagin roots.
     """
     l, degrees, r = bundle.base_dim, bundle.degrees, bundle.rank
     dim = 2 * (l + r - 1)
@@ -193,7 +161,7 @@ def build_proj_bundle(bundle: LineBundleSum) -> ManifoldModel:
     name = f"pb:{l}:[{','.join(str(d) for d in degrees)}]"
     cert = f"T^2 quotient of S^{2 * l + 1} x S^{2 * r - 1}"
     spin = _has_even_root_sum(roots)
-    return ManifoldModel(name, dim, ring, StableRoots(roots), (r - 1, l), spin=spin,
+    return ManifoldModel(name, dim, ring, root_groups(roots), (r - 1, l), spin=spin,
                          curvature_certificate=cert)
 
 
@@ -227,8 +195,7 @@ def _embed(element: GradedElement, target: RingSpec, offset: int) -> GradedEleme
 
 def product(m1: ManifoldModel, m2: ManifoldModel) -> ManifoldModel:
     """Cartesian product.  Generators are renamed with factor suffixes,
-    so repeated factors never collide; root lists concatenate when both
-    factors carry them, otherwise the total Pontryagin classes multiply."""
+    so repeated factors never collide; the Pontryagin roots concatenate."""
     gens = [(f"{n}1", d) for n, d in zip(m1.ring.generators, m1.ring.degrees)]
     gens += [(f"{n}2", d) for n, d in zip(m2.ring.generators, m2.ring.degrees)]
     dim = m1.real_dimension + m2.real_dimension
@@ -246,20 +213,13 @@ def product(m1: ManifoldModel, m2: ManifoldModel) -> ManifoldModel:
         )
     ring = RingSpec(gens, dim, rules)
     pairing = m1.pairing_exponents + m2.pairing_exponents
-    if isinstance(m1.tangent, StableRoots) and isinstance(m2.tangent, StableRoots):
-        roots = [_embed(x, ring, 0) for x in m1.tangent.roots]
-        roots += [_embed(x, ring, n1) for x in m2.tangent.roots]
-        tangent: TangentData = StableRoots(roots)
-    else:
-        total = _embed(total_pontryagin(m1), ring, 0) * _embed(total_pontryagin(m2), ring, n1)
-        tangent = ExplicitPontryagin(
-            [total.homogeneous_part(4 * i) for i in range(1, dim // 4 + 1)]
-        )
+    roots = [(_embed(t, ring, 0), mult) for t, mult in m1.roots]
+    roots += [(_embed(t, ring, n1), mult) for t, mult in m2.roots]
     cert = None
     if m1.curvature_certificate and m2.curvature_certificate:
         cert = f"product: {m1.curvature_certificate} x {m2.curvature_certificate}"
     return ManifoldModel(
-        f"prod({m1.name},{m2.name})", dim, ring, tangent, pairing,
+        f"prod({m1.name},{m2.name})", dim, ring, roots, pairing,
         spin=m1.spin and m2.spin, curvature_certificate=cert,
     )
 
@@ -268,28 +228,31 @@ def product(m1: ManifoldModel, m2: ManifoldModel) -> ManifoldModel:
 # characteristic data
 
 
-def root_groups(roots: Sequence[GradedElement]) -> tuple[tuple[GradedElement, int], ...]:
-    """Equal roots collected once: ``(root, multiplicity)`` pairs in order
-    of first appearance, keyed by normal-form terms."""
+def _grouped(pairs) -> tuple[tuple[GradedElement, int], ...]:
+    """Pairs (element, count) with equal elements merged, in order of first
+    appearance, keyed by normal-form terms."""
     groups: dict[frozenset, tuple[GradedElement, int]] = {}
-    for x in roots:
+    for x, count in pairs:
         key = frozenset(x.terms.items())
-        root, mult = groups.get(key, (x, 0))
-        groups[key] = (root, mult + 1)
+        first, total = groups.get(key, (x, 0))
+        groups[key] = (first, total + count)
     return tuple(groups.values())
 
 
+def root_groups(roots: Sequence[GradedElement]) -> tuple[tuple[GradedElement, int], ...]:
+    """The Pontryagin roots of a list of complex roots x: ``(x^2, m)``
+    pairs, one per distinct square, m counting the roots with that square
+    (x and -x share one).  Each distinct root is squared once."""
+    return _grouped((x * x, m) for x, m in _grouped((x, 1) for x in roots))
+
+
 def total_pontryagin(m: ManifoldModel) -> GradedElement:
-    """1 + p_1 + p_2 + ...; from roots this is the product of (1 + x_i^2),
-    one power (1 + x^2)^m per distinct root x of multiplicity m."""
-    if isinstance(m.tangent, StableRoots):
-        total = m.ring.one()
-        for x, mult in root_groups(m.tangent.roots):
-            total = total * (m.ring.one() + x * x) ** mult
-        return total
-    total = m.ring.one()
-    for cls in m.tangent.classes:
-        total = total + cls
+    """1 + p_1 + p_2 + ... = the product of (1 + t)^m over the Pontryagin
+    roots; for m < 0 the power inverts the unit 1 + t."""
+    one = m.ring.one()
+    total = one
+    for t, mult in m.roots:
+        total = total * (one + t) ** mult
     return total
 
 

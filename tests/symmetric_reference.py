@@ -12,10 +12,13 @@ Coefficients may be Fractions or scalar QSeries.  Results are, per
 weight, dicts from partitions (non-increasing tuples naming products of
 elementary symmetric functions) to nonzero coefficients.
 
-The per-root products multiply one ring-valued factor per stable root,
-with no series powers; they are the oracle for the roots route in
-``ellcob``, which groups equal roots.  ``elliptic_by_roots`` runs that
-roots route alone, scaled like the public elliptic values.
+The per-root products multiply one ring-valued factor per Pontryagin
+root t = x^2, a root of multiplicity m listed m times, with no series
+powers; they are the oracle for the roots route in ``ellcob``, which
+takes f^m once per root.  They have no inverse, so a model with a
+virtual root (m < 0, as on HP^n) is rejected.  ``elliptic_by_roots``
+runs the library's roots route alone, scaled like the public elliptic
+values.
 
 ``twist_character_dense`` builds g(x, q) by dense products over a grid
 of q- and x-degrees, odd powers of x included; it is the oracle for
@@ -142,10 +145,10 @@ def elliptic_top(k, order):
         acc = QSeries.constant(Fraction(0), order)
         for i in range(j + 1):
             if ah.coeffs[i]:
-                acc = acc + tw.x2_coeffs[j - i] * ah.coeffs[i]
+                acc = acc + tw[j - i] * ah.coeffs[i]
         factor.append(acc)
     top = symmetric_to_partitions(expand_symmetric_product(factor, k, k), k).get(k, {})
-    correction = tw.scalar_part() ** k
+    correction = tw[0] ** k
     series = {lam: c * correction for lam, c in top.items()}
     return [{lam: s.coeffs[n] for lam, s in series.items() if s.coeffs[n]} for n in range(order + 1)]
 
@@ -154,10 +157,19 @@ def elliptic_top(k, order):
 # per-root products
 
 
-def _series_at(coeffs, x):
-    """sum_j coeffs[j] (x^2)^j, one power of x^2 at a time."""
-    t = x * x
-    acc, tp = x.ring.scalar(coeffs[0]), x.ring.one()
+def _pontryagin_roots(m):
+    """Every Pontryagin root t of m, listed once per unit of multiplicity."""
+    roots = []
+    for t, mult in m.roots:
+        if mult < 0:
+            raise ValueError(f"{m.name} has a virtual Pontryagin root; the per-root products take none")
+        roots += [t] * mult
+    return roots
+
+
+def _series_at(coeffs, t):
+    """sum_j coeffs[j] t^j, one power of t at a time."""
+    acc, tp = t.ring.scalar(coeffs[0]), t.ring.one()
     for c in coeffs[1:]:
         tp = tp * t
         if c:
@@ -167,15 +179,15 @@ def _series_at(coeffs, x):
 
 def total_pontryagin_per_root(m):
     total = m.ring.one()
-    for x in m.tangent.roots:
-        total = total * (m.ring.one() + x * x)
+    for t in _pontryagin_roots(m):
+        total = total * (m.ring.one() + t)
     return total
 
 
 def genus_per_root(m, series):
     total = m.ring.one()
-    for x in m.tangent.roots:
-        total = total * _series_at(series.coeffs, x)
+    for t in _pontryagin_roots(m):
+        total = total * _series_at(series.coeffs, t)
     return pair(m, total)
 
 
@@ -184,11 +196,12 @@ def twisted_ahat_per_root(m):
     x2_order = m.real_dimension // 4 + 1
     ah = CharacteristicSeries.ahat_genus(x2_order).coeffs
     two_cosh = [Fraction(2, factorial(2 * r)) for r in range(x2_order + 1)]
+    roots = _pontryagin_roots(m)
     aclass = m.ring.one()
-    ch = m.ring.scalar(m.real_dimension - 2 * len(m.tangent.roots))
-    for x in m.tangent.roots:
-        aclass = aclass * _series_at(ah, x)
-        ch = ch + _series_at(two_cosh, x)
+    ch = m.ring.scalar(m.real_dimension - 2 * len(roots))
+    for t in roots:
+        aclass = aclass * _series_at(ah, t)
+        ch = ch + _series_at(two_cosh, t)
     return pair(m, aclass * ch)
 
 
@@ -198,13 +211,14 @@ def elliptic_per_root(m, order):
     x2_order = m.real_dimension // 4 + 1
     tw = twist_character(order, x2_order)
     ah = CharacteristicSeries.ahat_genus(x2_order).coeffs
+    roots = _pontryagin_roots(m)
     one = m.ring.one()
     aclass = one
     acc = QSeries([one] + [m.ring.zero()] * order)
-    for x in m.tangent.roots:
-        aclass = aclass * _series_at(ah, x)
-        acc = acc * QSeries([_series_at([s.coeffs[n] for s in tw.x2_coeffs], x) for n in range(order + 1)])
-    correction = tw.scalar_part() ** (m.real_dimension // 2 - len(m.tangent.roots))
+    for t in roots:
+        aclass = aclass * _series_at(ah, t)
+        acc = acc * QSeries([_series_at([s.coeffs[n] for s in tw], t) for n in range(order + 1)])
+    correction = tw[0] ** (m.real_dimension // 2 - len(roots))
     acc = acc * QSeries([one * c for c in correction.coeffs])
     return [pair(m, aclass * c) for c in acc.coeffs]
 
@@ -214,7 +228,7 @@ def elliptic_by_roots(m, order):
     route alone: g(0, q)^(2k) times the genus of F."""
     k = m.real_dimension // 4
     value = _roots_route(m, _elliptic_sequence(k, order).source)
-    return (value * twist_character(order, k + 1).scalar_part() ** (2 * k)).coeffs
+    return (value * twist_character(order, k + 1)[0] ** (2 * k)).coeffs
 
 
 # ---------------------------------------------------------------------------

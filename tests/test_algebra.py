@@ -255,6 +255,21 @@ class TestHomogeneousParts:
         assert x.coefficient((2, 0)) == F(0)
 
 
+class TestNegativeRingPowers:
+    def test_inverse_of_a_unit(self):
+        ring = small_ring()
+        a, b = ring.gen("a"), ring.gen("b")
+        unit = ring.one() + a * b * 4 - b * b + a * a * b * b
+        for n in (1, 2, 5):
+            assert unit ** -n * unit ** n == ring.one(), n
+        assert unit ** -1 == ring.one() - (a * b * 4 - b * b + a * a * b * b) + (a * b * 4 - b * b) ** 2
+
+    def test_constant_term_must_be_one(self):
+        ring = small_ring()
+        with pytest.raises(ValueError):
+            (ring.scalar(2) + ring.gen("b")) ** -1
+
+
 class TestQSeries:
     def test_geometric_inverse(self):
         # (1 - q)^-1 = 1 + q + q^2 + ...
@@ -274,6 +289,16 @@ class TestQSeries:
     def test_negative_power(self):
         s = QSeries([F(2), F(1), F(0), F(0), F(0)])
         assert (s ** -1 * s).coeffs == QSeries.constant(F(1), 4).coeffs
+
+    def test_negative_power_with_series_coefficients(self):
+        # constant term the scalar series 1, as for the elliptic factor F
+        one, q = QSeries([F(1), F(0), F(0)]), QSeries([F(0), F(1), F(-2)])
+        s = QSeries([one, q + one, q, QSeries([F(3), F(0), F(1)])])
+        for n in (-1, -3):
+            assert (s ** n * s ** -n).coeffs == QSeries.constant(one, 3).coeffs, n
+        assert (s ** -2).coeffs == ((s * s).inverse()).coeffs
+        with pytest.raises(ValueError):
+            QSeries([q + one + one, q]).inverse()
 
     def test_scalar_multiplication(self):
         s = QSeries([F(0), F(3), F(0), F(0), F(0)])
@@ -354,10 +379,13 @@ class TestRationalMatrix:
     def test_solve_round_trip(self, int_rows, int_sol):
         rows = [[F(x) for x in r] for r in int_rows]
         sol = [F(x) for x in int_sol]
-        rhs = RationalMatrix(rows).matvec(sol)
+        def times(v):
+            return [sum((a * x for a, x in zip(row, v)), F(0)) for row in rows]
+
+        rhs = times(sol)
         found = RationalMatrix(rows).solve(rhs)
         assert found is not None
-        assert RationalMatrix(rows).matvec(found) == rhs
+        assert times(found) == rhs
 
     def test_inconsistent_system_returns_none(self):
         m = RationalMatrix([[F(1), F(1)], [F(1), F(1)]])

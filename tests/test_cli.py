@@ -349,9 +349,16 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv,message", [
         (["member", "--dim", "12", "-f", "p\u00b2"], "unknown atom 'p\u00b2' in 'p\u00b2' (at position 0)"),
         (["pontryagin", "--manifold", "cp:\u00b2"], "expected an integer in 'cp:\u00b2' (at position 3)"),
-    ], ids=["functional", "manifold"])
+        (["scan", "--family", "X12", "-f", "p3", "--range=1_0..1_1"], "expected '..' in '1_0..1_1' (at position 1)"),
+        (["scan", "--family", "X12", "-f", "p3", "--range=\u0661..\u0662"],
+         "expected an integer in '\u0661..\u0662' (at position 0)"),
+        (["span", "--dim", "1_2", "--q-order", "\u0661"], "trailing input after integer in '1_2' (at position 1)"),
+        (["span", "--dim", "12", "--q-order", "\u0661"], "expected an integer in '\u0661' (at position 0)"),
+        (["distinct", "--family", "X12xHP:1_0", "--range=1..2"], "bad quaternionic factor in family name 'X12xHP:1_0'"),
+    ], ids=["functional", "manifold", "range_underscore", "range_arabic_indic", "dim", "q_order", "family"])
     def test_non_ascii_digit_is_2(self, capsys, argv, message):
-        # '\u00b2' (superscript two) passes str.isdigit() but not int()
+        # '\u00b2' (superscript two) passes str.isdigit() but not int(); int()
+        # takes '1_0' and '\u0661' (Arabic-Indic one), which the CLI refuses
         code, out, err = run(capsys, argv)
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
@@ -408,3 +415,50 @@ class TestFunctionalFuzz:
         assert code in (0, 2)
         if code == 2:
             assert err.getvalue().startswith("error: ")
+
+
+# --range, --family, --dim and --q-order strings.  Well-formed draws stay
+# cheap (|c| <= 4, dims 12/16/20, q-order <= 8); the rest are near misses
+# and digit-free junk, so no string asks for a large model or order.
+_JUNK = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="0123456789"), max_size=6)
+_BAD_INT = st.sampled_from(["", "-", "+1", " 1", "1_0", "\u0661", "4\u00b2", "1.5", "0x1", "--1"])
+_BOUND = st.one_of(st.integers(-4, 4).map(str), _BAD_INT)
+_RANGE = st.one_of(
+    st.builds("{}{}{}".format, _BOUND, st.sampled_from(["..", ".", "...", "", " .. "]), _BOUND),
+    _JUNK,
+)
+_FAMILY = st.one_of(
+    st.sampled_from(["X12", "Y16", "Z20", "X12xHP:1", "X12xHP:2", "X12xHP:01"]),
+    st.builds("X12xHP:{}".format, st.one_of(_BAD_INT, st.just("0"), _JUNK)),
+    _JUNK,
+)
+_DIM = st.one_of(st.sampled_from(["12", "16", "20", "0", "6", "-4"]), _BAD_INT, _JUNK)
+_Q_ORDER = st.one_of(st.none(), st.integers(-1, 8).map(str), _BAD_INT, _JUNK)
+
+
+class TestArgumentFuzz:
+    @staticmethod
+    def _exit_is_0_or_2(argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2)
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(command=st.sampled_from(["scan", "distinct"]), family=_FAMILY, text=_RANGE)
+    @example(command="scan", family="X12", text="1_0..1_1")
+    @example(command="distinct", family="X12xHP:1_0", text="1..2")
+    @example(command="scan", family="X12xHP:2", text="-4..4")
+    def test_range_and_family(self, command, family, text):
+        argv = [command, f"--family={family}", f"--range={text}"]
+        self._exit_is_0_or_2(argv + (["-f", "sign"] if command == "scan" else []))
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(dim=_DIM, q_order=_Q_ORDER)
+    @example(dim="1_2", q_order="\u0661")
+    @example(dim="12", q_order="\u0661")
+    @example(dim="20", q_order="8")
+    def test_dim_and_q_order(self, dim, q_order):
+        self._exit_is_0_or_2(["span", f"--dim={dim}"] + ([] if q_order is None else [f"--q-order={q_order}"]))

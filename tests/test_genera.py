@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import pytest
 
+import ellcob.genera as genera
 import symmetric_reference as ref
 from ellcob.genera import (
     CharacteristicSeries,
@@ -35,6 +36,7 @@ from ellcob.genera import (
     twisted_ahat_tangent,
     universal_k_polynomials,
 )
+from ellcob.cli import main, parse_manifold
 from ellcob.errors import ConsistencyError
 from ellcob.manifolds import (
     LineBundleSum,
@@ -66,9 +68,15 @@ class TestCharacteristicSeries:
         m = build_cp(2)
         x = m.ring.gen(m.ring.generators[0])
         s = CharacteristicSeries.l_genus(2)
-        # 1 + x^2/3 (higher powers truncate in CP^2)
-        value = s.evaluate_at(x)
+        # 1 + x^2/3 at the Pontryagin root t = x^2 (higher powers truncate in CP^2)
+        value = s.evaluate_at(x * x)
         assert value.terms == {(0,): F(1), (2,): F(1, 3)}
+
+    def test_evaluate_at_negative_multiplicity(self):
+        # f(4u)^(-1) on HP^3, u^4 = 0: the inverse series at order 3
+        u = build_hp(3).ring.gen("u")
+        s = CharacteristicSeries.l_genus(5)
+        assert s.evaluate_at(u * 4, -1) * s.evaluate_at(u * 4) == u.ring.one()
 
 
 class TestUniversalPolynomials:
@@ -95,19 +103,6 @@ class TestUniversalPolynomials:
     def test_weight_zero_is_one(self):
         seq = l_sequence(2)
         assert seq.polynomial(0) == {(): F(1)}
-
-    def test_stability_in_number_of_variables(self):
-        series = CharacteristicSeries.l_genus(3)
-        for w in (1, 2, 3):
-            base = universal_k_polynomials(series, w).polynomial(w)
-            for extra in (1, 2):
-                wider = universal_k_polynomials(series, w, num_vars=w + extra)
-                assert wider.polynomial(w) == base
-
-    def test_too_few_variables_rejected(self):
-        series = CharacteristicSeries.l_genus(3)
-        with pytest.raises(ValueError):
-            universal_k_polynomials(series, 3, num_vars=2)
 
     def test_short_series_rejected(self):
         series = CharacteristicSeries.l_genus(1)
@@ -279,14 +274,17 @@ class TestTwistCharacter:
     def test_equals_dense_bivariate_product(self, q_order):
         for x2_order in range(8):
             tw = twist_character(q_order, x2_order)
-            assert [s.coeffs for s in tw.x2_coeffs] == ref.twist_character_dense(q_order, x2_order), x2_order
+            assert [s.coeffs for s in tw] == ref.twist_character_dense(q_order, x2_order), x2_order
 
 
 class TestCrossCheck:
-    """Every genus runs both routes on a root-split model; a skew in
-    either route surfaces as a ConsistencyError carrying the genus's
-    label.  On CP^2 every one of the four genera is nonzero (see the
-    frozen values above), so doubling one route's value always shows."""
+    """Every genus runs both routes on every model; a skew in either route
+    surfaces as a ConsistencyError carrying the genus's label.  On CP^2
+    every one of the four genera is nonzero (see the frozen values above),
+    so doubling one route's value always shows.  On models with an HP
+    factor A-hat vanishes (A-hat(HP^n) = 0), so a doubling cannot show
+    there; the other three genera are nonzero on hp:2 and
+    prod(cp:2,hp:2) and take the same negative-multiplicity path."""
 
     GENERA = {
         "signature": (signature, "^genus pipelines disagree"),
@@ -298,16 +296,63 @@ class TestCrossCheck:
         "roots": (CharacteristicSeries, "evaluate_at"),
         "universal": (MultiplicativeSequence, "evaluate_top"),
     }
+    HP_MODELS = {
+        "hp:2": lambda: build_hp(2),
+        "prod(cp:2,hp:2)": lambda: product(build_cp(2), build_hp(2)),
+    }
+
+    def _perturb(self, route, monkeypatch):
+        owner, name = self.ROUTES[route]
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda self, *args: original(self, *args) * 2)
 
     @pytest.mark.parametrize("genus", GENERA)
     @pytest.mark.parametrize("route", ROUTES)
     def test_perturbed_route_raises(self, route, genus, monkeypatch):
-        owner, name = self.ROUTES[route]
-        original = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda self, *args: original(self, *args) * 2)
+        self._perturb(route, monkeypatch)
         evaluate, label = self.GENERA[genus]
         with pytest.raises(ConsistencyError, match=label):
             evaluate(build_cp(2))
+
+    @pytest.mark.parametrize("genus", ["signature", "twisted_ahat", "elliptic"])
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("model", HP_MODELS)
+    def test_perturbed_route_raises_with_an_hp_factor(self, model, route, genus, monkeypatch):
+        m = self.HP_MODELS[model]()
+        self._perturb(route, monkeypatch)
+        evaluate, label = self.GENERA[genus]
+        with pytest.raises(ConsistencyError, match=label):
+            evaluate(m)
+
+    def test_cli_exits_3_on_hp(self, capsys, monkeypatch):
+        self._perturb("roots", monkeypatch)
+        code = main(["genus", "--manifold", "hp:2", "--which", "sign"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "internal consistency failure: genus pipelines disagree on hp:2" in captured.err
+
+    @pytest.mark.parametrize("text", ["hp:2", "X12xHP:2:c=1", "prod(hp:1,cp:2)"])
+    def test_roots_route_runs_once_per_genus(self, text, monkeypatch):
+        calls = []
+        original = genera._roots_route
+        monkeypatch.setattr(genera, "_roots_route", lambda m, series: calls.append(m.name) or original(m, series))
+        m, _ = parse_manifold(text)
+        for evaluate, _ in self.GENERA.values():
+            evaluate(m)
+        assert calls == [m.name] * len(self.GENERA)
+
+
+class TestQuaternionicRootsRoute:
+    """The roots route alone, on the virtual root (4u, -1) of HP^n."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_signature_and_ahat(self, n):
+        m = build_hp(n)
+        assert _roots_route(m, l_sequence(n).source) == (1 if n % 2 == 0 else 0)
+        assert _roots_route(m, ahat_sequence(n).source) == 0
+
+    def test_twisted_ahat_of_hp2(self):
+        assert -ref.elliptic_by_roots(build_hp(2), 1)[1] == F(-1)
 
 
 class TestEvaluateGenusErrors:

@@ -1,12 +1,13 @@
-"""The roots route multiplies once per distinct root.
+"""The roots route multiplies once per distinct Pontryagin root.
 
-A root x of multiplicity m enters the roots route as (f^m)(x), the
-power taken on the series, rational or q-series valued.  The oracle is
-the per-root product in ``symmetric_reference``, compared by exact
-equality, on models whose roots repeat in many patterns: projective
-bundles with twisting degrees in {-1, 0, 1}, complex projective spaces
-(every root equal), products with X12, explicit root lists in a small
-ring, and one model with no repeated root.
+A Pontryagin root t = x^2 of multiplicity m enters the roots route as
+(f^m)(t), the power taken on the series, rational or q-series valued.
+The oracle is the per-root product in ``symmetric_reference``, compared
+by exact equality, on models whose roots repeat in many patterns:
+projective bundles with twisting degrees in {-1, 0, 1}, complex
+projective spaces (every root equal), products with X12, explicit
+complex root lists in a small ring (x and -x share a square), and one
+model with no repeated root.
 
 The last class checks that the cross-check still guards the grouped
 route: a multiplicity off by one in either direction must surface as
@@ -32,7 +33,6 @@ from ellcob.genera import (
 from ellcob.manifolds import (
     LineBundleSum,
     ManifoldModel,
-    StableRoots,
     build_cp,
     build_proj_bundle,
     product,
@@ -46,8 +46,8 @@ _ROOT_CHOICES = (_A, _B, _A + _B, _A - _B, _A * 2, -_B)
 
 
 def _explicit(roots) -> ManifoldModel:
-    """A dim-8 model on Q[a, b]/(a^3, b^3) with the given stable roots."""
-    return ManifoldModel("explicit", 8, _AB, StableRoots(roots), (2, 2), spin=False)
+    """A dim-8 model on Q[a, b]/(a^3, b^3) with the given complex roots."""
+    return ManifoldModel("explicit", 8, _AB, root_groups(roots), (2, 2), spin=False)
 
 
 NO_REPEATED_ROOT = _explicit([_A, _B, _A + _B, _A - _B])
@@ -73,14 +73,16 @@ MODELS = st.one_of(
 
 class TestGroups:
     def test_multiplicities_count_every_root(self):
+        # complex roots b (4 times), a + b, a (3 times): squares in that order
         m = build_proj_bundle(LineBundleSum(3, (1, 0, 0, 0)))
-        groups = root_groups(m.tangent.roots)
-        assert [mult for _, mult in groups] == [4, 1, 3]
-        assert sum(mult for _, mult in groups) == len(m.tangent.roots)
+        a, b = m.ring.gen("a"), m.ring.gen("b")
+        assert m.roots == ((b * b, 4), ((a + b) * (a + b), 1), (a * a, 3))
 
     def test_no_repeated_root_and_all_equal(self):
-        assert [mult for _, mult in root_groups(NO_REPEATED_ROOT.tangent.roots)] == [1, 1, 1, 1]
-        assert [mult for _, mult in root_groups(ALL_ROOTS_EQUAL.tangent.roots)] == [7]
+        assert [mult for _, mult in NO_REPEATED_ROOT.roots] == [1, 1, 1, 1]
+        assert [mult for _, mult in ALL_ROOTS_EQUAL.roots] == [7]
+        # x and -x have one square
+        assert root_groups([_A, -_A, _B, _A * 2]) == ((_A * _A, 2), (_B * _B, 1), (_A * _A * 4, 1))
 
 
 class TestAgainstPerRootProducts:
@@ -115,25 +117,27 @@ class TestAgainstPerRootProducts:
         assert ref.elliptic_by_roots(m, order) == ref.elliptic_per_root(m, order)
 
 
-@pytest.fixture(params=[1, -1], ids=["one_more", "one_fewer"])
-def skewed_groups(request, monkeypatch):
-    """The roots route sees the first root's multiplicity off by one."""
-    original = genera.root_groups
-
-    def skewed(roots):
-        (x, mult), *rest = original(roots)
-        return ((x, mult + request.param), *rest)
-
-    monkeypatch.setattr(genera, "root_groups", skewed)
-
-
-# CP^2-bundle over CP^2, roots b, b, b, a + b, a, a.  Every genus of the
-# X12 family vanishes, whatever the multiplicities, so it cannot show a skew.
+# CP^2-bundle over CP^2, complex roots b, b, b, a + b, a, a.  Every genus
+# of the X12 family vanishes, whatever the multiplicities, so it cannot
+# show a skew.
 GUARDED = "pb:2:[1,0,0]"
 
 
 def _guarded() -> ManifoldModel:
     return build_proj_bundle(LineBundleSum(2, (1, 0, 0)))
+
+
+@pytest.fixture(params=[1, -1], ids=["one_more", "one_fewer"])
+def skewed_groups(request, monkeypatch):
+    """The roots route sees the first root's multiplicity (b^2, 3) off by
+    one; the universal route reads the model's roots unchanged."""
+    first = _guarded().roots[0][0]
+    original = genera.CharacteristicSeries.evaluate_at
+
+    def skewed(self, t, mult=1):
+        return original(self, t, mult + request.param if t == first else mult)
+
+    monkeypatch.setattr(genera.CharacteristicSeries, "evaluate_at", skewed)
 
 
 @pytest.mark.usefixtures("skewed_groups")

@@ -19,13 +19,14 @@ from ellcob.cli import parse_functional
 from ellcob.cobordism import basis_manifolds, elliptic_span, genus_as_functional
 from ellcob.genera import (
     CharacteristicSeries,
+    _roots_route,
     ahat_sequence,
     elliptic_polynomials,
     l_sequence,
     signature,
     twisted_ahat_polynomial,
 )
-from ellcob.manifolds import build_cp, build_hp, pair
+from ellcob.manifolds import build_cp, build_hp
 
 DIMS = (4, 8, 12, 16, 20)
 
@@ -47,12 +48,7 @@ class TestAgainstMonomialRoute:
 
 
 def _roots_genus(series):
-    def evaluate(m):
-        total = m.ring.one()
-        for x in m.tangent.roots:
-            total = total * series.evaluate_at(x)
-        return pair(m, total)
-    return evaluate
+    return lambda m: _roots_route(m, series)
 
 
 @lru_cache(maxsize=None)
