@@ -4,22 +4,42 @@ Every scalar this package hands out is a ``fractions.Fraction``; nothing
 here rounds, ever.  The central object is :class:`GradedElement`, a sparse
 polynomial in named even-degree generators kept in normal form with
 respect to single-head-generator rewrite rules (``a**r -> lower order``)
-and truncated above the ring's top dimension; products run over integer
-numerators and reduce through a per-ring table.  :class:`QSeries`
+and truncated above the ring's top dimension.  :class:`QSeries`
 carries truncated power series with scalar, ring or scalar-series
 coefficients.
 :class:`RationalMatrix` does exact rank and solve.
 
+Ring arithmetic runs on integers.
+
+* Monomial codes.  A ring of top degree D gives generator i of degree
+  d_i the base b_i = 2 D // d_i + 1 and the place value
+  b_0 b_1 ... b_(i-1); a monomial with exponents e_i < b_i is the integer
+  sum e_i * place_i.  A normal monomial has e_i <= D // d_i, so the
+  exponents of a product of two stay below their bases and the product's
+  code is the sum of the two codes.
+* Canonical form.  An element is ``num``, a dict from code to nonzero
+  int, over ``den``, a positive int, with gcd(den, all numerators) = 1
+  and den = 1 for zero.  Equal elements therefore have equal ``den`` and
+  ``num``.  Sums, scalar multiples and products stay in ints and divide
+  out one gcd per result; ``terms`` (exponent tuple -> Fraction) is a
+  read-only view built on demand.
+* Reduction tables.  A product sums codes pairwise and reads each raw
+  code's normal form from the ring's table, filled on first use by the
+  worklist :meth:`RingSpec.normalize_terms`.  A table belongs to one
+  :class:`RingSpec` and dies with it: equal rings built apart fill their
+  own, and nothing here caches rings or tables across models, so memory
+  does not grow with the number of models a caller builds.
+
 Elements, series and matrices are immutable and all operations are pure.
-Each :class:`RingSpec` carries a reduction cache, filled idempotently
-(an entry depends only on its key), so everything is safe to share.
+Table entries are filled idempotently (an entry depends only on its
+key), so everything is safe to share.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import lcm
-from operator import add
+from math import gcd, lcm, prod
+from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
 __all__ = [
@@ -34,6 +54,7 @@ __all__ = [
 
 Rational = Fraction
 Scalar = Union[int, Fraction]
+_ZERO, _ONE = Fraction(0), Fraction(1)  # shared: a Fraction is immutable
 
 
 def as_rational(value: Scalar) -> Fraction:
@@ -58,7 +79,8 @@ class RingSpec:
     order.  Elements of degree above ``truncation_dimension`` are zero.
     """
 
-    __slots__ = ("generators", "degrees", "truncation_dimension", "rules", "_index", "_signature", "_table")
+    __slots__ = ("generators", "degrees", "truncation_dimension", "rules", "_index", "_signature",
+                 "_bases", "_places", "_integral", "_table", "_code_degrees")
 
     def __init__(
         self,
@@ -77,7 +99,7 @@ class RingSpec:
             raise ValueError("truncation dimension must be a nonnegative even integer")
         self.generators = names
         self.degrees = degs
-        self.truncation_dimension = int(truncation_dimension)
+        self.truncation_dimension = top = int(truncation_dimension)
         self._index = {name: i for i, name in enumerate(names)}
         rules: dict[int, tuple[int, dict[tuple[int, ...], Fraction]]] = {}
         for name, (power, rhs) in (rewrite_rules or {}).items():
@@ -111,10 +133,16 @@ class RingSpec:
         self._signature = (
             names,
             degs,
-            self.truncation_dimension,
+            top,
             tuple(sorted((g, p, tuple(sorted(rhs.items()))) for g, (p, rhs) in rules.items())),
         )
-        self._table: dict[tuple[int, ...], tuple] = {}  # raw monomial -> its normal form
+        # a normal monomial has e_i <= top // deg_i, a product of two at most
+        # twice that, so every such exponent is one digit below its base
+        self._bases = tuple(2 * top // d + 1 for d in degs)
+        self._places = tuple(prod(self._bases[:i]) for i in range(len(degs)))
+        self._integral = all(c.denominator == 1 for _, rhs in rules.values() for c in rhs.values())
+        self._table: dict[int, tuple] = {}  # raw monomial code -> its normal form
+        self._code_degrees: dict[int, int] = {}
 
     # -- identity -----------------------------------------------------
 
@@ -139,6 +167,34 @@ class RingSpec:
 
     def index(self, name: str) -> int:
         return self._index[name]
+
+    def code(self, exps: Sequence[int]) -> int | None:
+        """The integer code sum e_i * place_i of a monomial, or None when an
+        exponent lies outside [0, base_i), where no normal monomial and no
+        product of two has one."""
+        if len(exps) != len(self._bases):
+            return None
+        code = 0
+        for e, base, place in zip(exps, self._bases, self._places):
+            if not 0 <= e < base:
+                return None
+            code += e * place
+        return code
+
+    def exponents(self, code: int) -> tuple[int, ...]:
+        """The exponent tuple of a monomial code."""
+        out = []
+        for base in self._bases:
+            code, e = divmod(code, base)
+            out.append(e)
+        return tuple(out)
+
+    def code_degree(self, code: int) -> int:
+        """The degree of a monomial code, decoded once per code and ring."""
+        degree = self._code_degrees.get(code)
+        if degree is None:
+            degree = self._code_degrees[code] = self.degree_of(self.exponents(code))
+        return degree
 
     # -- reduction ----------------------------------------------------
 
@@ -175,16 +231,16 @@ class RingSpec:
                         stack.append((mono, coeff * rcoeff))
                     break
             else:
-                out[exps] = out.get(exps, Fraction(0)) + coeff
+                out[exps] = out[exps] + coeff if exps in out else coeff
         return {e: c for e, c in out.items() if c}
 
-    def _reduce(self, exps: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], Scalar], ...]:
-        """Tabled normal form of one monomial: ``(exps, int or Fraction)`` pairs."""
+    def _reduce(self, code: int) -> tuple[tuple[int, Scalar], ...]:
+        """Tabled normal form of one monomial: ``(code, int or Fraction)`` pairs."""
         reduced = tuple(
-            (e, c.numerator if c.denominator == 1 else c)
-            for e, c in self.normalize_terms({exps: 1}).items()
+            (self.code(e), c.numerator if c.denominator == 1 else c)
+            for e, c in self.normalize_terms({self.exponents(code): _ONE}).items()
         )
-        self._table[exps] = reduced
+        self._table[code] = reduced
         return reduced
 
     # -- element constructors ------------------------------------------
@@ -193,16 +249,16 @@ class RingSpec:
         return GradedElement(self, terms)
 
     def zero(self) -> "GradedElement":
-        return GradedElement(self, {}, _trusted=True)
+        return _element(self, 1, {})
 
     def one(self) -> "GradedElement":
-        return self.scalar(1)
+        return _element(self, 1, {0: 1})
 
     def scalar(self, value: Scalar) -> "GradedElement":
         c = as_rational(value)
         if not c:
             return self.zero()
-        return GradedElement(self, {(0,) * self.ngens: c}, _trusted=True)
+        return _element(self, c.denominator, {0: c.numerator})
 
     def gen(self, name: str) -> "GradedElement":
         exps = [0] * self.ngens
@@ -211,59 +267,72 @@ class RingSpec:
 
 
 class GradedElement:
-    """A normal-form element of a :class:`RingSpec`.  Immutable."""
+    """A normal-form element of a :class:`RingSpec`: the integer numerators
+    ``num`` (monomial code -> nonzero int) over the positive denominator
+    ``den``, kept canonical.  Immutable."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "den", "num")
 
-    def __init__(
-        self,
-        ring: RingSpec,
-        terms: Mapping[tuple[int, ...], Scalar],
-        _trusted: bool = False,
-    ) -> None:
+    def __init__(self, ring: RingSpec, terms: Mapping[tuple[int, ...], Scalar]) -> None:
+        normal = ring.normalize_terms(terms)
+        # the lcm of reduced denominators shares no prime with every numerator
+        den = reduce(lcm, (c.denominator for c in normal.values()), 1)
         self.ring = ring
-        if _trusted:
-            self.terms = dict(terms)
-        else:
-            self.terms = ring.normalize_terms(terms)
+        self.den = den
+        self.num = {ring.code(e): c.numerator * (den // c.denominator) for e, c in normal.items()}
 
     # -- inspection ----------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.num)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
+
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], Fraction]:
+        """Read-only view, exponent tuple -> Fraction, built on each access."""
+        exponents, den = self.ring.exponents, self.den
+        return MappingProxyType({exponents(c): Fraction(n, den) for c, n in self.num.items()})
 
     def coefficient(self, exps: tuple[int, ...]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+        n = self.num.get(self.ring.code(tuple(exps)))  # a code of None finds nothing
+        return Fraction(n, self.den) if n else _ZERO
 
     def constant(self) -> Fraction:
         return self.coefficient((0,) * self.ring.ngens)
 
     def homogeneous_part(self, d: int) -> "GradedElement":
-        picked = {e: c for e, c in self.terms.items() if self.ring.degree_of(e) == d}
-        return GradedElement(self.ring, picked, _trusted=True)
+        degree = self.ring.code_degree
+        return _canonical(self.ring, self.den, {c: n for c, n in self.num.items() if degree(c) == d})
 
     # -- arithmetic -----------------------------------------------------
 
     def _check_ring(self, other: "GradedElement") -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("elements of different rings cannot be combined")
 
     def __add__(self, other: "GradedElement") -> "GradedElement":
         if not isinstance(other, GradedElement):
             return NotImplemented
         self._check_ring(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = terms.get(e, Fraction(0)) + c
-            if acc:
-                terms[e] = acc
-            else:
-                terms.pop(e, None)
-        return GradedElement(self.ring, terms, _trusted=True)
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            den, num = d1, dict(self.num)
+            for c, n in other.num.items():
+                num[c] = num.get(c, 0) + n
+        else:
+            den = d1 // gcd(d1, d2) * d2
+            m1, m2 = den // d1, den // d2
+            num = {c: n * m1 for c, n in self.num.items()}
+            for c, n in other.num.items():
+                num[c] = num.get(c, 0) + n * m2
+        return _canonical(self.ring, den, num)
 
     def __sub__(self, other: "GradedElement") -> "GradedElement":
         if not isinstance(other, GradedElement):
@@ -271,38 +340,40 @@ class GradedElement:
         return self + (-other)
 
     def __neg__(self) -> "GradedElement":
-        return GradedElement(self.ring, {e: -c for e, c in self.terms.items()}, _trusted=True)
+        return _element(self.ring, self.den, {c: -n for c, n in self.num.items()})
 
     def __mul__(self, other: Union["GradedElement", Scalar]) -> "GradedElement":
         if isinstance(other, GradedElement):
             self._check_ring(other)
-            den1, num1 = _over_common_denominator(self.terms)
-            den2, num2 = _over_common_denominator(other.terms)
-            raw: dict[tuple[int, ...], int] = {}
-            for e1, c1 in num1:
-                for e2, c2 in num2:
-                    mono = tuple(map(add, e1, e2))
-                    raw[mono] = raw.get(mono, 0) + c1 * c2
+            ring = self.ring
+            # exponents of normal monomials add without carries, so codes add
+            raw: dict[int, int] = {}
+            get = raw.get
+            pairs = other.num.items()
+            for c1, n1 in self.num.items():
+                for c2, n2 in pairs:
+                    k = c1 + c2
+                    raw[k] = get(k, 0) + n1 * n2
             # normalize is linear, so reducing each raw monomial gives the normal form
-            table = self.ring._table
-            acc: dict[tuple[int, ...], Scalar] = {}
-            for mono, c in raw.items():
-                if not c:
+            table = ring._table
+            acc: dict[int, Scalar] = {}
+            get = acc.get
+            for k, n in raw.items():
+                if not n:
                     continue
-                reduced = table.get(mono)
+                reduced = table.get(k)
                 if reduced is None:
-                    reduced = self.ring._reduce(mono)
-                for e, r in reduced:
-                    acc[e] = acc.get(e, 0) + c * r
-            den = den1 * den2
-            return GradedElement(
-                self.ring, {e: Fraction(c, den) for e, c in acc.items() if c}, _trusted=True
-            )
+                    reduced = ring._reduce(k)
+                for c, r in reduced:
+                    acc[c] = get(c, 0) + n * r
+            return _canonical(ring, self.den * other.den, acc)
         if isinstance(other, (int, Fraction)):
-            c = as_rational(other)
-            if not c:
+            if not other:
                 return self.ring.zero()
-            return GradedElement(self.ring, {e: k * c for e, k in self.terms.items()}, _trusted=True)
+            if isinstance(other, int):
+                return _canonical(self.ring, self.den, {c: n * other for c, n in self.num.items()})
+            p = other.numerator
+            return _canonical(self.ring, self.den * other.denominator, {c: n * p for c, n in self.num.items()})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -336,15 +407,17 @@ class GradedElement:
         return (
             isinstance(other, GradedElement)
             and self.ring == other.ring
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __repr__(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         bits = []
-        for exps in sorted(self.terms, key=lambda e: (self.ring.degree_of(e), e)):
-            coeff = self.terms[exps]
+        for exps in sorted(terms, key=lambda e: (self.ring.degree_of(e), e)):
+            coeff = terms[exps]
             mono = "*".join(
                 (name if k == 1 else f"{name}^{k}")
                 for name, k in zip(self.ring.generators, exps)
@@ -357,12 +430,34 @@ class GradedElement:
         return " + ".join(bits).replace("+ -", "- ")
 
 
-def _over_common_denominator(terms: Mapping[tuple[int, ...], Fraction]) -> tuple[int, list]:
-    """``(d, [(exps, n)])`` with every coefficient equal to ``n / d``."""
-    # no lcm(*...): its argument tuples pile up on the interpreter's tuple
-    # free lists, and peak RSS creeps with the number of products
-    den = reduce(lcm, (c.denominator for c in terms.values()), 1)
-    return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
+def _element(ring: RingSpec, den: int, num: dict[int, int]) -> GradedElement:
+    """An element from numerators already in canonical form."""
+    x = object.__new__(GradedElement)
+    x.ring, x.den, x.num = ring, den, num
+    return x
+
+
+def _canonical(ring: RingSpec, den: int, acc: dict[int, Scalar]) -> GradedElement:
+    """The element acc / den: zeros dropped, Fraction entries (only from a
+    ring with rational rules) cleared into den, and the common gcd of den
+    and the numerators divided out."""
+    num = {c: n for c, n in acc.items() if n}
+    if not num:
+        return ring.zero()
+    if not ring._integral:
+        d = reduce(lcm, (n.denominator for n in num.values()), 1)
+        num = {c: n.numerator * (d // n.denominator) for c, n in num.items()}
+        den *= d
+    if den != 1:
+        g = den
+        for n in num.values():
+            g = gcd(g, n)
+            if g == 1:
+                break
+        else:
+            den //= g
+            num = {c: n // g for c, n in num.items()}
+    return _element(ring, den, num)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +469,8 @@ def _zero_like(value):
     if isinstance(value, GradedElement):
         return value.ring.zero()
     if isinstance(value, QSeries):
-        return QSeries([Fraction(0)] * len(value.coeffs))
-    return Fraction(0)
+        return QSeries([_ZERO] * len(value.coeffs))
+    return _ZERO
 
 
 def _coeff_kind(value) -> tuple:
@@ -553,9 +648,10 @@ class RationalMatrix:
         pivots = _rref(aug, self.cols)
         if any(aug[i][self.cols] for i in range(len(pivots), self.rows)):
             return None
-        x = [Fraction(0)] * self.cols
+        x = [_ZERO] * self.cols  # callers keep solutions, and many entries are zero
         for row, col in enumerate(pivots):
-            x[col] = aug[row][self.cols]
+            if aug[row][self.cols]:
+                x[col] = aug[row][self.cols]
         return x
 
     def __repr__(self) -> str:

@@ -5,8 +5,9 @@ Pontryagin numbers / named genera) plus one subcommand per library
 operation.  All output is canonical JSON — sorted keys, rationals as
 "num/den" strings — or, where tables make sense, CSV.
 
-Exit codes: 0 success, 2 bad input (parse or validation), 3 internal
-consistency failure (two computation routes disagreed — a bug).
+Exit codes: 0 success, 2 bad input (parse or validation, or a request
+beyond one of the limits below), 3 internal consistency failure (two
+computation routes disagreed — a bug).
 """
 from __future__ import annotations
 
@@ -59,6 +60,13 @@ from .manifolds import (
 )
 
 __all__ = ["parse_functional", "parse_manifold", "main", "entrypoint"]
+
+# Request limits, so that an oversized request exits 2 at once instead of
+# running for minutes; the README lists the largest allowed requests and
+# their times.
+MAX_DIMENSION = 32  # real dimension of a --manifold model (cp:N, hp:N, pb:L, products), --dim, --family
+MAX_Q_ORDER = 32  # --q-order and the j of ell[j]
+MAX_RANGE = 101  # parameters in a --range
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +237,8 @@ def _parse_atom(sc: _Scanner):
         sc.expect("[")
         sc.skip_ws()
         q_index = sc.unsigned_int()
+        if q_index > MAX_Q_ORDER:
+            raise sc.error(f"ell[{q_index}] is above the q-order limit {MAX_Q_ORDER}", start)
         sc.skip_ws()
         sc.expect("]")
         return ("genus", "ell", q_index)
@@ -328,6 +338,15 @@ def parse_functional(text: str, dim: int) -> Functional:
 # manifold descriptors
 
 
+def _within_dimension_limit(sc: _Scanner, start: int, dim: int) -> None:
+    """Refuse a model of real dimension above MAX_DIMENSION before it is built."""
+    if dim > MAX_DIMENSION:
+        raise sc.error(
+            f"{sc.text[start:sc.pos].strip()} has dimension {dim}, above the dimension limit {MAX_DIMENSION}",
+            start,
+        )
+
+
 def _parse_manifold_expr(sc: _Scanner, warnings: list[str]) -> ManifoldModel:
     sc.skip_ws()
     start = sc.pos
@@ -338,11 +357,16 @@ def _parse_manifold_expr(sc: _Scanner, warnings: list[str]) -> ManifoldModel:
         second = _parse_manifold_expr(sc, warnings)
         sc.skip_ws()
         sc.expect(")")
+        _within_dimension_limit(sc, start, first.real_dimension + second.real_dimension)
         return product(first, second)
     if sc.eat("cp:"):
-        return build_cp(sc.unsigned_int())
+        n = sc.unsigned_int()
+        _within_dimension_limit(sc, start, 2 * n)
+        return build_cp(n)
     if sc.eat("hp:"):
-        return build_hp(sc.unsigned_int())
+        n = sc.unsigned_int()
+        _within_dimension_limit(sc, start, 4 * n)
+        return build_hp(n)
     if sc.eat("pb:"):
         base = sc.unsigned_int()
         sc.expect(":")
@@ -351,9 +375,11 @@ def _parse_manifold_expr(sc: _Scanner, warnings: list[str]) -> ManifoldModel:
         while sc.eat(","):
             degrees.append(sc.signed_int())
         sc.expect("]")
+        _within_dimension_limit(sc, start, 2 * (base + len(degrees) - 1))
         return build_proj_bundle(LineBundleSum(base, tuple(degrees)))
     if sc.eat("X12xHP:"):
         n = sc.unsigned_int()
+        _within_dimension_limit(sc, start, 12 + 4 * n)
         sc.expect(":c=")
         c = sc.signed_int()
         if c % 2:
@@ -498,11 +524,22 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise sc.error("trailing input after range")
     if a > b:
         raise FunctionalParseError(f"empty range {text!r}")
+    if b - a >= MAX_RANGE:
+        raise FunctionalParseError(f"range {text!r} has {b - a + 1} parameters, above the range limit {MAX_RANGE}")
     return a, b
 
 
+def _family(name: str) -> FamilySpec:
+    fam = standard_family(name)
+    if fam.dimension > MAX_DIMENSION:
+        raise FunctionalParseError(
+            f"family {fam.name} has dimension {fam.dimension}, above the dimension limit {MAX_DIMENSION}"
+        )
+    return fam
+
+
 def _cmd_scan(args: argparse.Namespace) -> int:
-    fam = standard_family(args.family)
+    fam = _family(args.family)
     f = parse_functional(args.functional, fam.dimension)
     a, b = _parse_range(args.range)
     values = [(c, f.evaluate(pontryagin_numbers(fam.build(c)))) for c in range(a, b + 1)]
@@ -547,7 +584,7 @@ def _cmd_verdict(args: argparse.Namespace) -> int:
 
 
 def _cmd_distinct(args: argparse.Namespace) -> int:
-    fam = standard_family(args.family)
+    fam = _family(args.family)
     a, b = _parse_range(args.range)
     result = distinct_cobordism_types(fam, list(range(a, b + 1)))
     _emit_json({
@@ -644,10 +681,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for name, value in vars(args).items():
+            if value == []:  # argparse's reading of a lone '--' value, as in --range=--
+                raise FunctionalParseError(f"--{name.replace('_', '-')} needs a value, not '--'")
         # read here rather than by argparse, whose int() takes '1_2' and '١'
-        for name in ("dim", "q_order"):
+        for name, limit, what in (("dim", MAX_DIMENSION, "dimension"), ("q_order", MAX_Q_ORDER, "q-order")):
             if getattr(args, name, None) is not None:
-                setattr(args, name, _parse_int(getattr(args, name)))
+                value = _parse_int(getattr(args, name))
+                if value > limit:
+                    raise FunctionalParseError(f"--{name.replace('_', '-')} {value} is above the {what} limit {limit}")
+                setattr(args, name, value)
         return args.func(args)
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
 from .algebra import RationalMatrix, as_rational, interpolate_polynomial
@@ -21,8 +22,7 @@ from .manifolds import (
     build_cp,
     build_hp,
     build_proj_bundle,
-    pair,
-    pontryagin_classes,
+    pontryagin_products,
     product,
 )
 from .genera import elliptic_polynomials
@@ -91,18 +91,36 @@ def partitions_of(k: int) -> tuple[Partition, ...]:
     return tuple(sorted(Partition(p) for p in gen(k, k)))
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=None)
+def _partition_index(k: int) -> dict[Partition, int]:
+    return {I: i for i, I in enumerate(partitions_of(k))}
+
+
+@dataclass(frozen=True, slots=True)
 class CharNumberVector:
-    """All Pontryagin numbers of one manifold, indexed by partitions of dim/4."""
+    """All Pontryagin numbers of one manifold: ``row[i]`` is the number of
+    ``partitions_of(dimension // 4)[i]``, an int where it is integral (on
+    a closed manifold, always) and a Fraction otherwise.  A row of ints,
+    not a dict of Fractions, because callers keep many vectors and the
+    dict and the Fractions would be most of their size.  Every accessor
+    hands out Fractions."""
 
     dimension: int
-    values: Mapping[Partition, Fraction]
+    row: tuple[int | Fraction, ...]
 
-    def get(self, partition: Partition) -> Fraction:
-        return self.values.get(Partition(partition), Fraction(0))
+    @property
+    def values(self) -> dict[Partition, Fraction]:
+        return dict(zip(partitions_of(self.dimension // 4), self.as_row()))
+
+    def get(self, partition: Sequence[int]) -> Fraction:
+        i = _partition_index(self.dimension // 4).get(Partition(partition))
+        return Fraction(0) if i is None else Fraction(self.row[i])
 
     def as_row(self) -> list[Fraction]:
-        return [self.values[I] for I in partitions_of(self.dimension // 4)]
+        return [Fraction(v) for v in self.row]
+
+    def __repr__(self) -> str:
+        return f"CharNumberVector(dimension={self.dimension!r}, values={self.values!r})"
 
 
 @dataclass(frozen=True)
@@ -178,14 +196,8 @@ def pontryagin_numbers(m: ManifoldModel) -> CharNumberVector:
     dim = m.real_dimension
     if dim % 4:
         raise ValueError(f"{m.name} has dimension {dim}; Pontryagin numbers need a multiple of 4")
-    p = pontryagin_classes(m)
-    values: dict[Partition, Fraction] = {}
-    for I in partitions_of(dim // 4):
-        mono = m.ring.one()
-        for part in I:
-            mono = mono * p[part - 1]
-        values[I] = pair(m, mono)
-    return CharNumberVector(dim, values)
+    values = pontryagin_products(m, partitions_of(dim // 4))
+    return CharNumberVector(dim, tuple(v.numerator if v.denominator == 1 else v for v in values))
 
 
 @lru_cache(maxsize=None)
@@ -299,7 +311,7 @@ def family_polynomial(fam: FamilySpec, f: Functional) -> list[Fraction]:
     return coeffs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerdictResult:
     unbounded: bool
     witness: str | None
@@ -324,11 +336,34 @@ def unbounded_verdict(f: Functional, families: Sequence[FamilySpec]) -> VerdictR
     return VerdictResult(witness is not None, witness, witness_poly, per_family)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DistinctnessResult:
-    distinct: bool
-    separators: Mapping[tuple[int, int], Partition]
-    collisions: tuple[tuple[int, int], ...]
+    """Pairwise certificates over the sorted parameters: entry k of
+    ``pair_separators`` is a partition whose Pontryagin numbers differ on
+    the k-th pair of ``combinations(params, 2)``, or None for a collision.
+    A tuple, not a dict keyed by pairs, because callers keep many results;
+    ``separators`` and ``collisions`` are built on access."""
+
+    params: tuple[int, ...]
+    pair_separators: tuple[Partition | None, ...]
+
+    @property
+    def distinct(self) -> bool:
+        return None not in self.pair_separators
+
+    @property
+    def separators(self) -> dict[tuple[int, int], Partition]:
+        pairs = combinations(self.params, 2)
+        return {pair: I for pair, I in zip(pairs, self.pair_separators) if I is not None}
+
+    @property
+    def collisions(self) -> tuple[tuple[int, int], ...]:
+        pairs = combinations(self.params, 2)
+        return tuple(pair for pair, I in zip(pairs, self.pair_separators) if I is None)
+
+    def __repr__(self) -> str:
+        return (f"DistinctnessResult(distinct={self.distinct!r}, separators={self.separators!r}, "
+                f"collisions={self.collisions!r})")
 
 
 def distinct_cobordism_types(fam: FamilySpec, params: Sequence[int]) -> DistinctnessResult:
@@ -339,21 +374,12 @@ def distinct_cobordism_types(fam: FamilySpec, params: Sequence[int]) -> Distinct
     collision and the family members are rationally cobordant.
     """
     vectors = {c: pontryagin_numbers(fam.build(c)) for c in params}
-    separators: dict[tuple[int, int], Partition] = {}
-    collisions: list[tuple[int, int]] = []
-    ordered = sorted(params)
-    for i, c1 in enumerate(ordered):
-        for c2 in ordered[i + 1:]:
-            sep = next(
-                (I for I in partitions_of(fam.dimension // 4)
-                 if vectors[c1].get(I) != vectors[c2].get(I)),
-                None,
-            )
-            if sep is None:
-                collisions.append((c1, c2))
-            else:
-                separators[(c1, c2)] = sep
-    return DistinctnessResult(not collisions, separators, tuple(collisions))
+    partitions = partitions_of(fam.dimension // 4)
+    ordered = tuple(sorted(params))
+    return DistinctnessResult(ordered, tuple(
+        next((I for I, a, b in zip(partitions, vectors[c1].row, vectors[c2].row) if a != b), None)
+        for c1, c2 in combinations(ordered, 2)
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ from typing import Mapping, Sequence, Union
 
 from .algebra import GradedElement, QSeries, as_rational
 from .errors import ConsistencyError
-from .manifolds import ManifoldModel, pair, pontryagin_classes
+from .manifolds import ManifoldModel, pair, pontryagin_products
 
 __all__ = [
     "CharacteristicSeries",
@@ -313,25 +313,20 @@ def _roots_route(m: ManifoldModel, series: CharacteristicSeries) -> Coefficient:
 def _universal_route(m: ManifoldModel, seq: MultiplicativeSequence) -> Coefficient:
     """The genus of seq.source on m from its Pontryagin numbers."""
     k = m.real_dimension // 4
-    p = pontryagin_classes(m)
-    numbers = {}
-    for partition in seq.weights[k]:
-        mono = m.ring.one()
-        for part in partition:
-            mono = mono * p[part - 1]
-        numbers[partition] = pair(m, mono)
-    return seq.evaluate_top(numbers, k)
+    partitions = list(seq.weights[k])
+    return seq.evaluate_top(dict(zip(partitions, pontryagin_products(m, partitions))), k)
 
 
 def _cross_checked(m: ManifoldModel, what: str, seq: MultiplicativeSequence) -> Coefficient:
-    """The universal value on m, confirmed by the roots route."""
+    """The value on m by both routes, which must agree.  The roots route's
+    is returned: its zeros, read off by ``pair``, share one Fraction."""
     value = _universal_route(m, seq)
     direct = _roots_route(m, seq.source)
     if direct != value:
         raise ConsistencyError(
             f"{what} pipelines disagree on {m.name}: universal {value}, roots {direct}"
         )
-    return value
+    return direct
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from fractions import Fraction
 from dataclasses import dataclass
 from itertools import combinations
 from math import prod
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .algebra import GradedElement, RingSpec, as_rational
 
@@ -42,6 +42,7 @@ __all__ = [
     "root_groups",
     "total_pontryagin",
     "pontryagin_classes",
+    "pontryagin_products",
     "pair",
     "is_spin",
 ]
@@ -173,10 +174,7 @@ def _has_even_root_sum(roots: Sequence[GradedElement]) -> bool:
     total = roots[0].ring.zero()
     for x in roots:
         total = total + x
-    for coeff in total.terms.values():
-        if coeff.denominator != 1 or coeff.numerator % 2:
-            return False
-    return True
+    return total.den == 1 and not any(n % 2 for n in total.num.values())
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +228,10 @@ def product(m1: ManifoldModel, m2: ManifoldModel) -> ManifoldModel:
 
 def _grouped(pairs) -> tuple[tuple[GradedElement, int], ...]:
     """Pairs (element, count) with equal elements merged, in order of first
-    appearance, keyed by normal-form terms."""
-    groups: dict[frozenset, tuple[GradedElement, int]] = {}
+    appearance, keyed by the canonical numerators and denominator."""
+    groups: dict[tuple, tuple[GradedElement, int]] = {}
     for x, count in pairs:
-        key = frozenset(x.terms.items())
+        key = (x.den, frozenset(x.num.items()))
         first, total = groups.get(key, (x, 0))
         groups[key] = (first, total + count)
     return tuple(groups.values())
@@ -250,10 +248,11 @@ def total_pontryagin(m: ManifoldModel) -> GradedElement:
     """1 + p_1 + p_2 + ... = the product of (1 + t)^m over the Pontryagin
     roots; for m < 0 the power inverts the unit 1 + t."""
     one = m.ring.one()
-    total = one
+    total = None
     for t, mult in m.roots:
-        total = total * (one + t) ** mult
-    return total
+        factor = (one + t) ** mult
+        total = factor if total is None else total * factor
+    return one if total is None else total
 
 
 def pontryagin_classes(m: ManifoldModel) -> list[GradedElement]:
@@ -261,6 +260,23 @@ def pontryagin_classes(m: ManifoldModel) -> list[GradedElement]:
     k = m.real_dimension // 4
     total = total_pontryagin(m)
     return [total.homogeneous_part(4 * i) for i in range(1, k + 1)]
+
+
+def pontryagin_products(m: ManifoldModel, partitions: Iterable[Sequence[int]]) -> list[Fraction]:
+    """<p_I, [M]> for each partition I, in order.  A product starts from
+    its first class, and products of shared prefixes are formed once."""
+    p = pontryagin_classes(m)
+    prefixes: dict[tuple[int, ...], GradedElement] = {(): m.ring.one()}
+
+    def monomial(parts: tuple[int, ...]) -> GradedElement:
+        x = prefixes.get(parts)
+        if x is None:
+            last = p[parts[-1] - 1]
+            x = last if len(parts) == 1 else monomial(parts[:-1]) * last
+            prefixes[parts] = x
+        return x
+
+    return [pair(m, monomial(tuple(I))) for I in partitions]
 
 
 def pair(m: ManifoldModel, x: GradedElement) -> Fraction:

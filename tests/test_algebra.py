@@ -6,6 +6,7 @@ power-series identities, and sympy (test-only) for matrix ranks.
 """
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -416,3 +417,142 @@ class TestInterpolation:
         found = interpolate_polynomial(pts)
         padded = found + [F(0)] * (len(coeffs) - len(found))
         assert padded[: len(coeffs)] == coeffs
+
+
+# -- the integer kernel: canonical numerators against the Fraction oracle ----
+
+
+def assert_canonical(x):
+    """Integer numerators, none zero, over a positive denominator sharing
+    no factor with all of them; zero has denominator 1."""
+    assert type(x.den) is int and x.den > 0
+    assert all(type(c) is int and type(n) is int and n for c, n in x.num.items())
+    assert gcd(x.den, *x.num.values()) == 1
+    if not x.num:
+        assert x.den == 1
+
+
+def oracle_product(x_terms, y_terms, ring):
+    """The parent-style product: Fraction dicts, exponent sums, worklist."""
+    raw = {}
+    for e1, c1 in x_terms.items():
+        for e2, c2 in y_terms.items():
+            mono = tuple(a + b for a, b in zip(e1, e2))
+            raw[mono] = raw.get(mono, F(0)) + c1 * c2
+    return ring.normalize_terms(raw)
+
+
+def oracle_sum(x_terms, y_terms, ring):
+    acc = dict(x_terms)
+    for e, c in y_terms.items():
+        acc[e] = acc.get(e, F(0)) + c
+    return ring.normalize_terms(acc)
+
+
+@st.composite
+def kernel_cases(draw):
+    """Two elements of a random rule ring or projective-bundle ring, a
+    rational scalar and a small power."""
+    x, y = draw(st.one_of(rule_ring_pairs(), bundle_ring_pairs()))
+    return x, y, draw(st.one_of(rationals, st.integers(-5, 5))), draw(st.integers(0, 4))
+
+
+class TestIntegerKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_cases())
+    def test_every_operation_is_canonical_and_matches_the_oracle(self, case):
+        x, y, s, n = case
+        ring = x.ring
+        xt, yt = dict(x.terms), dict(y.terms)
+        assert_canonical(x)
+        assert_canonical(y)
+        results = [
+            (x + y, oracle_sum(xt, yt, ring)),
+            (x - y, oracle_sum(xt, {e: -c for e, c in yt.items()}, ring)),
+            (-x, {e: -c for e, c in xt.items()}),
+            (x * s, ring.normalize_terms({e: c * s for e, c in xt.items()})),
+            (s * y, ring.normalize_terms({e: c * s for e, c in yt.items()})),
+            (x * y, oracle_product(xt, yt, ring)),
+        ]
+        power = ring.normalize_terms({(0,) * ring.ngens: 1})
+        for _ in range(n):
+            power = oracle_product(power, xt, ring)
+        results.append((x ** n, power))
+        for got, want in results:
+            assert_canonical(got)
+            assert dict(got.terms) == want
+            assert all(type(c) is Fraction for c in got.terms.values())
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_cases())
+    def test_negative_powers_are_canonical(self, case):
+        x, _, _, n = case
+        ring = x.ring
+        unit = ring.one() + (x - ring.scalar(x.constant()))  # constant term 1, the rest nilpotent
+        inverse = unit ** -(n + 1)
+        assert_canonical(inverse)
+        assert inverse * unit ** (n + 1) == ring.one()
+
+    @settings(max_examples=60, deadline=None)
+    @given(rule_rings(), st.data())
+    def test_code_round_trip(self, ring, data):
+        exps = tuple(data.draw(st.integers(0, b - 1)) for b in ring._bases)
+        code = ring.code(exps)
+        assert ring.exponents(code) == exps
+        assert ring.code_degree(code) == ring.degree_of(exps)
+
+    def test_codes_of_normal_monomials_add(self):
+        ring = build_proj_bundle(LineBundleSum(3, (1, -2, 0))).ring
+        top = ring.truncation_dimension
+        normal = [e for e in product(*(range(top // d + 1) for d in ring.degrees)) if ring.degree_of(e) <= top]
+        for e1 in normal:
+            for e2 in normal:
+                total = tuple(a + b for a, b in zip(e1, e2))
+                assert ring.code(e1) + ring.code(e2) == ring.code(total)
+
+    def test_out_of_range_coefficient_is_zero(self):
+        ring = small_ring()
+        x = (ring.gen("a") + ring.gen("b") + ring.one()) ** 3
+        beyond = tuple(b for b in ring._bases)  # every exponent at its base
+        assert ring.code(beyond) is None
+        assert x.coefficient(beyond) == 0
+        assert x.coefficient((-1, 0)) == 0
+        assert x.coefficient((0, 0, 0)) == 0
+        assert x.coefficient((0, 1)) == 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(rule_ring_pairs())
+    def test_equal_signature_rings_give_equal_elements(self, pair):
+        x, _ = pair
+        ring = x.ring
+        twin = RingSpec(
+            list(zip(ring.generators, ring.degrees)),
+            ring.truncation_dimension,
+            {ring.generators[g]: (p, rhs) for g, (p, rhs) in ring.rules.items()},
+        )
+        copy = GradedElement(twin, x.terms)
+        assert copy == x and (copy.den, copy.num) == (x.den, x.num)
+
+    def test_integral_rules_build_no_fraction(self, monkeypatch):
+        ring = build_proj_bundle(LineBundleSum(3, (1, 2, -1))).ring
+        a, b = ring.gen("a"), ring.gen("b")
+        x, y = (a + b * 3) ** 2 * F(1, 6), a * F(5, 4) + b * b
+        x * y  # fill the reduction table
+        built = []
+        original = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        xy, total = x * y, x + y
+        monkeypatch.undo()
+        assert built == []
+        assert_canonical(xy)
+        assert_canonical(total)
+
+    def test_terms_is_read_only(self):
+        x = small_ring().gen("a")
+        with pytest.raises(TypeError):
+            x.terms[(0, 0)] = F(1)

@@ -462,3 +462,93 @@ class TestArgumentFuzz:
     @example(dim="20", q_order="8")
     def test_dim_and_q_order(self, dim, q_order):
         self._exit_is_0_or_2(["span", f"--dim={dim}"] + ([] if q_order is None else [f"--q-order={q_order}"]))
+
+
+class TestLimits:
+    """Requests beyond a documented limit exit 2 at once with a message that
+    names the limit; the largest allowed requests still run."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["span", "--dim", "10000"], "--dim 10000 is above the dimension limit 32"),
+        (["member", "--dim", "36", "-f", "p9"], "--dim 36 is above the dimension limit 32"),
+        (["elliptic", "--manifold", "cp:2", "--q-order", "100000"], "--q-order 100000 is above the q-order limit 32"),
+        (["span", "--dim", "12", "--q-order", "33"], "--q-order 33 is above the q-order limit 32"),
+        (["member", "--dim", "12", "-f", "ell[200]"],
+         "ell[200] is above the q-order limit 32 in 'ell[200]' (at position 0)"),
+        (["member", "--dim", "12", "-f", "p3 - ell[33]"],
+         "ell[33] is above the q-order limit 32 in 'p3 - ell[33]' (at position 5)"),
+        (["pontryagin", "--manifold", "cp:100000"],
+         "cp:100000 has dimension 200000, above the dimension limit 32 in 'cp:100000' (at position 0)"),
+        (["pontryagin", "--manifold", "cp:17"],
+         "cp:17 has dimension 34, above the dimension limit 32 in 'cp:17' (at position 0)"),
+        (["spin", "--manifold", "hp:9"], "hp:9 has dimension 36, above the dimension limit 32 in 'hp:9' (at position 0)"),
+        (["spin", "--manifold", "pb:16:[1,2]"],
+         "pb:16:[1,2] has dimension 34, above the dimension limit 32 in 'pb:16:[1,2]' (at position 0)"),
+        (["pontryagin", "--manifold", "prod(cp:2, prod(cp:16,cp:1))"],
+         "prod(cp:16,cp:1) has dimension 34, above the dimension limit 32 in 'prod(cp:2, prod(cp:16,cp:1))' "
+         "(at position 11)"),
+        (["pontryagin", "--manifold", "X12xHP:6:c=2"],
+         "X12xHP:6 has dimension 36, above the dimension limit 32 in 'X12xHP:6:c=2' (at position 0)"),
+        (["scan", "--family", "X12xHP:6", "-f", "p1^9", "--range=0..1"],
+         "family X12xHP:6 has dimension 36, above the dimension limit 32"),
+        (["distinct", "--family", "X12", "--range=0..101"],
+         "range '0..101' has 102 parameters, above the range limit 101"),
+    ], ids=["span_dim", "member_dim", "q_order_huge", "q_order", "ell_huge", "ell", "cp_huge", "cp", "hp", "pb",
+            "prod", "x12xhp", "family", "range"])
+    def test_oversized_request_is_2(self, capsys, argv, message):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["pontryagin", "--manifold", "cp:16"],
+        ["spin", "--manifold", "hp:8"],
+        ["pontryagin", "--manifold", "prod(pb:3:[1,2],prod(hp:2,pb:6:[0,1,1]))"],
+        ["pontryagin", "--manifold", "X12xHP:5:c=2"],
+        ["member", "--dim", "12", "-f", "ell[32]"],
+        ["span", "--dim", "32"],
+        ["distinct", "--family", "X12", "--range=0..100"],
+    ], ids=["cp", "hp", "prod", "x12xhp", "ell", "span", "range"])
+    def test_largest_allowed_request_is_0(self, capsys, argv):
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and out
+
+    def test_lone_double_dash_value_is_2(self, capsys):
+        # argparse reads --range=-- as an empty list, not as the string '--'
+        code, out, err = run(capsys, ["scan", "--family", "X12", "-f", "p3", "--range=--"])
+        assert code == 2 and out == ""
+        assert err == "error: --range needs a value, not '--'\n"
+
+
+# --manifold strings: every descriptor kind, sizes from 0 to far past the
+# dimension limit, nested products, near misses and junk.  The limit keeps
+# every accepted draw at dimension 32 or less, so each one runs in well
+# under a second.
+_SMALL = st.integers(0, 10).map(str)
+_SIZE = st.one_of(_SMALL, _SMALL, _SMALL, st.integers(0, 10 ** 6).map(str), _BAD_INT)
+_DEGREES = st.one_of(
+    st.lists(st.integers(-3, 3).map(str), min_size=1, max_size=6),
+    st.lists(st.one_of(st.integers(-3, 3).map(str), _BAD_INT), max_size=18),
+).map(",".join)
+_LEAF = st.one_of(
+    st.builds("cp:{}".format, _SIZE),
+    st.builds("hp:{}".format, _SIZE),
+    st.builds("pb:{}:[{}]".format, _SIZE, _DEGREES),
+    st.builds("{}:c={}".format, st.sampled_from(["X12", "Y16", "Z20"]), st.integers(-4, 4)),
+    st.builds("X12xHP:{}:c={}".format, _SIZE, st.integers(-4, 4)),
+)
+_MANIFOLD = st.one_of(
+    st.recursive(_LEAF, lambda inner: st.builds("prod({},{})".format, inner, inner), max_leaves=4),
+    _JUNK,
+)
+
+
+class TestManifoldFuzz:
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(command=st.sampled_from(["pontryagin", "spin", "genus"]), text=_MANIFOLD)
+    @example(command="pontryagin", text="cp:100000")
+    @example(command="genus", text="prod(pb:15:[1],hp:4)")
+    @example(command="spin", text="pb:1:[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]")
+    def test_exit_is_0_or_2(self, command, text):
+        argv = [command, f"--manifold={text}", "--quiet"] + (["--which", "sign"] if command == "genus" else [])
+        TestArgumentFuzz._exit_is_0_or_2(argv)

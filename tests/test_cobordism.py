@@ -122,6 +122,16 @@ class TestPontryaginNumbers:
         with pytest.raises(ValueError):
             pontryagin_numbers(build_cp(3))
 
+    def test_vector_row_and_repr(self):
+        # the repr is what the benchmark's reference digests were taken of
+        v = pontryagin_numbers(x12(2))
+        assert v.row == (-64, -48, -8) and v.as_row() == [F(-64), F(-48), F(-8)]
+        assert v.get((1, 2)) == F(-48) and v.get((4,)) == 0
+        assert repr(v) == (
+            "CharNumberVector(dimension=12, values={(1, 1, 1): Fraction(-64, 1), "
+            "(2, 1): Fraction(-48, 1), (3,): Fraction(-8, 1)})"
+        )
+
 
 class TestBasis:
     def test_small_dimensions(self):
@@ -398,6 +408,20 @@ class TestDistinctness:
         result = distinct_cobordism_types(fam, [1, 2, 3])
         assert not result.distinct
         assert set(result.collisions) == {(1, 2), (1, 3), (2, 3)}
+
+    def test_views_and_repr(self):
+        # one separator per pair of the sorted parameters; the repr is what
+        # the benchmark's reference digests were taken of
+        x = distinct_cobordism_types(standard_family("X12"), [2, 0, 1])
+        assert x.params == (0, 1, 2) and x.pair_separators == (Partition((1, 1, 1)),) * 3
+        assert repr(x) == (
+            "DistinctnessResult(distinct=True, separators={(0, 1): (1, 1, 1), (0, 2): (1, 1, 1), "
+            "(1, 2): (1, 1, 1)}, collisions=())"
+        )
+        mixed = FamilySpec("mixed", 12, lambda c: x12(2 * min(c, 1)), "c -> c", 3)
+        result = distinct_cobordism_types(mixed, [0, 1, 2])
+        assert result.separators == {(0, 1): Partition((1, 1, 1)), (0, 2): Partition((1, 1, 1))}
+        assert result.collisions == ((1, 2),) and not result.distinct
 
 
 class TestStandardFamilies:
