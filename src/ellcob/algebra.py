@@ -5,8 +5,7 @@ here rounds, ever.  The central object is :class:`GradedElement`, a sparse
 polynomial in named even-degree generators kept in normal form with
 respect to single-head-generator rewrite rules (``a**r -> lower order``)
 and truncated above the ring's top dimension.  :class:`QSeries`
-carries truncated power series with scalar, ring or scalar-series
-coefficients.
+carries truncated power series with scalar or ring coefficients.
 :class:`RationalMatrix` does exact rank and solve.
 
 Ring arithmetic runs on integers.
@@ -72,11 +71,12 @@ class RingSpec:
     Generators all sit in even degree, so the ring is honestly
     commutative and monomials are plain exponent tuples.  Rewrite rules
     have the single-head-generator shape ``g**power = rhs`` where every
-    monomial of ``rhs`` has the same degree as ``g**power`` and a
-    strictly smaller exponent of ``g``; together with the head
-    generators being listed first this makes reduction terminate under
-    the lexicographic order, and the result is independent of rewrite
-    order.  Elements of degree above ``truncation_dimension`` are zero.
+    monomial of ``rhs`` has the same degree as ``g**power``, a strictly
+    smaller exponent of ``g`` and exponent 0 in every generator listed
+    before ``g``, which the constructor checks.  Each rewrite then
+    lowers the exponent vector lexicographically, so reduction
+    terminates, and the result is independent of rewrite order.
+    Elements of degree above ``truncation_dimension`` are zero.
     """
 
     __slots__ = ("generators", "degrees", "truncation_dimension", "rules", "_index", "_signature",
@@ -126,6 +126,11 @@ class RingSpec:
                 if exps[g] >= power:
                     raise ValueError(
                         f"rewrite rule for {name}^{power} does not decrease the head exponent"
+                    )
+                if any(exps[:g]):
+                    raise ValueError(
+                        f"rewrite rule for {name}^{power} uses a generator listed before {name!r}, "
+                        f"so reduction need not terminate"
                     )
                 clean[exps] = clean.get(exps, Fraction(0)) + c
             rules[g] = (power, {e: c for e, c in clean.items() if c})
@@ -465,11 +470,9 @@ def _canonical(ring: RingSpec, den: int, acc: dict[int, Scalar]) -> GradedElemen
 
 
 def _zero_like(value):
-    """The zero of value's kind, scalar, ring or series, built without a product."""
+    """The zero of value's kind, scalar or ring, built without a product."""
     if isinstance(value, GradedElement):
         return value.ring.zero()
-    if isinstance(value, QSeries):
-        return QSeries([_ZERO] * len(value.coeffs))
     return _ZERO
 
 
@@ -478,18 +481,14 @@ def _coeff_kind(value) -> tuple:
         return ("scalar",)
     if isinstance(value, GradedElement):
         return ("ring", value.ring)
-    if isinstance(value, QSeries) and isinstance(value.coeffs[0], Fraction):
-        return ("series",)
     raise TypeError(f"unsupported series coefficient {type(value).__name__}")
 
 
 class QSeries:
     """Power series in q truncated at a fixed order, exact coefficients.
 
-    Coefficients are all scalars, all elements of one ring, or all
-    scalar series (a series in a second variable, such as t = x^2, whose
-    coefficients are q-series); index i holds the coefficient of q**i,
-    so ``order == len(coeffs)-1``.
+    Coefficients are all scalars or all elements of one ring; index i
+    holds the coefficient of q**i, so ``order == len(coeffs)-1``.
     """
 
     __slots__ = ("coeffs",)
@@ -500,7 +499,7 @@ class QSeries:
             raise ValueError("a series needs at least the q^0 coefficient")
         kinds = {_coeff_kind(c)[0] for c in coeffs}
         if len(kinds) > 1:
-            raise TypeError("series coefficients must be all scalars, all ring elements or all series")
+            raise TypeError("series coefficients must be all scalars or all ring elements")
         if kinds == {"scalar"}:
             coeffs = [as_rational(c) for c in coeffs]
         elif kinds == {"ring"} and len({c.ring for c in coeffs}) != 1:
@@ -520,11 +519,6 @@ class QSeries:
 
     def coefficient(self, i: int):
         return self.coeffs[i] if i <= self.order else self._zero_coeff()
-
-    def truncated(self, order: int) -> "QSeries":
-        zero = self._zero_coeff()
-        coeffs = [self.coeffs[i] if i <= self.order else zero for i in range(order + 1)]
-        return QSeries(coeffs)
 
     def __bool__(self) -> bool:
         return any(self.coeffs)
@@ -569,46 +563,6 @@ class QSeries:
 
     def scale(self, value) -> "QSeries":
         return QSeries([c * value for c in self.coeffs])
-
-    def inverse(self) -> "QSeries":
-        """Multiplicative inverse; the constant term must be an invertible
-        scalar, or the scalar series 1, which is its own inverse."""
-        a0 = self.coeffs[0]
-        if isinstance(a0, QSeries) and a0 == QSeries.constant(Fraction(1), a0.order):
-            inv0, out = Fraction(1), [a0]
-        elif isinstance(a0, Fraction) and a0:
-            inv0 = 1 / a0
-            out = [inv0]
-        else:
-            raise ValueError("series inverse needs a nonzero scalar or unit series constant term")
-        for n in range(1, self.order + 1):
-            acc = _zero_like(a0)
-            for i in range(1, n + 1):
-                if self.coeffs[i]:
-                    acc = acc + self.coeffs[i] * out[n - i]
-            out.append(acc * -inv0)
-        return QSeries(out)
-
-    def __pow__(self, n: int) -> "QSeries":
-        """Integer powers of a series with scalar or scalar-series coefficients."""
-        if not isinstance(n, int):
-            raise TypeError("series powers must be integers")
-        a0 = self.coeffs[0]
-        if isinstance(a0, GradedElement):
-            raise TypeError("integer powers are only supported for scalar and scalar-series coefficients")
-        base = self if n >= 0 else self.inverse()
-        n = abs(n)
-        result = None
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        if result is None:
-            one = Fraction(1) if isinstance(a0, Fraction) else QSeries.constant(Fraction(1), a0.order)
-            result = QSeries.constant(one, self.order)
-        return result
 
     def __repr__(self) -> str:
         return f"QSeries({self.coeffs!r})"

@@ -382,22 +382,21 @@ def _parse_manifold_expr(sc: _Scanner, warnings: list[str]) -> ManifoldModel:
         _within_dimension_limit(sc, start, 12 + 4 * n)
         sc.expect(":c=")
         c = sc.signed_int()
-        if c % 2:
-            warnings.append(f"X12xHP:{n}:c={c} is not spin; even c gives spin members")
-        return product(x12(c), build_hp(n))
-    for name, builder, even_for_spin in (
-        ("X12", x12, True),
-        ("Y16", y16, False),
-        ("Z20", z20, True),
-    ):
+        return _family_member(product(x12(c), build_hp(n)), f"X12xHP:{n}", c, warnings)
+    for name, builder in (("X12", x12), ("Y16", y16), ("Z20", z20)):
         if sc.eat(name + ":c="):
             c = sc.signed_int()
-            if even_for_spin and c % 2:
-                warnings.append(f"{name}:c={c} is not spin; even c gives spin members")
-            return builder(c)
+            return _family_member(builder(c), name, c, warnings)
     raise sc.error("expected a manifold descriptor "
                    "(cp:N | hp:N | pb:L:[d,...] | prod(a,b) | X12:c=N | Y16:c=N | Z20:c=N | X12xHP:n:c=N)",
                    start)
+
+
+def _family_member(m: ManifoldModel, family: str, c: int, warnings: list[str]) -> ManifoldModel:
+    """m, with a note when the member is not spin (odd c on X12, Z20 and X12xHP)."""
+    if not m.spin:
+        warnings.append(f"{family}:c={c} is not spin; even c gives spin members")
+    return m
 
 
 def parse_manifold(text: str) -> tuple[ManifoldModel, list[str]]:

@@ -1,20 +1,21 @@
 """Multiplicative genera and the twisted Dirac q-expansion.
 
-One engine serves every genus.  A genus is a :class:`CharacteristicSeries`
-f = 1 + f_1 t + f_2 t^2 + ... in t = x^2 whose coefficients are
-rationals (the L-genus x/tanh(x), the A-hat genus (x/2)/sinh(x/2)) or
-scalar q-series (the elliptic factor F below).  Its value on a manifold
-is computed two independent ways:
+A genus is its logarithm: a :class:`CharacteristicSeries` is given by the
+coefficients l_j of log f for f(t) = exp(l_1 t + l_2 t^2 + ...) in
+t = x^2, rationals from Bernoulli numbers (the L-genus x/tanh(x), the
+A-hat genus (x/2)/sinh(x/2)) or scalar q-series from divisor sums (the
+elliptic factor F below).  One recurrence, :func:`_exp`, does every
+exponential: f itself, its powers f^m = exp(m log f) for any integer m,
+the twist character and the rank correction.  A genus is computed on a
+manifold two independent ways:
 
-* roots route: evaluate f at the Pontryagin roots of the model, multiply
-  and pair.  A root t = x^2 of multiplicity m contributes (f^m)(t),
-  the m-th power taken on the series at the nilpotency order of t and
-  memoised on it, which equals f(x)^m exactly; a negative m, a virtual
-  summand such as the (4u, -1) of HP^n, takes the inverse series;
+* roots route: a Pontryagin root t = x^2 of multiplicity m contributes
+  (f^m)(t), taken at the nilpotency order of t and memoised on it; a
+  negative m (a virtual summand such as the (4u, -1) of HP^n) costs the
+  same as a positive one.  Multiply over the roots and pair;
 * universal route: write the product of f over formal variables as a
-  polynomial in their elementary symmetric functions, i.e. in the
-  Pontryagin classes (:class:`MultiplicativeSequence`), and dot it with
-  the Pontryagin numbers.
+  polynomial in the Pontryagin classes (:class:`MultiplicativeSequence`)
+  and dot it with the Pontryagin numbers.
 
 Both routes run on every model and must agree exactly; a mismatch
 raises :class:`ConsistencyError`.  With rational coefficients the value
@@ -22,35 +23,33 @@ is a rational, with q-series coefficients a q-series of rationals.
 
 The universal polynomials are computed in the partition basis
 (Milnor-Stasheff, *Characteristic Classes*, 19; Macdonald, *Symmetric
-Functions*, I.2).  With f(t) = exp(sum_r l_r t^r), the product over the
-variables t_i is exp(sum_r l_r s_r), where s_r = sum_i t_i^r are the
-power sums.  Its weight parts obey the recursion
-w E_w = sum_r r l_r s_r E_(w-r), and Newton's identities write each s_r
-in the elementary symmetric functions, so every intermediate is indexed
-by the partitions of the weight: p(k) entries instead of the C(2k, k)
-monomials of an expansion over k variables.  The arithmetic only adds
-and multiplies coefficients, so it runs unchanged on either kind.
+Functions*, I.2).  The product of f over the variables t_i is
+exp(sum_r l_r s_r), where s_r = sum_i t_i^r are the power sums.  Its
+weight parts obey w E_w = sum_r r l_r s_r E_(w-r), and Newton's
+identities write each s_r in the elementary symmetric functions, so every
+intermediate is indexed by the partitions of the weight: p(k) entries
+instead of the C(2k, k) monomials of an expansion over k variables.
 
 The elliptic genus is the index of the Dirac operator twisted by the
 standard exterior/symmetric power tower.  Per stable root pair its
-factor is f_ahat(t) g(t, q), with g from :func:`twist_character`, and
-(f_ahat g)^m for a Pontryagin root of multiplicity m.  With
-F = f_ahat(t) g(t, q) / g(0, q), whose constant term is 1, the
-elliptic genus of a 4k-manifold is g(0, q)^(2k) times the genus of F,
-on both routes alike: a trivial stable summand contributes F(0) = 1, so
-the character of T_C M keeps rank dim M whatever the number of roots.
-The fractional leading exponent q^(-k/2) is never materialized: all
-functions return the coefficients of q^(k/2) * phi(M), indexed 0..N, so
-coefficient 0 is the A-hat genus and coefficient 1 is minus the A-hat
-genus twisted by the complexified tangent bundle (Hirzebruch-Berger-Jung,
-*Manifolds and Modular Forms*, 6); the twisted genus is read off there.
+factor is f_ahat(t) g(t, q), with g from :func:`twist_character`, where
+the q^N coefficient of log g(x, q) is sum_(d|N) (-1)^(N/d) (2/d) cosh(dx)
+(Zagier, *Note on the Landweber-Stong elliptic genus*, LNM 1326;
+Hirzebruch-Berger-Jung, *Manifolds and Modular Forms*, 6).  F =
+f_ahat(t) g(t, q) / g(0, q) has constant term 1, and the elliptic genus
+of a 4k-manifold is g(0, q)^(2k) times the genus of F on both routes: a
+trivial stable summand contributes F(0) = 1, so the character of T_C M
+keeps rank dim M whatever the number of roots.  q^(-k/2) is never
+materialized: all functions return the coefficients of q^(k/2) * phi(M),
+indexed 0..N, so coefficient 0 is the A-hat genus and coefficient 1 is
+minus the A-hat genus twisted by the complexified tangent bundle.
 """
 from __future__ import annotations
 
 import warnings
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
@@ -78,70 +77,107 @@ __all__ = [
 Coefficient = Union[Fraction, QSeries]
 
 
-def _is_one(c: Coefficient) -> bool:
-    if isinstance(c, QSeries):
-        return c.coeffs[0] == 1 and not any(c.coeffs[1:])
-    return c == 1
+def _exp(first: Coefficient, logs: Sequence[Coefficient], order: int) -> list[Coefficient]:
+    """Coefficients 0..order of first * exp(sum_(j>=1) logs[j] t^j), logs[j] = 0
+    past the end: g_0 = first, r g_r = sum_(j=1..r) j logs[j] g_(r-j).  The
+    values are all Fractions or all scalar q-series; logs[0] is not read."""
+    weighted = [(j, logs[j] * j) for j in range(1, min(order, len(logs) - 1) + 1) if logs[j]]
+    out = [first]
+    zero = first * 0
+    for r in range(1, order + 1):
+        acc = zero
+        for j, w in weighted:
+            if j > r:
+                break
+            acc = acc + w * out[r - j]
+        out.append(acc * Fraction(1, r))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _bernoulli(n: int) -> tuple[Fraction, ...]:
+    """B_0..B_n (B_1 = -1/2), from sum_(i=0..m) C(m+1, i) B_i = 0 for m >= 1."""
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(comb(m + 1, i) * b[i] for i in range(m)) / (m + 1))
+    return tuple(b)
+
+
+def _twist_logs(q_order: int, x2_order: int) -> list[list[Fraction]]:
+    """log g(x, q) by rows: [j][N] is sum_(d|N) (-1)^(N/d) 2 d^(2j-1) / (2j)!,
+    the x^(2j) q^N coefficient of sum_(N, d|N) q^N (-1)^(N/d) (2/d) cosh(dx);
+    row 0 is log g(0, q)."""
+    def coefficient(j: int, n: int) -> Fraction:
+        return sum(Fraction((-1) ** (n // d) * 2 * d ** (2 * j), d) for d in range(1, n + 1) if n % d == 0)
+    return [[Fraction(0)] + [coefficient(j, n) / factorial(2 * j) for n in range(1, q_order + 1)]
+            for j in range(x2_order + 1)]
 
 
 class CharacteristicSeries:
-    """The power series f(t) in t = x^2 defining a genus; coeffs[j] is the
-    coefficient of x^(2j), a Fraction or a scalar q-series, and coeffs[0]
-    must be 1."""
+    """The power series f(t) = exp(sum_(j>=1) logs[j] t^j) in t = x^2
+    defining a genus.  logs[j], the coefficient of x^(2j) in log f, is a
+    Fraction or a scalar q-series, and logs[0] must be zero; coeffs[j],
+    the coefficient of x^(2j) in f, is derived from it, coeffs[0] = 1."""
 
-    __slots__ = ("name", "coeffs", "_powers")
+    __slots__ = ("name", "logs", "coeffs", "_powers")
 
-    def __init__(self, name: str, coeffs: Sequence[Coefficient]) -> None:
-        coeffs = tuple(c if isinstance(c, QSeries) else as_rational(c) for c in coeffs)
-        if not coeffs or not _is_one(coeffs[0]):
-            raise ValueError("a characteristic series starts with constant term 1")
+    def __init__(self, name: str, logs: Sequence[Coefficient]) -> None:
+        logs = tuple(c if isinstance(c, QSeries) else as_rational(c) for c in logs)
+        if not logs or logs[0]:
+            raise ValueError("a characteristic series needs log f with constant term 0")
+        one = QSeries.constant(Fraction(1), logs[0].order) if isinstance(logs[0], QSeries) else Fraction(1)
         self.name = name
-        self.coeffs = coeffs
-        self._powers: dict[tuple[int, int], QSeries] = {}  # (m, order) -> f^m in t
+        self.logs = logs
+        self.coeffs = tuple(_exp(one, logs, len(logs) - 1))
+        self._powers: dict[tuple[int, int], list] = {}  # (m, order) -> coefficients of f^m
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.logs) - 1
 
     @classmethod
     def l_genus(cls, order: int) -> "CharacteristicSeries":
-        # x/tanh(x) = cosh(x) / (sinh(x)/x), both even in x
-        sinh_over_x = QSeries([Fraction(1, factorial(2 * j + 1)) for j in range(order + 1)])
-        cosh = QSeries([Fraction(1, factorial(2 * j)) for j in range(order + 1)])
-        return cls("signature", (cosh * sinh_over_x.inverse()).coeffs)
+        # log(x/tanh x) = sum_(j>=1) 4^j (4^j - 2) B_2j t^j / (2j (2j)!)
+        b = _bernoulli(2 * order)
+        logs = [4 ** j * (4 ** j - 2) * b[2 * j] / (2 * j * factorial(2 * j)) for j in range(1, order + 1)]
+        return cls("signature", [Fraction(0)] + logs)
 
     @classmethod
     def ahat_genus(cls, order: int) -> "CharacteristicSeries":
-        # (x/2)/sinh(x/2) = 1 / (sinh(u)/u) at u = x/2
-        s = QSeries([Fraction(1, 4 ** j * factorial(2 * j + 1)) for j in range(order + 1)])
-        return cls("ahat", s.inverse().coeffs)
+        # log((x/2)/sinh(x/2)) = -sum_(j>=1) B_2j t^j / (2j (2j)!)
+        b = _bernoulli(2 * order)
+        return cls("ahat", [Fraction(0)] + [-b[2 * j] / (2 * j * factorial(2 * j)) for j in range(1, order + 1)])
 
     @classmethod
     def elliptic(cls, q_order: int, order: int) -> "CharacteristicSeries":
-        """F(t) = f_ahat(t) g(t, q) / g(0, q), coefficients truncated at q^q_order."""
-        g = twist_character(q_order, order)
-        ahat = QSeries([QSeries.constant(c, q_order) for c in cls.ahat_genus(order).coeffs])
-        return cls("elliptic", (ahat * QSeries(g)).scale(g[0].inverse()).coeffs)
+        """F(t) = f_ahat(t) g(t, q) / g(0, q), coefficients truncated at
+        q^q_order: log F is log f_ahat, in the q^0 place where log g has
+        0, plus the rows j >= 1 of log g."""
+        ahat, twist = cls.ahat_genus(order).logs, _twist_logs(q_order, order)
+        zero = QSeries.constant(Fraction(0), q_order)
+        return cls("elliptic", [zero] + [QSeries([ahat[j]] + twist[j][1:]) for j in range(1, order + 1)])
 
-    def _power(self, m: int, order: int) -> QSeries:
-        """f^m as a series in t truncated at t^order, f padded with zeros
-        when shorter; m < 0 raises the inverse series to |m|."""
+    def _power(self, m: int, order: int) -> list[Coefficient]:
+        """Coefficients 0..order of f^m = exp(m log f), for any integer m."""
+        if order > self.order:
+            raise ValueError(f"series {self.name} carries x^2-order {self.order}, need {order}")
         key = (m, order)
         if key not in self._powers:
-            self._powers[key] = QSeries(self.coeffs).truncated(order) ** m
+            self._powers[key] = _exp(self.coeffs[0], [c * m for c in self.logs], order)
         return self._powers[key]
 
     def evaluate_at(self, t: GradedElement, mult: int = 1) -> GradedElement | QSeries:
         """f(x)^mult at a Pontryagin root t = x^2, a nilpotent ring element:
         a ring element, or a q-series of ring elements when the coefficients
         are q-series.  f^mult is formed only up to the order r with
-        t^(r+1) = 0, and only nonzero coefficients scale the powers of t."""
+        t^(r+1) = 0, which the series must carry, and only nonzero
+        coefficients scale the powers of t."""
         powers = [t.ring.one()]
         tp = t
         while tp:
             powers.append(tp)
             tp = tp * t
-        coeffs = self._power(mult, len(powers) - 1).coeffs
+        coeffs = self._power(mult, len(powers) - 1)
         if isinstance(coeffs[0], QSeries):
             return QSeries([_combine([c.coeffs[n] for c in coeffs], powers) for n in range(len(coeffs[0].coeffs))])
         return _combine(coeffs, powers)
@@ -196,27 +232,19 @@ def _add_power_sum_times(out: dict, r: int, poly: Mapping, scale) -> None:
             out[key] = term if cur is None else cur + term
 
 
-def _symmetric_expansion(factor: Sequence, max_weight: int) -> list[dict]:
-    """Weight parts E_0..E_max_weight of prod_i F(t_i) in the e-basis,
-    for F(t) = sum_j factor[j] t^j with factor[0] the unit coefficient.
+def _symmetric_expansion(one: Coefficient, logs: Sequence[Coefficient], max_weight: int) -> list[dict]:
+    """Weight parts E_0..E_max_weight of prod_i f(t_i) in the e-basis, for
+    f(t) = exp(sum_r logs[r] t^r) with unit coefficient one.
 
-    Coefficients may be Fractions or scalar QSeries.  With
-    log F = sum_r l_r t^r, the values m[r] = r l_r come from
-    t F'(t) = t (log F)'(t) F(t), and the weight parts from
-    w E_w = sum_r m[r] s_r E_(w-r).
+    Coefficients may be Fractions or scalar QSeries.  The weight parts
+    obey w E_w = sum_r r logs[r] s_r E_(w-r).
     """
-    m = [None]
-    for r in range(1, max_weight + 1):
-        acc = factor[r] * r
-        for j in range(1, r):
-            acc = acc - m[j] * factor[r - j]
-        m.append(acc)
-    parts: list[dict] = [{(): factor[0]}]
+    parts: list[dict] = [{(): one}]
     for w in range(1, max_weight + 1):
         out: dict = {}
         for r in range(1, w + 1):
-            if m[r]:
-                _add_power_sum_times(out, r, parts[w - r], m[r] * Fraction(1, w))
+            if logs[r]:
+                _add_power_sum_times(out, r, parts[w - r], logs[r] * Fraction(r, w))
         parts.append({lam: c for lam, c in out.items() if c})
     return parts
 
@@ -269,7 +297,7 @@ def universal_k_polynomials(series: CharacteristicSeries, max_weight: int) -> Mu
         raise ValueError(
             f"series {series.name} carries x^2-order {series.order}, need {max_weight}"
         )
-    weights = dict(enumerate(_symmetric_expansion(series.coeffs, max_weight)))
+    weights = dict(enumerate(_symmetric_expansion(series.coeffs[0], series.logs, max_weight)))
     return MultiplicativeSequence(series.name, max_weight, weights, series)
 
 
@@ -369,32 +397,18 @@ def twist_character(q_order: int, x2_order: int) -> tuple[QSeries, ...]:
     g(x, q) = prod over odd n of (1 - q^n e^x)(1 - q^n e^-x) times the
     inverses of the same expressions over even n, truncated at q^q_order.
     It is even in x: entry j is the scalar q-series multiplying x^(2j),
-    and entry 0, g(0, q), governs the rank correction.  One factor per
-    n = 1..q_order, each built even in x in closed form."""
-    g = QSeries.constant(QSeries.constant(Fraction(1), q_order), x2_order)
-    for n in range(1, q_order + 1):
-        rows = [[Fraction(0)] * (q_order + 1) for _ in range(x2_order + 1)]  # rows[j][i]: t^j q^i
-        if n % 2:
-            # (1 - q^n e^x)(1 - q^n e^-x) = 1 - 2 q^n cosh(x) + q^(2n)
-            rows[0][0] += 1
-            if 2 * n <= q_order:
-                rows[0][2 * n] += 1
-            for j in range(x2_order + 1):
-                rows[j][n] -= Fraction(2, factorial(2 * j))
-        else:
-            # (1 - q^n e^x)^-1 (1 - q^n e^-x)^-1 = sum_(a, b >= 0) q^(n(a+b)) cosh((a-b)x)
-            for a in range(q_order // n + 1):
-                for b in range(q_order // n + 1 - a):
-                    for j in range(x2_order + 1):
-                        rows[j][n * (a + b)] += Fraction((a - b) ** (2 * j), factorial(2 * j))
-        g = g * QSeries([QSeries(row) for row in rows])
-    return tuple(g.coeffs)
+    and entry 0 is g(0, q).  Both come from log g by the one recurrence:
+    g(0, q) in q, then g(0, q) exp(sum_(j>=1) log g_j t^j) in t."""
+    logs = _twist_logs(q_order, x2_order)
+    g0 = QSeries(_exp(Fraction(1), logs[0], q_order))
+    return tuple(_exp(g0, [QSeries(row) for row in logs], x2_order))
 
 
 @lru_cache(maxsize=None)
 def _rank_correction(k: int, order: int) -> QSeries:
-    """g(0, q)^(2k), one factor per stable root pair of a 4k-manifold."""
-    return twist_character(order, k + 1)[0] ** (2 * k)
+    """g(0, q)^(2k) = exp(2k log g(0, q)), one factor g(0, q) per stable
+    root pair of a 4k-manifold."""
+    return QSeries(_exp(Fraction(1), [c * (2 * k) for c in _twist_logs(order, 0)[0]], order))
 
 
 def _elliptic(m: ManifoldModel, order: int, what: str) -> list[Fraction]:

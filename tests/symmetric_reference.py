@@ -22,7 +22,9 @@ values.
 
 ``twist_character_dense`` builds g(x, q) by dense products over a grid
 of q- and x-degrees, odd powers of x included; it is the oracle for
-``twist_character``, which builds each factor even in x.
+``twist_character``, which builds g from its logarithm.  Powers of
+g(0, q), negative ones included, come from ``_scalar_power`` here, by
+repeated products and a long-division inverse, not from the library.
 """
 from fractions import Fraction
 from functools import lru_cache
@@ -116,6 +118,21 @@ def symmetric_to_partitions(poly, nvars):
     return out
 
 
+def _scalar_power(series, n):
+    """series ** n for a q-series of Fractions, n < 0 through the inverse
+    by long division (the constant term must be nonzero), as a QSeries."""
+    coeffs = list(series.coeffs)
+    if n < 0:
+        inv = [1 / coeffs[0]]
+        for r in range(1, len(coeffs)):
+            inv.append(-sum(coeffs[i] * inv[r - i] for i in range(1, r + 1)) / coeffs[0])
+        coeffs, n = inv, -n
+    out = [Fraction(1)] + [Fraction(0)] * (len(coeffs) - 1)
+    for _ in range(n):
+        out = [sum(out[i] * coeffs[r - i] for i in range(r + 1)) for r in range(len(coeffs))]
+    return QSeries(out)
+
+
 def k_polynomials(series, max_weight):
     """Weight -> partition table of prod f(x_i) over max_weight variables."""
     factor = list(series.coeffs[: max_weight + 1])
@@ -148,7 +165,7 @@ def elliptic_top(k, order):
                 acc = acc + tw[j - i] * ah.coeffs[i]
         factor.append(acc)
     top = symmetric_to_partitions(expand_symmetric_product(factor, k, k), k).get(k, {})
-    correction = tw[0] ** k
+    correction = _scalar_power(tw[0], k)
     series = {lam: c * correction for lam, c in top.items()}
     return [{lam: s.coeffs[n] for lam, s in series.items() if s.coeffs[n]} for n in range(order + 1)]
 
@@ -218,7 +235,7 @@ def elliptic_per_root(m, order):
     for t in roots:
         aclass = aclass * _series_at(ah, t)
         acc = acc * QSeries([_series_at([s.coeffs[n] for s in tw], t) for n in range(order + 1)])
-    correction = tw[0] ** (m.real_dimension // 2 - len(roots))
+    correction = _scalar_power(tw[0], m.real_dimension // 2 - len(roots))
     acc = acc * QSeries([one * c for c in correction.coeffs])
     return [pair(m, aclass * c) for c in acc.coeffs]
 
@@ -228,7 +245,7 @@ def elliptic_by_roots(m, order):
     route alone: g(0, q)^(2k) times the genus of F."""
     k = m.real_dimension // 4
     value = _roots_route(m, _elliptic_sequence(k, order).source)
-    return (value * twist_character(order, k + 1)[0] ** (2 * k)).coeffs
+    return (value * _scalar_power(twist_character(order, k + 1)[0], 2 * k)).coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,16 @@ class TestRingSpecValidation:
                 rewrite_rules={"a": (2, {(2, 0): F(1)})},
             )
 
+    def test_rule_must_not_use_an_earlier_generator(self):
+        # a^2 -> b^2 and b^2 -> a^2 rewrite each other forever; the rule
+        # for b uses a, listed before b, so the ring is refused
+        rules = {"a": (2, {(0, 2): 1}), "b": (2, {(2, 0): 1})}
+        with pytest.raises(ValueError, match="listed before 'b'"):
+            RingSpec([("a", 2), ("b", 2)], 8, rules)
+        # the rule for a alone uses only b, listed after a, and is fine
+        ring = RingSpec([("a", 2), ("b", 2)], 8, {"a": rules["a"]})
+        assert ring.gen("a") ** 2 == ring.gen("b") ** 2
+
 
 class TestNormalization:
     def test_head_rewrite_chain(self):
@@ -272,34 +282,10 @@ class TestNegativeRingPowers:
 
 
 class TestQSeries:
-    def test_geometric_inverse(self):
-        # (1 - q)^-1 = 1 + q + q^2 + ...
-        one_minus_q = QSeries([F(1), F(-1), F(0), F(0), F(0), F(0)])
-        inv = one_minus_q.inverse()
-        assert [inv.coefficient(j) for j in range(6)] == [F(1)] * 6
-
     def test_product_truncates_to_min_order(self):
         s = QSeries([F(1), F(1), F(0), F(0)])
         t = QSeries([F(1), F(0), F(0)])
         assert (s * t).order == 2
-
-    def test_pow_matches_repeated_mul(self):
-        s = QSeries([F(1), F(2), F(-1), F(0), F(0)])
-        assert (s ** 3).coeffs == (s * s * s).coeffs
-
-    def test_negative_power(self):
-        s = QSeries([F(2), F(1), F(0), F(0), F(0)])
-        assert (s ** -1 * s).coeffs == QSeries.constant(F(1), 4).coeffs
-
-    def test_negative_power_with_series_coefficients(self):
-        # constant term the scalar series 1, as for the elliptic factor F
-        one, q = QSeries([F(1), F(0), F(0)]), QSeries([F(0), F(1), F(-2)])
-        s = QSeries([one, q + one, q, QSeries([F(3), F(0), F(1)])])
-        for n in (-1, -3):
-            assert (s ** n * s ** -n).coeffs == QSeries.constant(one, 3).coeffs, n
-        assert (s ** -2).coeffs == ((s * s).inverse()).coeffs
-        with pytest.raises(ValueError):
-            QSeries([q + one + one, q]).inverse()
 
     def test_scalar_multiplication(self):
         s = QSeries([F(0), F(3), F(0), F(0), F(0)])
@@ -336,11 +322,10 @@ class TestRingValuedSeriesProduct:
         assert product.coeffs == [x, x * x, ring.one(), x * 2 + x * x * x]
 
     def test_zero_coefficients_keep_their_kind(self):
-        ring, a, _ = self._series()
+        ring, _, _ = self._series()
         sparse = QSeries([ring.gen("x"), ring.zero(), ring.zero()])
         assert (sparse * sparse).coeffs[1:] == [ring.zero(), ring.zero()]
         assert QSeries.constant(ring.one(), 2).coeffs[1:] == [ring.zero(), ring.zero()]
-        assert a.truncated(5).coeffs[4:] == [ring.zero(), ring.zero()]
         scalar = QSeries([F(0), F(1)]) * QSeries([F(0), F(1)])
         assert scalar.coeffs == [F(0), F(0)] and all(type(c) is Fraction for c in scalar.coeffs)
 

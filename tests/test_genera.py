@@ -20,9 +20,11 @@ import pytest
 
 import ellcob.genera as genera
 import symmetric_reference as ref
+from ellcob.algebra import QSeries
 from ellcob.genera import (
     CharacteristicSeries,
     MultiplicativeSequence,
+    _bernoulli,
     _elliptic_sequence,
     _roots_route,
     _universal_route,
@@ -77,6 +79,81 @@ class TestCharacteristicSeries:
         u = build_hp(3).ring.gen("u")
         s = CharacteristicSeries.l_genus(5)
         assert s.evaluate_at(u * 4, -1) * s.evaluate_at(u * 4) == u.ring.one()
+
+
+def _times(a, b):
+    """The product of two truncated series in t, given as coefficient lists."""
+    out = []
+    for r in range(len(a)):
+        acc = a[0] * b[r]
+        for i in range(1, r + 1):
+            acc = acc + a[i] * b[r - i]
+        out.append(acc)
+    return out
+
+
+def _one(series, order):
+    zero = series.coeffs[0] * 0
+    return [series.coeffs[0]] + [zero] * order
+
+
+POWER_SERIES = {
+    "L": lambda: CharacteristicSeries.l_genus(5),
+    "A-hat": lambda: CharacteristicSeries.ahat_genus(5),
+    **{f"F(q-order {q})": (lambda q=q: CharacteristicSeries.elliptic(q, 4)) for q in range(5)},
+}
+
+
+class TestSeriesPowers:
+    """f^m = exp(m log f) from the one recurrence, against repeated
+    products of f, for rational and q-series coefficients alike."""
+
+    def test_geometric_inverse(self):
+        # exp(sum_j t^j / j) = 1 / (1 - t)
+        s = CharacteristicSeries("geometric", [F(0)] + [F(1, j) for j in range(1, 6)])
+        assert list(s.coeffs) == [F(1)] * 6
+        assert s._power(-1, 5) == [F(1), F(-1), F(0), F(0), F(0), F(0)]
+
+    def test_pow_matches_repeated_mul(self):
+        for name, build in POWER_SERIES.items():
+            s = build()
+            acc = _one(s, s.order)
+            for m in range(1, 5):
+                acc = _times(acc, list(s.coeffs))
+                assert s._power(m, s.order) == acc, (name, m)
+                assert s._power(m, 2) == acc[:3], (name, m)
+
+    def test_negative_power(self):
+        for name, build in POWER_SERIES.items():
+            s = build()
+            one = _one(s, s.order)
+            assert s._power(0, s.order) == one, name
+            for m in (1, 2, 5):
+                assert _times(s._power(-m, s.order), s._power(m, s.order)) == one, (name, m)
+
+    def test_negative_power_with_series_coefficients(self):
+        # the elliptic factor F, whose constant term is the q-series 1
+        s = CharacteristicSeries.elliptic(3, 4)
+        assert isinstance(s.coeffs[0], QSeries) and s.coeffs[0] == QSeries([F(1), F(0), F(0), F(0)])
+        inverse = s._power(-1, 4)
+        assert _times(inverse, inverse) == s._power(-2, 4)
+        assert _times(_times(inverse, inverse), inverse) == s._power(-3, 4)
+
+    def test_bernoulli_frozen(self):
+        assert list(_bernoulli(16)) == [
+            F(1), F(-1, 2), F(1, 6), F(0), F(-1, 30), F(0), F(1, 42), F(0), F(-1, 30),
+            F(0), F(5, 66), F(0), F(-691, 2730), F(0), F(7, 6), F(0), F(-3617, 510),
+        ]
+
+    def test_too_short_series_raises(self):
+        # t = x^2 on CP^4 has t^2 != 0, so f must carry t^2
+        m = build_cp(4)
+        t = m.ring.gen("b") ** 2
+        with pytest.raises(ValueError, match="x\\^2-order 1, need 2"):
+            CharacteristicSeries.l_genus(1).evaluate_at(t)
+        assert CharacteristicSeries.l_genus(2).evaluate_at(t) == CharacteristicSeries.l_genus(5).evaluate_at(t)
+        with pytest.raises(ValueError):
+            CharacteristicSeries("bad", [F(1), F(1)])
 
 
 class TestUniversalPolynomials:
