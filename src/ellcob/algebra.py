@@ -5,7 +5,7 @@ here rounds, ever.  The central object is :class:`GradedElement`, a sparse
 polynomial in named even-degree generators kept in normal form with
 respect to single-head-generator rewrite rules (``a**r -> lower order``)
 and truncated above the ring's top dimension.  :class:`QSeries`
-carries truncated power series with scalar or ring coefficients.
+carries truncated power series in q with rational coefficients.
 :class:`RationalMatrix` does exact rank and solve.
 
 Ring arithmetic runs on integers.
@@ -469,56 +469,28 @@ def _canonical(ring: RingSpec, den: int, acc: dict[int, Scalar]) -> GradedElemen
 # q-series
 
 
-def _zero_like(value):
-    """The zero of value's kind, scalar or ring, built without a product."""
-    if isinstance(value, GradedElement):
-        return value.ring.zero()
-    return _ZERO
-
-
-def _coeff_kind(value) -> tuple:
-    if isinstance(value, (int, Fraction)):
-        return ("scalar",)
-    if isinstance(value, GradedElement):
-        return ("ring", value.ring)
-    raise TypeError(f"unsupported series coefficient {type(value).__name__}")
-
-
 class QSeries:
-    """Power series in q truncated at a fixed order, exact coefficients.
-
-    Coefficients are all scalars or all elements of one ring; index i
-    holds the coefficient of q**i, so ``order == len(coeffs)-1``.
-    """
+    """Power series in q truncated at a fixed order, rational coefficients;
+    index i holds the coefficient of q**i, so ``order == len(coeffs)-1``."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Sequence) -> None:
-        coeffs = list(coeffs)
+    def __init__(self, coeffs: Sequence[Scalar]) -> None:
+        coeffs = [as_rational(c) for c in coeffs]
         if not coeffs:
             raise ValueError("a series needs at least the q^0 coefficient")
-        kinds = {_coeff_kind(c)[0] for c in coeffs}
-        if len(kinds) > 1:
-            raise TypeError("series coefficients must be all scalars or all ring elements")
-        if kinds == {"scalar"}:
-            coeffs = [as_rational(c) for c in coeffs]
-        elif kinds == {"ring"} and len({c.ring for c in coeffs}) != 1:
-            raise ValueError("series coefficients must live in a single ring")
         self.coeffs = coeffs
 
     @classmethod
-    def constant(cls, value, order: int) -> "QSeries":
-        return cls([value] + [_zero_like(value)] * order)
+    def constant(cls, value: Scalar, order: int) -> "QSeries":
+        return cls([value] + [_ZERO] * order)
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def _zero_coeff(self):
-        return _zero_like(self.coeffs[0])
-
-    def coefficient(self, i: int):
-        return self.coeffs[i] if i <= self.order else self._zero_coeff()
+    def coefficient(self, i: int) -> Fraction:
+        return self.coeffs[i] if i <= self.order else _ZERO
 
     def __bool__(self) -> bool:
         return any(self.coeffs)
@@ -541,15 +513,13 @@ class QSeries:
     def __neg__(self) -> "QSeries":
         return QSeries([-c for c in self.coeffs])
 
-    def __mul__(self, other) -> "QSeries":
-        if isinstance(other, (int, Fraction, GradedElement)):
+    def __mul__(self, other: Union["QSeries", Scalar]) -> "QSeries":
+        if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, QSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        # a scalar coefficient times a ring element is a ring element
-        ring_valued = isinstance(self.coeffs[0], GradedElement)
-        out = [(self if ring_valued else other)._zero_coeff()] * (n + 1)
+        out = [_ZERO] * (n + 1)
         for i, a in enumerate(self.coeffs[: n + 1]):
             if not a:
                 continue
@@ -561,7 +531,7 @@ class QSeries:
 
     __rmul__ = __mul__
 
-    def scale(self, value) -> "QSeries":
+    def scale(self, value: Scalar) -> "QSeries":
         return QSeries([c * value for c in self.coeffs])
 
     def __repr__(self) -> str:

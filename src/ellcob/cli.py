@@ -347,14 +347,19 @@ def _within_dimension_limit(sc: _Scanner, start: int, dim: int) -> None:
         )
 
 
-def _parse_manifold_expr(sc: _Scanner, warnings: list[str]) -> ManifoldModel:
+def _parse_manifold_expr(sc: _Scanner, warnings: list[str], depth: int = 0) -> ManifoldModel:
     sc.skip_ws()
     start = sc.pos
     if sc.eat("prod("):
-        first = _parse_manifold_expr(sc, warnings)
+        # every leaf has dimension >= 2, so a model within the limit nests
+        # at most MAX_DIMENSION // 2 - 1 products; refuse before recursing
+        if depth >= MAX_DIMENSION // 2 - 1:
+            raise sc.error(f"products nested more than {MAX_DIMENSION // 2 - 1} deep exceed "
+                           f"the dimension limit {MAX_DIMENSION}", start)
+        first = _parse_manifold_expr(sc, warnings, depth + 1)
         sc.skip_ws()
         sc.expect(",")
-        second = _parse_manifold_expr(sc, warnings)
+        second = _parse_manifold_expr(sc, warnings, depth + 1)
         sc.skip_ws()
         sc.expect(")")
         _within_dimension_limit(sc, start, first.real_dimension + second.real_dimension)

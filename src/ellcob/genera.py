@@ -5,27 +5,31 @@ coefficients l_j of log f for f(t) = exp(l_1 t + l_2 t^2 + ...) in
 t = x^2, rationals from Bernoulli numbers (the L-genus x/tanh(x), the
 A-hat genus (x/2)/sinh(x/2)) or scalar q-series from divisor sums (the
 elliptic factor F below).  One recurrence, :func:`_exp`, does every
-exponential: f itself, its powers f^m = exp(m log f) for any integer m,
-the twist character and the rank correction.  A genus is computed on a
-manifold two independent ways:
+exponential: f itself, the genus on the roots route, the twist
+character and the rank correction.
 
-* roots route: a Pontryagin root t = x^2 of multiplicity m contributes
-  (f^m)(t), taken at the nilpotency order of t and memoised on it; a
-  negative m (a virtual summand such as the (4u, -1) of HP^n) costs the
-  same as a positive one.  Multiply over the roots and pair;
-* universal route: write the product of f over formal variables as a
-  polynomial in the Pontryagin classes (:class:`MultiplicativeSequence`)
-  and dot it with the Pontryagin numbers.
+The product of f over the variables t_i is exp(sum_r l_r s_r), where
+s_r = sum_i t_i^r are the power sums (Milnor-Stasheff, *Characteristic
+Classes*, 19; Hirzebruch-Berger-Jung, *Manifolds and Modular Forms*, 6).
+A genus is computed on a manifold by evaluating that one formula two
+independent ways, which share only the l_r:
+
+* roots route: the power sums are elements of the cohomology ring,
+  P_r = sum m t^r over the Pontryagin roots (t, m); a negative m (a
+  virtual summand such as the (4u, -1) of HP^n) needs no inverse.  The
+  exponential is taken by weight for its nilpotent q^0 part, then in q,
+  and paired with the fundamental class;
+* universal route: the power sums are symmetric functions, rewritten in
+  the Pontryagin classes (:class:`MultiplicativeSequence`), and the
+  result is dotted with the Pontryagin numbers.
 
 Both routes run on every model and must agree exactly; a mismatch
 raises :class:`ConsistencyError`.  With rational coefficients the value
 is a rational, with q-series coefficients a q-series of rationals.
 
 The universal polynomials are computed in the partition basis
-(Milnor-Stasheff, *Characteristic Classes*, 19; Macdonald, *Symmetric
-Functions*, I.2).  The product of f over the variables t_i is
-exp(sum_r l_r s_r), where s_r = sum_i t_i^r are the power sums.  Its
-weight parts obey w E_w = sum_r r l_r s_r E_(w-r), and Newton's
+(Macdonald, *Symmetric Functions*, I.2).  The weight parts E_w of
+exp(sum_r l_r s_r) obey w E_w = sum_r r l_r s_r E_(w-r), and Newton's
 identities write each s_r in the elementary symmetric functions, so every
 intermediate is indexed by the partitions of the weight: p(k) entries
 instead of the C(2k, k) monomials of an expansion over k variables.
@@ -80,7 +84,8 @@ Coefficient = Union[Fraction, QSeries]
 def _exp(first: Coefficient, logs: Sequence[Coefficient], order: int) -> list[Coefficient]:
     """Coefficients 0..order of first * exp(sum_(j>=1) logs[j] t^j), logs[j] = 0
     past the end: g_0 = first, r g_r = sum_(j=1..r) j logs[j] g_(r-j).  The
-    values are all Fractions or all scalar q-series; logs[0] is not read."""
+    values are all Fractions, all scalar q-series or all elements of one
+    ring; logs[0] is not read."""
     weighted = [(j, logs[j] * j) for j in range(1, min(order, len(logs) - 1) + 1) if logs[j]]
     out = [first]
     zero = first * 0
@@ -119,7 +124,7 @@ class CharacteristicSeries:
     Fraction or a scalar q-series, and logs[0] must be zero; coeffs[j],
     the coefficient of x^(2j) in f, is derived from it, coeffs[0] = 1."""
 
-    __slots__ = ("name", "logs", "coeffs", "_powers")
+    __slots__ = ("name", "logs", "coeffs")
 
     def __init__(self, name: str, logs: Sequence[Coefficient]) -> None:
         logs = tuple(c if isinstance(c, QSeries) else as_rational(c) for c in logs)
@@ -129,7 +134,6 @@ class CharacteristicSeries:
         self.name = name
         self.logs = logs
         self.coeffs = tuple(_exp(one, logs, len(logs) - 1))
-        self._powers: dict[tuple[int, int], list] = {}  # (m, order) -> coefficients of f^m
 
     @property
     def order(self) -> int:
@@ -157,30 +161,29 @@ class CharacteristicSeries:
         zero = QSeries.constant(Fraction(0), q_order)
         return cls("elliptic", [zero] + [QSeries([ahat[j]] + twist[j][1:]) for j in range(1, order + 1)])
 
-    def _power(self, m: int, order: int) -> list[Coefficient]:
-        """Coefficients 0..order of f^m = exp(m log f), for any integer m."""
-        if order > self.order:
-            raise ValueError(f"series {self.name} carries x^2-order {self.order}, need {order}")
-        key = (m, order)
-        if key not in self._powers:
-            self._powers[key] = _exp(self.coeffs[0], [c * m for c in self.logs], order)
-        return self._powers[key]
+    def evaluate_at(self, roots: Sequence[tuple[GradedElement, int]]) -> list[GradedElement]:
+        """prod f(t)^m over Pontryagin roots (t, m), t a nilpotent ring
+        element: entry n is the q^n coefficient, one entry for a rational
+        series.
 
-    def evaluate_at(self, t: GradedElement, mult: int = 1) -> GradedElement | QSeries:
-        """f(x)^mult at a Pontryagin root t = x^2, a nilpotent ring element:
-        a ring element, or a q-series of ring elements when the coefficients
-        are q-series.  f^mult is formed only up to the order r with
-        t^(r+1) = 0, which the series must carry, and only nonzero
-        coefficients scale the powers of t."""
-        powers = [t.ring.one()]
-        tp = t
-        while tp:
-            powers.append(tp)
-            tp = tp * t
-        coeffs = self._power(mult, len(powers) - 1)
-        if isinstance(coeffs[0], QSeries):
-            return QSeries([_combine([c.coeffs[n] for c in coeffs], powers) for n in range(len(coeffs[0].coeffs))])
-        return _combine(coeffs, powers)
+        The product is exp(sum_j logs[j] P_j) in the ring power sums
+        P_j = sum m t^j, taken while some t^j is nonzero; the series must
+        carry every such j.  The q^0 part of the exponent is nilpotent and
+        is exponentiated by weight up to the ring's top weight (the P_j can
+        stop below it), the rest in q."""
+        ring = roots[0][0].ring
+        mults = [m for _, m in roots]
+        sums = [ring.zero()]  # stands for P_0, which logs[0] = 0 never reads
+        powers = [t for t, _ in roots]
+        while any(powers):
+            sums.append(_combine(mults, powers))
+            powers = [tp * t for tp, (t, _) in zip(powers, roots)]
+        if len(sums) - 1 > self.order:
+            raise ValueError(f"series {self.name} carries x^2-order {self.order}, need {len(sums) - 1}")
+        # rows[n]: the q^n coefficients of the logs
+        rows = list(zip(*(c.coeffs for c in self.logs))) if isinstance(self.logs[0], QSeries) else [self.logs]
+        parts = _exp(ring.one(), [c * p for c, p in zip(rows[0], sums)], ring.truncation_dimension // 4)
+        return _exp(sum(parts[1:], parts[0]), [None] + [_combine(row, sums) for row in rows[1:]], len(rows) - 1)
 
     def __repr__(self) -> str:
         return f"CharacteristicSeries({self.name}, order={self.order})"
@@ -325,17 +328,12 @@ def _elliptic_sequence(k: int, order: int) -> MultiplicativeSequence:
 
 
 def _roots_route(m: ManifoldModel, series: CharacteristicSeries) -> Coefficient:
-    """The genus of series on m from its Pontryagin roots, one (f^mult)(t)
-    per root t."""
-    total = None
-    for t, mult in m.roots:
-        value = series.evaluate_at(t, mult)
-        total = value if total is None else total * value
-    if total is None:  # no roots: the point, whose genus is f(0) = 1
+    """The genus of series on m from its Pontryagin roots, exp of the
+    ring power sums, paired with the fundamental class."""
+    if not m.roots:  # the point, whose genus is f(0) = 1
         return series.coeffs[0]
-    if isinstance(total, QSeries):
-        return QSeries([pair(m, c) for c in total.coeffs])
-    return pair(m, total)
+    total = [pair(m, c) for c in series.evaluate_at(m.roots)]
+    return QSeries(total) if isinstance(series.coeffs[0], QSeries) else total[0]
 
 
 def _universal_route(m: ManifoldModel, seq: MultiplicativeSequence) -> Coefficient:

@@ -14,11 +14,13 @@ elementary symmetric functions) to nonzero coefficients.
 
 The per-root products multiply one ring-valued factor per Pontryagin
 root t = x^2, a root of multiplicity m listed m times, with no series
-powers; they are the oracle for the roots route in ``ellcob``, which
-takes f^m once per root.  They have no inverse, so a model with a
-virtual root (m < 0, as on HP^n) is rejected.  ``elliptic_by_roots``
-runs the library's roots route alone, scaled like the public elliptic
-values.
+powers and no logarithm; they are the oracle for the roots route in
+``ellcob``, which exponentiates the ring power sums sum m t^j.  Their
+q-series of ring elements are plain coefficient lists multiplied by
+``series_product`` here, not library series.  They have no inverse, so
+a model with a virtual root (m < 0, as on HP^n) is rejected.
+``elliptic_by_roots`` runs the library's roots route alone, scaled like
+the public elliptic values.
 
 ``twist_character_dense`` builds g(x, q) by dense products over a grid
 of q- and x-degrees, odd powers of x included; it is the oracle for
@@ -222,6 +224,20 @@ def twisted_ahat_per_root(m):
     return pair(m, aclass * ch)
 
 
+def series_product(a, b):
+    """The product of two truncated power series given as coefficient
+    lists (rationals, scalar q-series or ring elements), truncated at the
+    shorter one's order."""
+    n = min(len(a), len(b))
+    out = []
+    for r in range(n):
+        acc = a[0] * b[r]
+        for i in range(1, r + 1):
+            acc = acc + a[i] * b[r - i]
+        out.append(acc)
+    return out
+
+
 def elliptic_per_root(m, order):
     """q-coefficients of A-hat(M) times prod_i g(x_i, q), with the rank
     correction g(0, q)^(dim/2 - #roots) lifted into the ring."""
@@ -231,13 +247,13 @@ def elliptic_per_root(m, order):
     roots = _pontryagin_roots(m)
     one = m.ring.one()
     aclass = one
-    acc = QSeries([one] + [m.ring.zero()] * order)
+    acc = [one] + [m.ring.zero()] * order
     for t in roots:
         aclass = aclass * _series_at(ah, t)
-        acc = acc * QSeries([_series_at([s.coeffs[n] for s in tw], t) for n in range(order + 1)])
+        acc = series_product(acc, [_series_at([s.coeffs[n] for s in tw], t) for n in range(order + 1)])
     correction = _scalar_power(tw[0], m.real_dimension // 2 - len(roots))
-    acc = acc * QSeries([one * c for c in correction.coeffs])
-    return [pair(m, aclass * c) for c in acc.coeffs]
+    acc = series_product(acc, [m.ring.scalar(c) for c in correction.coeffs])
+    return [pair(m, aclass * c) for c in acc]
 
 
 def elliptic_by_roots(m, order):

@@ -292,42 +292,21 @@ class TestQSeries:
         assert (2 * s).coefficient(1) == F(6)
         assert (s * F(1, 3)).coefficient(1) == F(1)
 
-
-class TestRingValuedSeriesProduct:
-    """A ring-valued series product makes one ring product per pair of
-    nonzero coefficients, and builds its zeros without a product."""
-
-    def _series(self):
-        ring = RingSpec([("x", 2)], 8)
-        x, one, zero = ring.gen("x"), ring.one(), ring.zero()
-        return ring, QSeries([one, x, zero, x * x]), QSeries([x, zero, one, x, one])
-
-    def test_one_ring_product_per_nonzero_pair(self, monkeypatch):
-        ring, a, b = self._series()
-        x = ring.gen("x")
-        # nonzero q-degrees 0, 1, 3 and 0, 2, 3, 4 at order 3:
-        # (0,0) (0,2) (0,3) (1,0) (1,2) (3,0)
-        calls = []
-        original = GradedElement.__mul__
-
-        def counting(self, other):
-            calls.append(other)
-            return original(self, other)
-
-        monkeypatch.setattr(GradedElement, "__mul__", counting)
-        product = a * b
-        monkeypatch.undo()
-        assert len(calls) == 6
-        assert all(isinstance(other, GradedElement) for other in calls)
-        assert product.coeffs == [x, x * x, ring.one(), x * 2 + x * x * x]
-
     def test_zero_coefficients_keep_their_kind(self):
-        ring, _, _ = self._series()
-        sparse = QSeries([ring.gen("x"), ring.zero(), ring.zero()])
-        assert (sparse * sparse).coeffs[1:] == [ring.zero(), ring.zero()]
-        assert QSeries.constant(ring.one(), 2).coeffs[1:] == [ring.zero(), ring.zero()]
         scalar = QSeries([F(0), F(1)]) * QSeries([F(0), F(1)])
         assert scalar.coeffs == [F(0), F(0)] and all(type(c) is Fraction for c in scalar.coeffs)
+        constant = QSeries.constant(1, 2)
+        assert constant.coeffs == [F(1), F(0), F(0)] and all(type(c) is Fraction for c in constant.coeffs)
+
+    def test_ring_coefficients_are_refused(self):
+        ring = RingSpec([("x", 2)], 8)
+        with pytest.raises(TypeError, match="exact rational expected, got GradedElement"):
+            QSeries([ring.one(), ring.gen("x")])
+        with pytest.raises(TypeError):
+            QSeries([F(1), F(2)]) * ring.gen("x")
+        with pytest.raises(TypeError):
+            ring.gen("x") * QSeries([F(1), F(2)])
+
 
 
 class TestRationalMatrix:

@@ -330,10 +330,10 @@ class TestExitCodes:
     def test_elliptic_pipeline_disagreement_is_3(self, capsys, monkeypatch):
         from ellcob.genera import CharacteristicSeries
 
-        # doubled per distinct root; every X12 genus vanishes, so the model is CP^2
+        # every q-coefficient doubled; every X12 genus vanishes, so the model is CP^2
         original = CharacteristicSeries.evaluate_at
         monkeypatch.setattr(
-            CharacteristicSeries, "evaluate_at", lambda self, x, mult=1: original(self, x, mult) * 2
+            CharacteristicSeries, "evaluate_at", lambda self, roots: [c * 2 for c in original(self, roots)]
         )
         code, out, err = run(capsys, ["elliptic", "--manifold", "cp:2"])
         assert code == 3 and out == ""
@@ -464,6 +464,14 @@ class TestArgumentFuzz:
         self._exit_is_0_or_2(["span", f"--dim={dim}"] + ([] if q_order is None else [f"--q-order={q_order}"]))
 
 
+def _left_nested_cp1(leaves):
+    """prod(...prod(prod(cp:1,cp:1),cp:1)...,cp:1) with the given number of leaves."""
+    text = "cp:1"
+    for _ in range(leaves - 1):
+        text = f"prod({text},cp:1)"
+    return text
+
+
 class TestLimits:
     """Requests beyond a documented limit exit 2 at once with a message that
     names the limit; the largest allowed requests still run."""
@@ -508,10 +516,17 @@ class TestLimits:
         ["member", "--dim", "12", "-f", "ell[32]"],
         ["span", "--dim", "32"],
         ["distinct", "--family", "X12", "--range=0..100"],
-    ], ids=["cp", "hp", "prod", "x12xhp", "ell", "span", "range"])
+        ["spin", "--manifold", _left_nested_cp1(16)],
+    ], ids=["cp", "hp", "prod", "x12xhp", "ell", "span", "range", "nested_prod"])
     def test_largest_allowed_request_is_0(self, capsys, argv):
         code, out, _ = run(capsys, argv)
         assert code == 0 and out
+
+    def test_deeply_nested_product_is_2(self, capsys):
+        # refused before the parser recurses, which would overflow the stack
+        code, out, err = run(capsys, ["spin", "--manifold", "prod(" * 2000])
+        assert code == 2 and out == ""
+        assert err.startswith("error: products nested more than 15 deep exceed the dimension limit 32 in ")
 
     def test_lone_double_dash_value_is_2(self, capsys):
         # argparse reads --range=-- as an empty list, not as the string '--'
@@ -549,6 +564,7 @@ class TestManifoldFuzz:
     @example(command="pontryagin", text="cp:100000")
     @example(command="genus", text="prod(pb:15:[1],hp:4)")
     @example(command="spin", text="pb:1:[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]")
+    @example(command="spin", text="prod(" * 1200)
     def test_exit_is_0_or_2(self, command, text):
         argv = [command, f"--manifold={text}", "--quiet"] + (["--which", "sign"] if command == "genus" else [])
         TestArgumentFuzz._exit_is_0_or_2(argv)

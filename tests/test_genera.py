@@ -71,25 +71,15 @@ class TestCharacteristicSeries:
         x = m.ring.gen(m.ring.generators[0])
         s = CharacteristicSeries.l_genus(2)
         # 1 + x^2/3 at the Pontryagin root t = x^2 (higher powers truncate in CP^2)
-        value = s.evaluate_at(x * x)
+        value, = s.evaluate_at([(x * x, 1)])
         assert value.terms == {(0,): F(1), (2,): F(1, 3)}
 
     def test_evaluate_at_negative_multiplicity(self):
         # f(4u)^(-1) on HP^3, u^4 = 0: the inverse series at order 3
         u = build_hp(3).ring.gen("u")
         s = CharacteristicSeries.l_genus(5)
-        assert s.evaluate_at(u * 4, -1) * s.evaluate_at(u * 4) == u.ring.one()
-
-
-def _times(a, b):
-    """The product of two truncated series in t, given as coefficient lists."""
-    out = []
-    for r in range(len(a)):
-        acc = a[0] * b[r]
-        for i in range(1, r + 1):
-            acc = acc + a[i] * b[r - i]
-        out.append(acc)
-    return out
+        (inverse,), (value,) = s.evaluate_at([(u * 4, -1)]), s.evaluate_at([(u * 4, 1)])
+        assert inverse * value == u.ring.one()
 
 
 def _one(series, order):
@@ -97,47 +87,61 @@ def _one(series, order):
     return [series.coeffs[0]] + [zero] * order
 
 
+def _at(coeffs, t):
+    """sum_j coeffs[j] t^j per power of q, the shape evaluate_at returns:
+    one ring element for rational coefficients, one per q^n for q-series."""
+    if isinstance(coeffs[0], QSeries):
+        return [ref._series_at([c.coeffs[n] for c in coeffs], t) for n in range(coeffs[0].order + 1)]
+    return [ref._series_at(coeffs, t)]
+
+
 POWER_SERIES = {
     "L": lambda: CharacteristicSeries.l_genus(5),
     "A-hat": lambda: CharacteristicSeries.ahat_genus(5),
-    **{f"F(q-order {q})": (lambda q=q: CharacteristicSeries.elliptic(q, 4)) for q in range(5)},
+    **{f"F(q-order {q})": (lambda q=q: CharacteristicSeries.elliptic(q, 5)) for q in range(5)},
 }
+
+# t = b^2 on CP^10 has t^5 != 0 = t^6; on CP^5, t^2 != 0 = t^3
+_T = build_cp(10).ring.gen("b") ** 2
+_T_SHORT = build_cp(5).ring.gen("b") ** 2
 
 
 class TestSeriesPowers:
-    """f^m = exp(m log f) from the one recurrence, against repeated
-    products of f, for rational and q-series coefficients alike."""
+    """f^m = exp(m log f) at one Pontryagin root, evaluate_at([(t, m)]),
+    against repeated products of f evaluated at t, for rational and
+    q-series coefficients alike."""
 
     def test_geometric_inverse(self):
         # exp(sum_j t^j / j) = 1 / (1 - t)
         s = CharacteristicSeries("geometric", [F(0)] + [F(1, j) for j in range(1, 6)])
         assert list(s.coeffs) == [F(1)] * 6
-        assert s._power(-1, 5) == [F(1), F(-1), F(0), F(0), F(0), F(0)]
+        assert s.evaluate_at([(_T, -1)]) == [_T.ring.one() - _T]
 
     def test_pow_matches_repeated_mul(self):
         for name, build in POWER_SERIES.items():
             s = build()
+            short = CharacteristicSeries(s.name, s.logs[:3])  # enough at a root with t^3 = 0
             acc = _one(s, s.order)
             for m in range(1, 5):
-                acc = _times(acc, list(s.coeffs))
-                assert s._power(m, s.order) == acc, (name, m)
-                assert s._power(m, 2) == acc[:3], (name, m)
+                acc = ref.series_product(acc, list(s.coeffs))
+                assert s.evaluate_at([(_T, m)]) == _at(acc, _T), (name, m)
+                assert short.evaluate_at([(_T_SHORT, m)]) == _at(acc[:3], _T_SHORT), (name, m)
 
     def test_negative_power(self):
         for name, build in POWER_SERIES.items():
             s = build()
-            one = _one(s, s.order)
-            assert s._power(0, s.order) == one, name
+            one = _at(_one(s, s.order), _T)
+            assert s.evaluate_at([(_T, 0)]) == one, name
             for m in (1, 2, 5):
-                assert _times(s._power(-m, s.order), s._power(m, s.order)) == one, (name, m)
+                assert ref.series_product(s.evaluate_at([(_T, -m)]), s.evaluate_at([(_T, m)])) == one, (name, m)
 
     def test_negative_power_with_series_coefficients(self):
         # the elliptic factor F, whose constant term is the q-series 1
-        s = CharacteristicSeries.elliptic(3, 4)
+        s = CharacteristicSeries.elliptic(3, 5)
         assert isinstance(s.coeffs[0], QSeries) and s.coeffs[0] == QSeries([F(1), F(0), F(0), F(0)])
-        inverse = s._power(-1, 4)
-        assert _times(inverse, inverse) == s._power(-2, 4)
-        assert _times(_times(inverse, inverse), inverse) == s._power(-3, 4)
+        inverse = s.evaluate_at([(_T, -1)])
+        assert ref.series_product(inverse, inverse) == s.evaluate_at([(_T, -2)])
+        assert ref.series_product(ref.series_product(inverse, inverse), inverse) == s.evaluate_at([(_T, -3)])
 
     def test_bernoulli_frozen(self):
         assert list(_bernoulli(16)) == [
@@ -148,10 +152,10 @@ class TestSeriesPowers:
     def test_too_short_series_raises(self):
         # t = x^2 on CP^4 has t^2 != 0, so f must carry t^2
         m = build_cp(4)
-        t = m.ring.gen("b") ** 2
+        roots = [(m.ring.gen("b") ** 2, 1)]
         with pytest.raises(ValueError, match="x\\^2-order 1, need 2"):
-            CharacteristicSeries.l_genus(1).evaluate_at(t)
-        assert CharacteristicSeries.l_genus(2).evaluate_at(t) == CharacteristicSeries.l_genus(5).evaluate_at(t)
+            CharacteristicSeries.l_genus(1).evaluate_at(roots)
+        assert CharacteristicSeries.l_genus(2).evaluate_at(roots) == CharacteristicSeries.l_genus(5).evaluate_at(roots)
         with pytest.raises(ValueError):
             CharacteristicSeries("bad", [F(1), F(1)])
 
@@ -370,8 +374,10 @@ class TestCrossCheck:
         "elliptic": (lambda m: elliptic_q_coefficients(m, 2), "^elliptic genus pipelines disagree"),
     }
     ROUTES = {
-        "roots": (CharacteristicSeries, "evaluate_at"),
-        "universal": (MultiplicativeSequence, "evaluate_top"),
+        # evaluate_at returns a list of q-coefficients, so each entry is
+        # doubled: a bare * 2 would repeat the list
+        "roots": (CharacteristicSeries, "evaluate_at", lambda value: [c * 2 for c in value]),
+        "universal": (MultiplicativeSequence, "evaluate_top", lambda value: value * 2),
     }
     HP_MODELS = {
         "hp:2": lambda: build_hp(2),
@@ -379,9 +385,9 @@ class TestCrossCheck:
     }
 
     def _perturb(self, route, monkeypatch):
-        owner, name = self.ROUTES[route]
+        owner, name, double = self.ROUTES[route]
         original = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda self, *args: original(self, *args) * 2)
+        monkeypatch.setattr(owner, name, lambda self, *args: double(original(self, *args)))
 
     @pytest.mark.parametrize("genus", GENERA)
     @pytest.mark.parametrize("route", ROUTES)

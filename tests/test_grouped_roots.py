@@ -1,13 +1,19 @@
-"""The roots route multiplies once per distinct Pontryagin root.
+"""The roots route exponentiates the ring power sums of the roots.
 
-A Pontryagin root t = x^2 of multiplicity m enters the roots route as
-(f^m)(t), the power taken on the series, rational or q-series valued.
-The oracle is the per-root product in ``symmetric_reference``, compared
-by exact equality, on models whose roots repeat in many patterns:
-projective bundles with twisting degrees in {-1, 0, 1}, complex
-projective spaces (every root equal), products with X12, explicit
-complex root lists in a small ring (x and -x share a square), and one
-model with no repeated root.
+A Pontryagin root t = x^2 of multiplicity m enters the roots route once,
+as m t^j in the ring power sums P_j, and the genus is
+exp(sum_j log f_j P_j), rational or q-series valued.  The oracle is the
+per-root product in ``symmetric_reference``, one factor f(t) per unit of
+multiplicity, compared by exact equality, on models whose roots repeat
+in many patterns: projective bundles with twisting degrees in
+{-1, 0, 1}, complex projective spaces (every root equal), products with
+X12, explicit complex root lists in a small ring (x and -x share a
+square), and one model with no repeated root.
+
+``TestPowerSums`` checks ``evaluate_at`` on whole root lists: it equals
+the q-product of its single-root values, negative multiplicities
+included, and it exponentiates up to the ring's top weight even where
+the power sums stop below it.
 
 The last class checks that the cross-check still guards the grouped
 route: a multiplicity off by one in either direction must surface as
@@ -19,10 +25,11 @@ from hypothesis import example, given, settings, strategies as st
 import symmetric_reference as ref
 import ellcob.genera as genera
 from ellcob.algebra import RingSpec
-from ellcob.cli import main
+from ellcob.cli import main, parse_manifold
 from ellcob.cobordism import x12
 from ellcob.errors import ConsistencyError
 from ellcob.genera import (
+    _elliptic_sequence,
     _roots_route,
     ahat_sequence,
     elliptic_q_coefficients,
@@ -117,6 +124,37 @@ class TestAgainstPerRootProducts:
         assert ref.elliptic_by_roots(m, order) == ref.elliptic_per_root(m, order)
 
 
+# signed root lists in Q[a, b]/(a^3, b^3), and the roots of models with
+# an HP factor, whose (4u, -1) is a virtual root
+SIGNED_ROOTS = st.lists(
+    st.tuples(st.sampled_from(_ROOT_CHOICES), st.sampled_from((-2, -1, 1, 2))), min_size=1, max_size=5
+).map(lambda pairs: tuple((x * x, mult) for x, mult in pairs))
+HP_ROOTS = st.sampled_from(["hp:2", "prod(hp:1,cp:2)", "prod(cp:2,hp:2)", "X12xHP:1:c=1", "prod(hp:1,hp:2)"]).map(
+    lambda text: parse_manifold(text)[0].roots
+)
+
+
+class TestPowerSums:
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(SIGNED_ROOTS, HP_ROOTS, MODELS.map(lambda m: m.roots)))
+    @example(NO_REPEATED_ROOT.roots)
+    @example(((_A * _A, -1), (_B * _B, 2), (_A * _A, 1)))
+    def test_root_list_is_the_product_of_single_roots(self, roots):
+        top = roots[0][0].ring.truncation_dimension // 4
+        for series in (l_sequence(top).source, ahat_sequence(top).source, _elliptic_sequence(top, 2).source):
+            expected = series.evaluate_at(roots[:1])
+            for root in roots[1:]:
+                expected = ref.series_product(expected, series.evaluate_at([root]))
+            assert series.evaluate_at(roots) == expected, series.name
+
+    def test_power_sums_stopping_below_the_top_weight(self):
+        # on CP^2 x CP^2 every t^2 is zero, so P_j = 0 for j >= 2, while
+        # the top weight is 2: exp(l_1 P_1) still needs its square
+        m = product(build_cp(2), build_cp(2))
+        assert _roots_route(m, l_sequence(2).source) == signature(m) == 1
+        assert ref.elliptic_by_roots(m, 2) == elliptic_q_coefficients(m, 2) == ref.elliptic_per_root(m, 2)
+
+
 # CP^2-bundle over CP^2, complex roots b, b, b, a + b, a, a.  Every genus
 # of the X12 family vanishes, whatever the multiplicities, so it cannot
 # show a skew.
@@ -134,8 +172,8 @@ def skewed_groups(request, monkeypatch):
     first = _guarded().roots[0][0]
     original = genera.CharacteristicSeries.evaluate_at
 
-    def skewed(self, t, mult=1):
-        return original(self, t, mult + request.param if t == first else mult)
+    def skewed(self, roots):
+        return original(self, [(t, mult + request.param if t == first else mult) for t, mult in roots])
 
     monkeypatch.setattr(genera.CharacteristicSeries, "evaluate_at", skewed)
 
