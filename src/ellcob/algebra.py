@@ -23,8 +23,10 @@ Ring arithmetic runs on integers.
   out one gcd per result; ``terms`` (exponent tuple -> Fraction) is a
   read-only view built on demand.
 * Reduction tables.  A product sums codes pairwise and reads each raw
-  code's normal form from the ring's table, filled on first use by the
-  worklist :meth:`RingSpec.normalize_terms`.  A table belongs to one
+  code's normal form from the ring's table.  An entry is filled on first
+  use by one rewrite step on codes from lower entries, filled the same
+  way when missing; the worklist :meth:`RingSpec.normalize_terms` only
+  normalizes terms given to the constructor.  A table belongs to one
   :class:`RingSpec` and dies with it: equal rings built apart fill their
   own, and nothing here caches rings or tables across models, so memory
   does not grow with the number of models a caller builds.
@@ -38,6 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm, prod
+from operator import mul
 from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
@@ -53,7 +56,7 @@ __all__ = [
 
 Rational = Fraction
 Scalar = Union[int, Fraction]
-_ZERO, _ONE = Fraction(0), Fraction(1)  # shared: a Fraction is immutable
+_ZERO = Fraction(0)  # shared: a Fraction is immutable
 
 
 def as_rational(value: Scalar) -> Fraction:
@@ -80,7 +83,7 @@ class RingSpec:
     """
 
     __slots__ = ("generators", "degrees", "truncation_dimension", "rules", "_index", "_signature",
-                 "_bases", "_places", "_integral", "_table", "_code_degrees")
+                 "_bases", "_places", "_integral", "_steps", "_table", "_code_degrees")
 
     def __init__(
         self,
@@ -146,6 +149,15 @@ class RingSpec:
         self._bases = tuple(2 * top // d + 1 for d in degs)
         self._places = tuple(prod(self._bases[:i]) for i in range(len(degs)))
         self._integral = all(c.denominator == 1 for _, rhs in rules.values() for c in rhs.values())
+        # each rule once on codes, (g, power, power * place_g, rhs pairs); a
+        # head above the top fires on no monomial of degree <= top, and its
+        # right-hand side may hold exponents outside the bases
+        self._steps = tuple(
+            (g, power, power * self._places[g],
+             tuple((self.code(e), c.numerator if c.denominator == 1 else c) for e, c in rhs.items()))
+            for g, (power, rhs) in rules.items()
+            if power * degs[g] <= top
+        )
         self._table: dict[int, tuple] = {}  # raw monomial code -> its normal form
         self._code_degrees: dict[int, int] = {}
 
@@ -168,7 +180,7 @@ class RingSpec:
         return len(self.generators)
 
     def degree_of(self, exps: tuple[int, ...]) -> int:
-        return sum(e * d for e, d in zip(exps, self.degrees))
+        return sum(map(mul, exps, self.degrees))
 
     def index(self, name: str) -> int:
         return self._index[name]
@@ -240,11 +252,35 @@ class RingSpec:
         return {e: c for e, c in out.items() if c}
 
     def _reduce(self, code: int) -> tuple[tuple[int, Scalar], ...]:
-        """Tabled normal form of one monomial: ``(code, int or Fraction)`` pairs."""
-        reduced = tuple(
-            (self.code(e), c.numerator if c.denominator == 1 else c)
-            for e, c in self.normalize_terms({self.exponents(code): _ONE}).items()
-        )
+        """Tabled normal form of one monomial: ``(code, int or Fraction)`` pairs.
+
+        One rewrite step on codes, the step :meth:`normalize_terms` takes:
+        a monomial above the top is zero, one no head rule applies to is
+        its own normal form, and otherwise the first applicable rule
+        g**power = sum c_r r gives sum c_r * table[code - power * place_g
+        + code(r)].  Those monomials have the same degree, at most the
+        top, so their exponents stay inside the bases, and they are
+        lex-smaller, so the recursion filling any missing one ends.
+        """
+        exps = self.exponents(code)
+        if self.degree_of(exps) > self.truncation_dimension:
+            reduced: tuple = ()
+        else:
+            for g, power, step, rhs in self._steps:
+                if exps[g] >= power:
+                    table, base = self._table, code - step
+                    acc: dict[int, Scalar] = {}
+                    get = acc.get
+                    for rcode, rc in rhs:
+                        lower = table.get(base + rcode)
+                        if lower is None:
+                            lower = self._reduce(base + rcode)
+                        for c, v in lower:
+                            acc[c] = get(c, 0) + rc * v
+                    reduced = tuple((c, v) for c, v in acc.items() if v)
+                    break
+            else:
+                reduced = ((code, 1),)
         self._table[code] = reduced
         return reduced
 

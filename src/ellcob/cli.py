@@ -124,16 +124,27 @@ def _poly_string(coeffs: Sequence[Fraction], var: str = "c") -> str:
 # scanning primitives shared by both grammars
 
 
+_QUOTE_CHARS = 80  # longest input an error message quotes whole
+
+
+def _quote(text: str, position: int = 0) -> str:
+    """repr(text), or for a longer text the repr of _QUOTE_CHARS characters
+    around ``position``, with '...' outside the quotes where text was cut."""
+    if len(text) <= _QUOTE_CHARS:
+        return repr(text)
+    start = max(0, min(position - _QUOTE_CHARS // 2, len(text) - _QUOTE_CHARS))
+    end = start + _QUOTE_CHARS
+    return f"{'...' if start else ''}{text[start:end]!r}{'...' if end < len(text) else ''}"
+
+
 class _Scanner:
     def __init__(self, text: str) -> None:
         self.text = text
         self.pos = 0
 
     def error(self, message: str, position: int | None = None) -> FunctionalParseError:
-        return FunctionalParseError(
-            f"{message} in {self.text!r}",
-            self.pos if position is None else position,
-        )
+        position = self.pos if position is None else position
+        return FunctionalParseError(f"{message} in {_quote(self.text, position)}", position)
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -242,7 +253,7 @@ def _parse_atom(sc: _Scanner):
         sc.skip_ws()
         sc.expect("]")
         return ("genus", "ell", q_index)
-    raise sc.error(f"unknown atom {word or sc.peek()!r}", start)
+    raise sc.error(f"unknown atom {_quote(word or sc.peek())}", start)
 
 
 def _parse_term(sc: _Scanner):
@@ -527,9 +538,9 @@ def _parse_range(text: str) -> tuple[int, int]:
     if not sc.at_end():
         raise sc.error("trailing input after range")
     if a > b:
-        raise FunctionalParseError(f"empty range {text!r}")
+        raise FunctionalParseError(f"empty range {_quote(text)}")
     if b - a >= MAX_RANGE:
-        raise FunctionalParseError(f"range {text!r} has {b - a + 1} parameters, above the range limit {MAX_RANGE}")
+        raise FunctionalParseError(f"range {_quote(text)} has {b - a + 1} parameters, above the range limit {MAX_RANGE}")
     return a, b
 
 

@@ -4,9 +4,10 @@ power series, and rational linear algebra.
 Oracles: hand-reduced normal forms for a small quotient ring, classical
 power-series identities, and sympy (test-only) for matrix ranks.
 """
+import random
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,9 @@ from ellcob.algebra import (
     as_rational,
     interpolate_polynomial,
 )
-from ellcob.manifolds import LineBundleSum, build_proj_bundle
+from ellcob.cobordism import pontryagin_numbers
+from ellcob.genera import signature
+from ellcob.manifolds import LineBundleSum, build_proj_bundle, product as manifold_product
 
 F = Fraction
 
@@ -191,6 +194,15 @@ def raw_terms(draw, ring):
     return terms
 
 
+def fresh_twin(ring):
+    """A ring equal to ``ring``, built apart, with an empty table."""
+    return RingSpec(
+        list(zip(ring.generators, ring.degrees)),
+        ring.truncation_dimension,
+        {ring.generators[g]: (p, rhs) for g, (p, rhs) in ring.rules.items()},
+    )
+
+
 def worklist_product(x, y):
     """The unreduced exponent-sum product, normalized by the worklist."""
     raw = {}
@@ -235,15 +247,82 @@ class TestTabledProduct:
     def test_equal_rings_give_equal_products(self, pair):
         x, y = pair
         ring = x.ring
-        twin = RingSpec(
-            list(zip(ring.generators, ring.degrees)),
-            ring.truncation_dimension,
-            {ring.generators[g]: (p, rhs) for g, (p, rhs) in ring.rules.items()},
-        )
+        twin = fresh_twin(ring)
         assert twin == ring and twin is not ring
         xy = x * y
         assert GradedElement(twin, x.terms) * GradedElement(twin, y.terms) == xy
         assert xy.terms == (x * y).terms  # the filled table gives the same answer again
+
+
+def random_element(rng, ring):
+    """Up to eight normal-range monomials with small rational coefficients."""
+    terms = {}
+    for _ in range(rng.randint(1, 8)):
+        exps = tuple(rng.randint(0, ring.truncation_dimension // d) for d in ring.degrees)
+        terms[exps] = F(rng.randint(-5, 5), rng.randint(1, 3))
+    return GradedElement(ring, terms)
+
+
+def dimension_limit_model(name):
+    """A fresh dim-32 model: a rank-16 bundle over CP^1, a rank-2 bundle
+    over CP^15, or a product of four bundles on eight generators."""
+    if name == "rank16":
+        return build_proj_bundle(LineBundleSum(1, (1, 2, 3, -1, -2, -3, 0, 1, 2, 3, -1, -2, -3, 0, 1, 2)))
+    if name == "cp15":
+        return build_proj_bundle(LineBundleSum(15, (3, -3)))
+    model = build_proj_bundle(LineBundleSum(2, (1, 0, 1)))
+    for degrees in ((1, 3, -2), (2, 1, -1), (1, -1, 2)):
+        model = manifold_product(build_proj_bundle(LineBundleSum(2, degrees)), model)
+    return model
+
+
+class TestTableFill:
+    """Table entries are filled by one rewrite step from lower entries;
+    each must equal the worklist normal form of its monomial."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rule_rings(), st.booleans())
+    def test_every_code_fills_to_the_worklist_normal_form(self, ring, descending):
+        codes = range(prod(ring._bases))
+        for code in reversed(codes) if descending else codes:
+            if code not in ring._table:
+                ring._reduce(code)
+        assert len(ring._table) == len(codes)
+        for code, entry in ring._table.items():
+            assert {ring.exponents(c): F(v) for c, v in entry} == ring.normalize_terms({ring.exponents(code): 1})
+            assert all(v for _, v in entry)
+
+    def test_a_product_never_runs_the_worklist(self, monkeypatch):
+        # building the model filled its ring's table, so take an equal fresh one
+        ring = fresh_twin(build_proj_bundle(LineBundleSum(3, (1, -2, 0, 2))).ring)
+        x = ring.element({(1, 2): F(1, 3), (0, 1): 2, (0, 0): 1})
+        y = ring.element({(2, 1): -1, (1, 0): F(5, 2), (0, 3): 1})
+        assert not ring._table
+        calls = []
+        original = RingSpec.normalize_terms
+
+        def counting(self, terms):
+            calls.append(terms)
+            return original(self, terms)
+
+        monkeypatch.setattr(RingSpec, "normalize_terms", counting)
+        xy = x * y * x * y
+        monkeypatch.undo()
+        assert calls == []
+        assert ring._table
+        assert xy == worklist_product(worklist_product(worklist_product(x, y), x), y)
+
+    @pytest.mark.parametrize("name", ["rank16", "cp15", "product8"])
+    def test_dimension_limit_models(self, name):
+        model = dimension_limit_model(name)
+        ring = model.ring
+        assert ring.truncation_dimension == 32
+        signature(model)  # no RecursionError while filling from a cold table
+        pontryagin_numbers(model)
+        rng = random.Random(name)
+        for _ in range(10):
+            x, y = random_element(rng, ring), random_element(rng, ring)
+            assert x * y == worklist_product(x, y)
 
 
 class TestHomogeneousParts:
@@ -489,11 +568,7 @@ class TestIntegerKernel:
     def test_equal_signature_rings_give_equal_elements(self, pair):
         x, _ = pair
         ring = x.ring
-        twin = RingSpec(
-            list(zip(ring.generators, ring.degrees)),
-            ring.truncation_dimension,
-            {ring.generators[g]: (p, rhs) for g, (p, rhs) in ring.rules.items()},
-        )
+        twin = fresh_twin(ring)
         copy = GradedElement(twin, x.terms)
         assert copy == x and (copy.den, copy.num) == (x.den, x.num)
 

@@ -528,6 +528,22 @@ class TestLimits:
         assert code == 2 and out == ""
         assert err.startswith("error: products nested more than 15 deep exceed the dimension limit 32 in ")
 
+    @pytest.mark.parametrize("argv,message", [
+        (["spin", "--manifold", "prod(" * 2000],
+         "products nested more than 15 deep exceed the dimension limit 32 in ...'" + "prod(" * 16 + "'... "
+         "(at position 75)"),
+        (["member", "--dim", "12", "-f", "p3+" * 3000 + "?"],
+         "unknown atom '?' in ...'+" + "p3+" * 26 + "?' (at position 9000)"),
+        (["member", "--dim", "12", "-f", "p3 + " + "x" * 5000],
+         "unknown atom '" + "x" * 80 + "'... in 'p3 + " + "x" * 75 + "'... (at position 5)"),
+        (["distinct", "--family", "X12", "--range=" + "0" * 100 + "5..4"], "empty range '" + "0" * 80 + "'..."),
+    ], ids=["nested_prod", "functional", "atom", "range"])
+    def test_oversized_input_is_quoted_in_part(self, capsys, argv, message):
+        # an error line quotes at most 80 characters of the input, around the error
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n" and len(err) < 250
+
     def test_lone_double_dash_value_is_2(self, capsys):
         # argparse reads --range=-- as an empty list, not as the string '--'
         code, out, err = run(capsys, ["scan", "--family", "X12", "-f", "p3", "--range=--"])
