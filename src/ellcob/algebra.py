@@ -328,10 +328,6 @@ class GradedElement:
         return bool(self.num)
 
     @property
-    def is_zero(self) -> bool:
-        return not self.num
-
-    @property
     def terms(self) -> Mapping[tuple[int, ...], Fraction]:
         """Read-only view, exponent tuple -> Fraction, built on each access."""
         exponents, den = self.ring.exponents, self.den

@@ -21,7 +21,6 @@ from typing import Callable, Mapping, Sequence
 
 from .algebra import as_rational
 from .cobordism import (
-    CharNumberVector,
     FamilySpec,
     Functional,
     Partition,
@@ -31,6 +30,7 @@ from .cobordism import (
     family_polynomial,
     partitions_of,
     pontryagin_numbers,
+    signed_sum,
     span_membership,
     standard_family,
     unbounded_verdict,
@@ -38,7 +38,7 @@ from .cobordism import (
     y16,
     z20,
 )
-from .errors import ConsistencyError, FunctionalParseError
+from .errors import QUOTE_CHARS, ConsistencyError, FunctionalParseError, brief, quote
 from .genera import (
     ahat,
     ahat_sequence,
@@ -67,6 +67,8 @@ __all__ = ["parse_functional", "parse_manifold", "main", "entrypoint"]
 MAX_DIMENSION = 32  # real dimension of a --manifold model (cp:N, hp:N, pb:L, products), --dim, --family
 MAX_Q_ORDER = 32  # --q-order and the j of ell[j]
 MAX_RANGE = 101  # parameters in a --range
+MAX_DIGITS = 100  # significant digits of a number with no limit above: a coefficient, c=, a bundle degree, a range bound
+MAX_LIMITED_DIGITS = 20  # significant digits of a number with a limit above: more than any allowed value has
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +76,7 @@ MAX_RANGE = 101  # parameters in a --range
 
 
 def _rat(x: Fraction) -> str:
-    x = as_rational(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return str(as_rational(x))
 
 
 def _emit_json(payload: object) -> None:
@@ -90,10 +91,6 @@ def _emit_csv(header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
     sys.stdout.write(buf.getvalue())
 
 
-def _vector_payload(vec: CharNumberVector) -> dict:
-    return {I.key(): _rat(v) for I, v in vec.values.items()}
-
-
 def _functional_payload(f: Functional) -> dict:
     return {
         "coefficients": {I.key(): _rat(c) for I, c in f.coefficients.items()},
@@ -101,40 +98,21 @@ def _functional_payload(f: Functional) -> dict:
     }
 
 
-def _poly_string(coeffs: Sequence[Fraction], var: str = "c") -> str:
-    bits = []
-    for j in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[j]
-        if not c:
-            continue
-        mag = abs(c)
-        if j == 0:
-            body = _rat(mag)
-        else:
-            head = "" if mag == 1 else f"{_rat(mag)}*"
-            body = f"{head}{var}" + (f"^{j}" if j > 1 else "")
-        if not bits:
-            bits.append(body if c > 0 else f"-{body}")
-        else:
-            bits.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(bits) if bits else "0"
+def _poly_string(coeffs: Sequence[Fraction]) -> str:
+    powers = [{0: None, 1: "c"}.get(j, f"c^{j}") for j in range(len(coeffs))]
+    return signed_sum(zip(reversed(coeffs), reversed(powers)))
+
+
+def _family_payload(fam: FamilySpec, poly: Sequence[Fraction]) -> dict:
+    return {
+        "polynomial": [_rat(c) for c in poly],
+        "polynomial_string": _poly_string(poly),
+        "substitution": fam.substitution,
+    }
 
 
 # ---------------------------------------------------------------------------
 # scanning primitives shared by both grammars
-
-
-_QUOTE_CHARS = 80  # longest input an error message quotes whole
-
-
-def _quote(text: str, position: int = 0) -> str:
-    """repr(text), or for a longer text the repr of _QUOTE_CHARS characters
-    around ``position``, with '...' outside the quotes where text was cut."""
-    if len(text) <= _QUOTE_CHARS:
-        return repr(text)
-    start = max(0, min(position - _QUOTE_CHARS // 2, len(text) - _QUOTE_CHARS))
-    end = start + _QUOTE_CHARS
-    return f"{'...' if start else ''}{text[start:end]!r}{'...' if end < len(text) else ''}"
 
 
 class _Scanner:
@@ -144,7 +122,7 @@ class _Scanner:
 
     def error(self, message: str, position: int | None = None) -> FunctionalParseError:
         position = self.pos if position is None else position
-        return FunctionalParseError(f"{message} in {_quote(self.text, position)}", position)
+        return FunctionalParseError(f"{message} in {quote(self.text, position)}", position)
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -172,17 +150,29 @@ class _Scanner:
         i = self.pos + offset
         return i < len(self.text) and self.text[i] in "0123456789"
 
-    def unsigned_int(self) -> int:
+    def unsigned_int(self, field: str, limit: str | None = None) -> int:
+        """An int from ASCII digits.  A run longer than any value the field
+        allows, MAX_LIMITED_DIGITS significant digits where ``limit`` names its
+        documented limit and MAX_DIGITS elsewhere, is refused before int() reads it."""
         start = self.pos
         while self.at_digit():
             self.pos += 1
         if self.pos == start:
             raise self.error("expected an integer", start)
-        return int(self.text[start:self.pos])
+        digits = self.text[start:self.pos].lstrip("0")
+        if len(digits) > (MAX_LIMITED_DIGITS if limit else MAX_DIGITS):
+            limit = limit or f"digit limit {MAX_DIGITS}"
+            raise self.error(f"{field} with {len(digits)} digits is above the {limit}", start)
+        return int(digits or "0")
 
-    def signed_int(self) -> int:
+    def signed_int(self, field: str, limit: str | None = None) -> int:
         sign = -1 if self.eat("-") else 1
-        return sign * self.unsigned_int()
+        return sign * self.unsigned_int(field, limit)
+
+    def subject(self, start: int, noun: str) -> str:
+        """The input from ``start`` to here, or ``noun`` where it is too long to repeat beside the quote."""
+        text = self.text[start:self.pos].strip()
+        return text if len(text) <= QUOTE_CHARS // 2 else noun
 
     def word(self) -> str:
         start = self.pos
@@ -197,27 +187,12 @@ class _Scanner:
 # functional expressions
 
 
-_GENUS_EVALUATORS: dict[str, Callable[[ManifoldModel], Fraction]] = {
-    "sign": signature,
-    "ahat": ahat,
-    "ahat_t": twisted_ahat_tangent,
+# each named genus: its value on a model, its polynomial in the Pontryagin classes of a 4k-manifold
+_GENERA: dict[str, tuple[Callable[[ManifoldModel], Fraction], Callable[[int], Mapping]]] = {
+    "sign": (signature, lambda k: l_sequence(k).polynomial(k)),
+    "ahat": (ahat, lambda k: ahat_sequence(k).polynomial(k)),
+    "ahat_t": (twisted_ahat_tangent, twisted_ahat_polynomial),
 }
-
-# the same genera as polynomials in the Pontryagin classes of a 4k-manifold
-_GENUS_POLYNOMIALS: dict[str, Callable[[int], Mapping]] = {
-    "sign": lambda k: l_sequence(k).polynomial(k),
-    "ahat": lambda k: ahat_sequence(k).polynomial(k),
-    "ahat_t": twisted_ahat_polynomial,
-}
-
-
-def _named_functional(name: str, dim: int, q_index: int | None = None) -> Functional:
-    k = dim // 4
-    if name == "ell":
-        poly = elliptic_polynomials(k, max(k, q_index))[q_index]
-    else:
-        poly = _GENUS_POLYNOMIALS[name](k)
-    return Functional.from_polynomial(dim, poly)
 
 
 def _parse_atom(sc: _Scanner):
@@ -226,7 +201,7 @@ def _parse_atom(sc: _Scanner):
     start = sc.pos
     if sc.peek() == "p" and sc.at_digit(1):
         sc.pos += 1
-        index = sc.unsigned_int()
+        index = sc.unsigned_int("p<i>", f"dimension limit {MAX_DIMENSION}")
         if index < 1:
             raise sc.error("p0 is not a Pontryagin class", start)
         exponent = 1
@@ -234,26 +209,26 @@ def _parse_atom(sc: _Scanner):
         sc.skip_ws()
         if sc.eat("^"):
             sc.skip_ws()
-            exponent = sc.unsigned_int()
+            exponent = sc.unsigned_int("exponent", f"dimension limit {MAX_DIMENSION}")
             if exponent < 1:
                 raise sc.error("exponent must be positive", start)
         else:
             sc.pos = mark
         return ("p", index, exponent)
     word = sc.word()
-    if word in _GENUS_EVALUATORS:
+    if word in _GENERA:
         return ("genus", word, None)
     if word == "ell":
         sc.skip_ws()
         sc.expect("[")
         sc.skip_ws()
-        q_index = sc.unsigned_int()
+        q_index = sc.unsigned_int("ell[j]", f"q-order limit {MAX_Q_ORDER}")
         if q_index > MAX_Q_ORDER:
             raise sc.error(f"ell[{q_index}] is above the q-order limit {MAX_Q_ORDER}", start)
         sc.skip_ws()
         sc.expect("]")
         return ("genus", "ell", q_index)
-    raise sc.error(f"unknown atom {_quote(word or sc.peek())}", start)
+    raise sc.error(f"unknown atom {quote(word or sc.peek())}", start)
 
 
 def _parse_term(sc: _Scanner):
@@ -261,13 +236,13 @@ def _parse_term(sc: _Scanner):
     sc.skip_ws()
     coeff = Fraction(1)
     if sc.at_digit():
-        num = sc.unsigned_int()
+        num = sc.unsigned_int("coefficient")
         den = 1
         mark = sc.pos
         sc.skip_ws()
         if sc.eat("/"):
             sc.skip_ws()
-            den = sc.unsigned_int()
+            den = sc.unsigned_int("coefficient")
             if den == 0:
                 raise sc.error("zero denominator")
         else:
@@ -306,7 +281,7 @@ def parse_functional(text: str, dim: int) -> Functional:
     sc.skip_ws()
     if sc.at_end():
         raise sc.error("empty expression")
-    result = Functional(dim, {})
+    coefficients: dict[Partition, Fraction] = {}
     sign = 1
     if sc.eat("-"):
         sign = -1
@@ -321,21 +296,27 @@ def parse_functional(text: str, dim: int) -> Functional:
             if len(atoms) != 1:
                 raise sc.error("a named genus must stand alone in its term", term_start)
             _, name, q_index = genus_atoms[0]
-            result = result.plus(_named_functional(name, dim, q_index).scaled(coeff))
+            k = dim // 4
+            if name == "ell":
+                poly = elliptic_polynomials(k, max(k, q_index))[q_index]
+            else:
+                poly = _GENERA[name][1](k)
+            term = Functional.from_polynomial(dim, poly).coefficients
         else:
             # checked before the parts list is built: it is as long as the exponents
             weight = sum(index * exponent for _, index, exponent in atoms)
             if 4 * weight != dim:
                 raise sc.error(
-                    f"{sc.text[term_start:sc.pos].strip()} has weight {weight}, "
+                    f"{sc.subject(term_start, 'the term')} has weight {weight}, "
                     f"dim {dim} needs {dim // 4}",
                     term_start,
                 )
-            partition = Partition([index for _, index, exponent in atoms for _ in range(exponent)])
-            result = result.plus(Functional(dim, {partition: coeff}))
+            term = {Partition([index for _, index, exponent in atoms for _ in range(exponent)]): 1}
+        for partition, c in term.items():
+            coefficients[partition] = coefficients.get(partition, 0) + coeff * c
         sc.skip_ws()
         if sc.at_end():
-            return result
+            return Functional(dim, coefficients)
         if sc.eat("+"):
             sign = 1
         elif sc.eat("-"):
@@ -353,7 +334,7 @@ def _within_dimension_limit(sc: _Scanner, start: int, dim: int) -> None:
     """Refuse a model of real dimension above MAX_DIMENSION before it is built."""
     if dim > MAX_DIMENSION:
         raise sc.error(
-            f"{sc.text[start:sc.pos].strip()} has dimension {dim}, above the dimension limit {MAX_DIMENSION}",
+            f"{sc.subject(start, 'the model')} has dimension {dim}, above the dimension limit {MAX_DIMENSION}",
             start,
         )
 
@@ -376,32 +357,32 @@ def _parse_manifold_expr(sc: _Scanner, warnings: list[str], depth: int = 0) -> M
         _within_dimension_limit(sc, start, first.real_dimension + second.real_dimension)
         return product(first, second)
     if sc.eat("cp:"):
-        n = sc.unsigned_int()
+        n = sc.unsigned_int("cp:N", f"dimension limit {MAX_DIMENSION}")
         _within_dimension_limit(sc, start, 2 * n)
         return build_cp(n)
     if sc.eat("hp:"):
-        n = sc.unsigned_int()
+        n = sc.unsigned_int("hp:N", f"dimension limit {MAX_DIMENSION}")
         _within_dimension_limit(sc, start, 4 * n)
         return build_hp(n)
     if sc.eat("pb:"):
-        base = sc.unsigned_int()
+        base = sc.unsigned_int("pb:L", f"dimension limit {MAX_DIMENSION}")
         sc.expect(":")
         sc.expect("[")
-        degrees = [sc.signed_int()]
+        degrees = [sc.signed_int("bundle degree")]
         while sc.eat(","):
-            degrees.append(sc.signed_int())
+            degrees.append(sc.signed_int("bundle degree"))
         sc.expect("]")
         _within_dimension_limit(sc, start, 2 * (base + len(degrees) - 1))
         return build_proj_bundle(LineBundleSum(base, tuple(degrees)))
     if sc.eat("X12xHP:"):
-        n = sc.unsigned_int()
+        n = sc.unsigned_int("X12xHP:n", f"dimension limit {MAX_DIMENSION}")
         _within_dimension_limit(sc, start, 12 + 4 * n)
         sc.expect(":c=")
-        c = sc.signed_int()
+        c = sc.signed_int("c")
         return _family_member(product(x12(c), build_hp(n)), f"X12xHP:{n}", c, warnings)
     for name, builder in (("X12", x12), ("Y16", y16), ("Z20", z20)):
         if sc.eat(name + ":c="):
-            c = sc.signed_int()
+            c = sc.signed_int("c")
             return _family_member(builder(c), name, c, warnings)
     raise sc.error("expected a manifold descriptor "
                    "(cp:N | hp:N | pb:L:[d,...] | prod(a,b) | X12:c=N | Y16:c=N | Z20:c=N | X12xHP:n:c=N)",
@@ -448,7 +429,7 @@ def _cmd_pontryagin(args: argparse.Namespace) -> int:
         _emit_json({
             "dimension": vec.dimension,
             "manifold": m.name,
-            "values": _vector_payload(vec),
+            "values": {I.key(): _rat(v) for I, v in vec.values.items()},
         })
     return 0
 
@@ -457,9 +438,9 @@ def _cmd_genus(args: argparse.Namespace) -> int:
     m = _load_manifold(args)
     if m.real_dimension % 4:  # the library's evaluate_genus would warn and return 0
         raise ValueError(
-            f"{m.name} has dimension {m.real_dimension}; the genus {args.which} needs a multiple of 4"
+            f"{brief(m.name)} has dimension {m.real_dimension}; the genus {args.which} needs a multiple of 4"
         )
-    value = _GENUS_EVALUATORS[args.which](m)
+    value = _GENERA[args.which][0](m)
     _emit_json({
         "dimension": m.real_dimension,
         "genus": args.which,
@@ -520,31 +501,27 @@ def _cmd_member(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_int(text: str) -> int:
-    """An optionally signed integer in ASCII digits, as in both grammars."""
-    sc = _Scanner(text)
-    value = sc.signed_int()
-    if not sc.at_end():
-        raise sc.error("trailing input after integer")
-    return value
-
-
 def _parse_range(text: str) -> tuple[int, int]:
     """Bounds a..b, each an optionally signed integer in ASCII digits."""
     sc = _Scanner(text)
-    a = sc.signed_int()
+    a = sc.signed_int("range bound")
     sc.expect("..")
-    b = sc.signed_int()
+    b = sc.signed_int("range bound")
     if not sc.at_end():
         raise sc.error("trailing input after range")
     if a > b:
-        raise FunctionalParseError(f"empty range {_quote(text)}")
+        raise FunctionalParseError(f"empty range {quote(text)}")
     if b - a >= MAX_RANGE:
-        raise FunctionalParseError(f"range {_quote(text)} has {b - a + 1} parameters, above the range limit {MAX_RANGE}")
+        raise FunctionalParseError(f"range {quote(text)} has {b - a + 1} parameters, above the range limit {MAX_RANGE}")
     return a, b
 
 
 def _family(name: str) -> FamilySpec:
+    sc = _Scanner(name)
+    if sc.eat("X12xHP:") and sc.at_digit():  # read here: standard_family's int() takes any length
+        n = sc.unsigned_int("X12xHP:n", f"dimension limit {MAX_DIMENSION}")
+        if sc.at_end():
+            name = f"X12xHP:{n}"
     fam = standard_family(name)
     if fam.dimension > MAX_DIMENSION:
         raise FunctionalParseError(
@@ -566,9 +543,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             "dimension": fam.dimension,
             "family": fam.name,
             "functional": _functional_payload(f),
-            "polynomial": [_rat(c) for c in poly],
-            "polynomial_string": _poly_string(poly),
-            "substitution": fam.substitution,
+            **_family_payload(fam, poly),
             "values": [{"c": c, "value": _rat(v)} for c, v in values],
         })
     return 0
@@ -580,14 +555,7 @@ def _cmd_verdict(args: argparse.Namespace) -> int:
     result = unbounded_verdict(f, families)
     _emit_json({
         "dimension": args.dim,
-        "families": {
-            fam.name: {
-                "polynomial": [_rat(c) for c in result.per_family[fam.name]],
-                "polynomial_string": _poly_string(result.per_family[fam.name]),
-                "substitution": fam.substitution,
-            }
-            for fam in families
-        },
+        "families": {fam.name: _family_payload(fam, result.per_family[fam.name]) for fam in families},
         "functional": _functional_payload(f),
         "verdict": "unbounded" if result.unbounded else "bounded_on_families",
         "witness": result.witness,
@@ -644,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pontryagin)
 
     p = manifold_cmd("genus", "evaluate a named genus")
-    p.add_argument("--which", required=True, choices=sorted(_GENUS_EVALUATORS))
+    p.add_argument("--which", required=True, choices=sorted(_GENERA))
     p.set_defaults(func=_cmd_genus)
 
     p = manifold_cmd("elliptic", "q-expansion coefficients of the elliptic genus")
@@ -702,9 +670,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         # read here rather than by argparse, whose int() takes '1_2' and '١'
         for name, limit, what in (("dim", MAX_DIMENSION, "dimension"), ("q_order", MAX_Q_ORDER, "q-order")):
             if getattr(args, name, None) is not None:
-                value = _parse_int(getattr(args, name))
+                flag = f"--{name.replace('_', '-')}"
+                sc = _Scanner(getattr(args, name))
+                value = sc.signed_int(flag, f"{what} limit {limit}")
+                if not sc.at_end():
+                    raise sc.error("trailing input after integer")
                 if value > limit:
-                    raise FunctionalParseError(f"--{name.replace('_', '-')} {value} is above the {what} limit {limit}")
+                    raise FunctionalParseError(f"{flag} {value} is above the {what} limit {limit}")
                 setattr(args, name, value)
         return args.func(args)
     except ConsistencyError as exc:

@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .algebra import RationalMatrix, as_rational, interpolate_polynomial
-from .errors import ConsistencyError
+from .errors import ConsistencyError, brief, quote
 from .manifolds import (
     LineBundleSum,
     ManifoldModel,
@@ -158,34 +158,32 @@ class Functional:
     def as_row(self) -> list[Fraction]:
         return [self.coefficients.get(I, Fraction(0)) for I in partitions_of(self.dimension // 4)]
 
-    def scaled(self, value: Fraction) -> "Functional":
-        return Functional(self.dimension, {I: c * value for I, c in self.coefficients.items()})
-
-    def plus(self, other: "Functional") -> "Functional":
-        if other.dimension != self.dimension:
-            raise ValueError("functional dimensions differ")
-        acc = dict(self.coefficients)
-        for I, c in other.coefficients.items():
-            acc[I] = acc.get(I, Fraction(0)) + c
-        return Functional(self.dimension, acc)
-
     def to_expression(self) -> str:
         """Render in the grammar the command line parses back."""
         if not self.coefficients:
-            return "0*p" + str(self.dimension // 4)
-        bits = []
-        for I in partitions_of(self.dimension // 4):
-            if I not in self.coefficients:
-                continue
-            c = self.coefficients[I]
-            mag = abs(c)
-            coeff = "" if mag == 1 else f"{mag}*"
-            term = f"{coeff}{I.key()}"
-            if not bits:
-                bits.append(term if c > 0 else f"-{term}")
-            else:
-                bits.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(bits)
+            return f"0*p{self.dimension // 4}"
+        return signed_sum((self.coefficients.get(I, 0), I.key()) for I in partitions_of(self.dimension // 4))
+
+
+def signed_sum(terms: Iterable[tuple[Fraction, str | None]]) -> str:
+    """Render (coefficient, body) pairs as 'a - 2*b + 1/3': zero terms are
+    skipped, a unit coefficient is dropped, a body of None is a constant,
+    and nothing left renders as '0'."""
+    bits = []
+    for c, body in terms:
+        if not c:
+            continue
+        mag = abs(c)
+        if body is None:
+            term = str(mag)
+        else:
+            term = body if mag == 1 else f"{mag}*{body}"
+        if bits:
+            term = f"+ {term}" if c > 0 else f"- {term}"
+        elif c < 0:
+            term = f"-{term}"
+        bits.append(term)
+    return " ".join(bits) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +193,7 @@ class Functional:
 def pontryagin_numbers(m: ManifoldModel) -> CharNumberVector:
     dim = m.real_dimension
     if dim % 4:
-        raise ValueError(f"{m.name} has dimension {dim}; Pontryagin numbers need a multiple of 4")
+        raise ValueError(f"{brief(m.name)} has dimension {dim}; Pontryagin numbers need a multiple of 4")
     values = pontryagin_products(m, partitions_of(dim // 4))
     return CharNumberVector(dim, tuple(v.numerator if v.denominator == 1 else v for v in values))
 
@@ -419,7 +417,7 @@ def standard_family(name: str) -> FamilySpec:
         suffix = name.split(":", 1)[1]
         # ASCII digits only: int() would also take '1_0' and non-ASCII digits
         if not (suffix.isascii() and suffix.isdigit()):
-            raise ValueError(f"bad quaternionic factor in family name {name!r}")
+            raise ValueError(f"bad quaternionic factor in family name {quote(name)}")
         n = int(suffix)
         if n < 1:
             raise ValueError("the quaternionic factor needs positive dimension")
@@ -428,7 +426,7 @@ def standard_family(name: str) -> FamilySpec:
             lambda c: product(x12(2 * c), build_hp(n)),
             "c -> 2c (spin)", 3,
         )
-    raise ValueError(f"unknown family {name!r}")
+    raise ValueError(f"unknown family {quote(name)}")
 
 
 def designated_families(dim: int) -> list[FamilySpec]:

@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the bounded input excerpt error messages quote."""
 from __future__ import annotations
 
 
@@ -16,3 +16,21 @@ class FunctionalParseError(ValueError):
         if position is not None:
             message = f"{message} (at position {position})"
         super().__init__(message)
+
+
+QUOTE_CHARS = 80  # longest input an error message quotes whole
+
+
+def quote(text: str, position: int = 0) -> str:
+    """repr(text), or for a longer text the repr of QUOTE_CHARS characters
+    around ``position``, with '...' outside the quotes where text was cut."""
+    if len(text) <= QUOTE_CHARS:
+        return repr(text)
+    start = max(0, min(position - QUOTE_CHARS // 2, len(text) - QUOTE_CHARS))
+    end = start + QUOTE_CHARS
+    return f"{'...' if start else ''}{text[start:end]!r}{'...' if end < len(text) else ''}"
+
+
+def brief(text: str) -> str:
+    """text itself where quote() would give it whole, else quote(text)."""
+    return text if len(text) <= QUOTE_CHARS else quote(text)

@@ -58,7 +58,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
 from .algebra import GradedElement, QSeries, as_rational
-from .errors import ConsistencyError
+from .errors import ConsistencyError, brief
 from .manifolds import ManifoldModel, pair, pontryagin_products
 
 __all__ = [
@@ -441,7 +441,7 @@ def elliptic_q_coefficients(m: ManifoldModel, order: int | None = None) -> list[
     """
     dim = m.real_dimension
     if dim % 4:
-        raise ValueError(f"{m.name} has dimension {dim}; the expansion needs a multiple of 4")
+        raise ValueError(f"{brief(m.name)} has dimension {dim}; the expansion needs a multiple of 4")
     return _elliptic(m, dim // 4 if order is None else order, "elliptic genus")
 
 
@@ -461,5 +461,5 @@ def twisted_ahat_tangent(m: ManifoldModel) -> Fraction:
     rank is dim M however many Pontryagin roots the model lists."""
     dim = m.real_dimension
     if dim % 4:
-        raise ValueError(f"{m.name} has dimension {dim}; the twisted genus needs a multiple of 4")
+        raise ValueError(f"{brief(m.name)} has dimension {dim}; the twisted genus needs a multiple of 4")
     return -_elliptic(m, 1, "twisted A-hat")[1]

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from ellcob.cli import main, parse_functional, parse_manifold
+from ellcob.cli import _poly_string, main, parse_functional, parse_manifold
 from ellcob.cobordism import Partition, genus_as_functional
 from ellcob.errors import ConsistencyError, FunctionalParseError
 from ellcob.genera import ahat, signature
@@ -261,6 +261,18 @@ class TestCommandBehaviour:
             {"c": 3, "value": "7776"},
         ]
 
+    @pytest.mark.parametrize("coeffs,text", [
+        ([0], "0"),
+        ([-3], "-3"),
+        ([1], "1"),
+        ([0, 1], "c"),
+        ([0, -1], "-c"),
+        ([F(-1, 2), 0, 1], "c^2 - 1/2"),
+        ([2, -1, 0, 288], "288*c^3 - c + 2"),
+    ])
+    def test_polynomial_string(self, coeffs, text):
+        assert _poly_string([F(c) for c in coeffs]) == text
+
     def test_distinct(self, capsys):
         code, out, _ = run(capsys, ["distinct", "--family", "X12", "--range", "1..4"])
         payload = json.loads(out)
@@ -372,10 +384,25 @@ class TestExitCodes:
         assert code == 3 and "consistency" in err
 
 
+def _exit_is_0_or_2(argv):
+    """main(argv) exits 0, or 2 with an 'error: ' line; stderr stays short either way."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+    assert len(err.getvalue()) < 250 and "set_int_max_str_digits" not in err.getvalue()
+
+
+# digit runs of 4000-5000 digits: past any limit, and past int()'s own 4300
+# for most draws, so each must be refused before int() reads it
+_OVERLONG = st.builds(str.__mul__, st.sampled_from("019"), st.integers(4000, 5000))
+
 # -f strings: well-formed expressions, and soups of grammar tokens and
 # junk.  A ']' only closes an ell[j] token with j <= 8, so no string asks
 # for a large q-order.
-_NUMBER = st.integers(0, 10 ** 25).map(str)
+_NUMBER = st.one_of(st.integers(0, 10 ** 25).map(str), _OVERLONG)
 _GENUS = st.one_of(st.sampled_from(["sign", "ahat", "ahat_t"]), st.builds("ell[{}]".format, st.integers(0, 8)))
 _PONTRYAGIN = st.one_of(
     st.builds("p{}".format, st.integers(1, 5)),
@@ -409,12 +436,7 @@ class TestFunctionalFuzz:
     @example(command="verdict", dim=16, text="p\u00b2")
     @example(command="member", dim=20, text="3/4*ell[8] - 10000000000000000000000000*p5")
     def test_exit_is_0_or_2(self, command, dim, text):
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main([command, "--dim", str(dim), f"--functional={text}"])
-        assert code in (0, 2)
-        if code == 2:
-            assert err.getvalue().startswith("error: ")
+        _exit_is_0_or_2([command, "--dim", str(dim), f"--functional={text}"])
 
 
 # --range, --family, --dim and --q-order strings.  Well-formed draws stay
@@ -422,38 +444,31 @@ class TestFunctionalFuzz:
 # and digit-free junk, so no string asks for a large model or order.
 _JUNK = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="0123456789"), max_size=6)
 _BAD_INT = st.sampled_from(["", "-", "+1", " 1", "1_0", "\u0661", "4\u00b2", "1.5", "0x1", "--1"])
-_BOUND = st.one_of(st.integers(-4, 4).map(str), _BAD_INT)
+_BOUND = st.one_of(st.integers(-4, 4).map(str), _BAD_INT, _OVERLONG)
 _RANGE = st.one_of(
     st.builds("{}{}{}".format, _BOUND, st.sampled_from(["..", ".", "...", "", " .. "]), _BOUND),
     _JUNK,
 )
 _FAMILY = st.one_of(
     st.sampled_from(["X12", "Y16", "Z20", "X12xHP:1", "X12xHP:2", "X12xHP:01"]),
-    st.builds("X12xHP:{}".format, st.one_of(_BAD_INT, st.just("0"), _JUNK)),
+    st.builds("X12xHP:{}".format, st.one_of(_BAD_INT, st.just("0"), _JUNK, _OVERLONG)),
     _JUNK,
+    _OVERLONG,
 )
-_DIM = st.one_of(st.sampled_from(["12", "16", "20", "0", "6", "-4"]), _BAD_INT, _JUNK)
-_Q_ORDER = st.one_of(st.none(), st.integers(-1, 8).map(str), _BAD_INT, _JUNK)
+_DIM = st.one_of(st.sampled_from(["12", "16", "20", "0", "6", "-4"]), _BAD_INT, _JUNK, _OVERLONG)
+_Q_ORDER = st.one_of(st.none(), st.integers(-1, 8).map(str), _BAD_INT, _JUNK, _OVERLONG)
 
 
 class TestArgumentFuzz:
-    @staticmethod
-    def _exit_is_0_or_2(argv):
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert code in (0, 2)
-        if code == 2:
-            assert err.getvalue().startswith("error: ")
-
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(command=st.sampled_from(["scan", "distinct"]), family=_FAMILY, text=_RANGE)
     @example(command="scan", family="X12", text="1_0..1_1")
     @example(command="distinct", family="X12xHP:1_0", text="1..2")
     @example(command="scan", family="X12xHP:2", text="-4..4")
+    @example(command="distinct", family="X12xHP:" + "0" * 4400 + "1", text="1..2")
     def test_range_and_family(self, command, family, text):
         argv = [command, f"--family={family}", f"--range={text}"]
-        self._exit_is_0_or_2(argv + (["-f", "sign"] if command == "scan" else []))
+        _exit_is_0_or_2(argv + (["-f", "sign"] if command == "scan" else []))
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(dim=_DIM, q_order=_Q_ORDER)
@@ -461,7 +476,7 @@ class TestArgumentFuzz:
     @example(dim="12", q_order="\u0661")
     @example(dim="20", q_order="8")
     def test_dim_and_q_order(self, dim, q_order):
-        self._exit_is_0_or_2(["span", f"--dim={dim}"] + ([] if q_order is None else [f"--q-order={q_order}"]))
+        _exit_is_0_or_2(["span", f"--dim={dim}"] + ([] if q_order is None else [f"--q-order={q_order}"]))
 
 
 def _left_nested_cp1(leaves):
@@ -544,6 +559,33 @@ class TestLimits:
         assert code == 2 and out == ""
         assert err == f"error: {message}\n" and len(err) < 250
 
+    @pytest.mark.parametrize("argv,message", [
+        (["span", "--dim", "9" * 3000],
+         "--dim with 3000 digits is above the dimension limit 32 in '" + "9" * 80 + "'... (at position 0)"),
+        (["spin", "--manifold", "pb:1:[" + ",".join(["1"] * 3000) + "]"],
+         "the model has dimension 6000, above the dimension limit 32 in 'pb:1:[" + "1," * 37 + "'... (at position 0)"),
+        (["distinct", "--family", "X12", "--range=0.." + "1" * 4000],
+         "range bound with 4000 digits is above the digit limit 100 in '0.." + "1" * 77 + "'... (at position 3)"),
+        (["member", "--dim", "12", "-f", "ell[" + "9" * 4000 + "]"],
+         "ell[j] with 4000 digits is above the q-order limit 32 in 'ell[" + "9" * 76 + "'... (at position 4)"),
+        (["member", "--dim", "12", "-f", "p1^" + "9" * 4000],
+         "exponent with 4000 digits is above the dimension limit 32 in 'p1^" + "9" * 77 + "'... (at position 3)"),
+        (["scan", "--family", "X12xHP:" + "1" * 4000, "-f", "p3", "--range=0..1"],
+         "X12xHP:n with 4000 digits is above the dimension limit 32 in 'X12xHP:" + "1" * 73 + "'... (at position 7)"),
+        (["pontryagin", "--manifold", "cp:" + "1" * 5000],
+         "cp:N with 5000 digits is above the dimension limit 32 in 'cp:" + "1" * 77 + "'... (at position 3)"),
+        (["member", "--dim", "12", "-f", "p" + "1" * 5000],
+         "p<i> with 5000 digits is above the dimension limit 32 in 'p" + "1" * 79 + "'... (at position 1)"),
+        (["spin", "--manifold", "X12:c=" + "1" * 5000],
+         "c with 5000 digits is above the digit limit 100 in 'X12:c=" + "1" * 74 + "'... (at position 6)"),
+        (["distinct", "--family", "1" * 5000, "--range=0..1"], "unknown family '" + "1" * 80 + "'..."),
+    ], ids=["dim", "pb", "range", "ell", "exponent", "family", "cp", "p", "c", "unknown_family"])
+    def test_overlong_number_is_2(self, capsys, argv, message):
+        # a long digit run is refused before int() reads it, with a bounded quote
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n" and len(err) < 250
+
     def test_lone_double_dash_value_is_2(self, capsys):
         # argparse reads --range=-- as an empty list, not as the string '--'
         code, out, err = run(capsys, ["scan", "--family", "X12", "-f", "p3", "--range=--"])
@@ -556,7 +598,7 @@ class TestLimits:
 # every accepted draw at dimension 32 or less, so each one runs in well
 # under a second.
 _SMALL = st.integers(0, 10).map(str)
-_SIZE = st.one_of(_SMALL, _SMALL, _SMALL, st.integers(0, 10 ** 6).map(str), _BAD_INT)
+_SIZE = st.one_of(_SMALL, _SMALL, _SMALL, st.integers(0, 10 ** 6).map(str), _BAD_INT, _OVERLONG)
 _DEGREES = st.one_of(
     st.lists(st.integers(-3, 3).map(str), min_size=1, max_size=6),
     st.lists(st.one_of(st.integers(-3, 3).map(str), _BAD_INT), max_size=18),
@@ -583,4 +625,4 @@ class TestManifoldFuzz:
     @example(command="spin", text="prod(" * 1200)
     def test_exit_is_0_or_2(self, command, text):
         argv = [command, f"--manifold={text}", "--quiet"] + (["--which", "sign"] if command == "genus" else [])
-        TestArgumentFuzz._exit_is_0_or_2(argv)
+        _exit_is_0_or_2(argv)

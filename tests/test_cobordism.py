@@ -198,6 +198,14 @@ class TestGenusFunctionals:
         f = Functional(12, {Partition((3,)): F(-8), Partition((1, 1, 1)): F(1, 2)})
         assert f.to_expression() == "1/2*p1^3 - 8*p3"
 
+    @pytest.mark.parametrize("coefficients,text", [
+        ({Partition((3,)): F(0)}, "0*p3"),
+        ({Partition((1, 1, 1)): F(-1), Partition((2, 1)): F(3), Partition((3,)): F(-1, 3)},
+         "-p1^3 + 3*p1*p2 - 1/3*p3"),
+    ], ids=["zero", "negative_leading"])
+    def test_expression_signs(self, coefficients, text):
+        assert Functional(12, coefficients).to_expression() == text
+
 
 class TestEllipticSpan:
     def test_ranks(self):
