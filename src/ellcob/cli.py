@@ -19,7 +19,6 @@ import sys
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .algebra import as_rational
 from .cobordism import (
     FamilySpec,
     Functional,
@@ -69,14 +68,11 @@ MAX_Q_ORDER = 32  # --q-order and the j of ell[j]
 MAX_RANGE = 101  # parameters in a --range
 MAX_DIGITS = 100  # significant digits of a number with no limit above: a coefficient, c=, a bundle degree, a range bound
 MAX_LIMITED_DIGITS = 20  # significant digits of a number with a limit above: more than any allowed value has
+MAX_SUM_DIGITS = 150  # digits of a numerator or denominator of a functional coefficient, its terms added up
 
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def _rat(x: Fraction) -> str:
-    return str(as_rational(x))
 
 
 def _emit_json(payload: object) -> None:
@@ -93,7 +89,7 @@ def _emit_csv(header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
 
 def _functional_payload(f: Functional) -> dict:
     return {
-        "coefficients": {I.key(): _rat(c) for I, c in f.coefficients.items()},
+        "coefficients": {I.key(): str(c) for I, c in f.coefficients.items()},
         "expression": f.to_expression(),
     }
 
@@ -105,7 +101,7 @@ def _poly_string(coeffs: Sequence[Fraction]) -> str:
 
 def _family_payload(fam: FamilySpec, poly: Sequence[Fraction]) -> dict:
     return {
-        "polynomial": [_rat(c) for c in poly],
+        "polynomial": [str(c) for c in poly],
         "polynomial_string": _poly_string(poly),
         "substitution": fam.substitution,
     }
@@ -139,6 +135,11 @@ class _Scanner:
             self.pos += len(literal)
             return True
         return False
+
+    def eat_after_ws(self, literal: str) -> bool:
+        """Skip whitespace, then eat ``literal`` if it follows."""
+        self.skip_ws()
+        return self.eat(literal)
 
     def expect(self, literal: str) -> None:
         if not self.eat(literal):
@@ -195,8 +196,9 @@ _GENERA: dict[str, tuple[Callable[[ManifoldModel], Fraction], Callable[[int], Ma
 }
 
 
-def _parse_atom(sc: _Scanner):
-    """One atom: ('p', index, exponent) or ('genus', name, q_index)."""
+def _parse_atom(sc: _Scanner, dim: int) -> tuple[int, int] | dict[Partition, Fraction]:
+    """One atom: a Pontryagin power p_i^e as (i, e), or a named genus as its
+    table {partition: coefficient} in dimension ``dim``."""
     sc.skip_ws()
     start = sc.pos
     if sc.peek() == "p" and sc.at_digit(1):
@@ -204,20 +206,16 @@ def _parse_atom(sc: _Scanner):
         index = sc.unsigned_int("p<i>", f"dimension limit {MAX_DIMENSION}")
         if index < 1:
             raise sc.error("p0 is not a Pontryagin class", start)
-        exponent = 1
-        mark = sc.pos
+        if not sc.eat_after_ws("^"):
+            return index, 1
         sc.skip_ws()
-        if sc.eat("^"):
-            sc.skip_ws()
-            exponent = sc.unsigned_int("exponent", f"dimension limit {MAX_DIMENSION}")
-            if exponent < 1:
-                raise sc.error("exponent must be positive", start)
-        else:
-            sc.pos = mark
-        return ("p", index, exponent)
+        exponent = sc.unsigned_int("exponent", f"dimension limit {MAX_DIMENSION}")
+        if exponent < 1:
+            raise sc.error("exponent must be positive", start)
+        return index, exponent
     word = sc.word()
     if word in _GENERA:
-        return ("genus", word, None)
+        return Functional.from_polynomial(dim, _GENERA[word][1](dim // 4)).coefficients
     if word == "ell":
         sc.skip_ws()
         sc.expect("[")
@@ -227,38 +225,38 @@ def _parse_atom(sc: _Scanner):
             raise sc.error(f"ell[{q_index}] is above the q-order limit {MAX_Q_ORDER}", start)
         sc.skip_ws()
         sc.expect("]")
-        return ("genus", "ell", q_index)
+        k = dim // 4
+        return Functional.from_polynomial(dim, elliptic_polynomials(k, max(k, q_index))[q_index]).coefficients
     raise sc.error(f"unknown atom {quote(word or sc.peek())}", start)
 
 
-def _parse_term(sc: _Scanner):
-    """One term: (coefficient, atoms).  Grammar: [rational '*'] atom ('*' atom)*."""
+def _parse_term(sc: _Scanner, dim: int) -> dict[Partition, Fraction]:
+    """One term as its table {partition: coefficient}.  Grammar: [rational '*'] atom ('*' atom)*."""
+    start = sc.pos
     sc.skip_ws()
     coeff = Fraction(1)
     if sc.at_digit():
-        num = sc.unsigned_int("coefficient")
-        den = 1
-        mark = sc.pos
-        sc.skip_ws()
-        if sc.eat("/"):
+        coeff = Fraction(sc.unsigned_int("coefficient"))
+        if sc.eat_after_ws("/"):
             sc.skip_ws()
             den = sc.unsigned_int("coefficient")
             if den == 0:
                 raise sc.error("zero denominator")
-        else:
-            sc.pos = mark
-        coeff = Fraction(num, den)
+            coeff /= den
         sc.skip_ws()
         sc.expect("*")
-    atoms = [_parse_atom(sc)]
-    while True:
-        mark = sc.pos
-        sc.skip_ws()
-        if sc.eat("*"):
-            atoms.append(_parse_atom(sc))
-        else:
-            sc.pos = mark
-            return coeff, atoms
+    atoms = [_parse_atom(sc, dim)]
+    while sc.eat_after_ws("*"):
+        atoms.append(_parse_atom(sc, dim))
+    if any(isinstance(atom, dict) for atom in atoms):
+        if len(atoms) != 1:
+            raise sc.error("a named genus must stand alone in its term", start)
+        return {partition: coeff * c for partition, c in atoms[0].items()}
+    # checked before the parts list is built: it is as long as the exponents
+    weight = sum(index * exponent for index, exponent in atoms)
+    if 4 * weight != dim:
+        raise sc.error(f"{sc.subject(start, 'the term')} has weight {weight}, dim {dim} needs {dim // 4}", start)
+    return {Partition([index for index, exponent in atoms for _ in range(exponent)]): coeff}
 
 
 def parse_functional(text: str, dim: int) -> Functional:
@@ -282,47 +280,24 @@ def parse_functional(text: str, dim: int) -> Functional:
     if sc.at_end():
         raise sc.error("empty expression")
     coefficients: dict[Partition, Fraction] = {}
-    sign = 1
-    if sc.eat("-"):
-        sign = -1
-    else:
+    sign = -1 if sc.eat("-") else 1
+    if sign == 1:
         sc.eat("+")
     while True:
-        term_start = sc.pos
-        coeff, atoms = _parse_term(sc)
-        coeff *= sign
-        genus_atoms = [a for a in atoms if a[0] == "genus"]
-        if genus_atoms:
-            if len(atoms) != 1:
-                raise sc.error("a named genus must stand alone in its term", term_start)
-            _, name, q_index = genus_atoms[0]
-            k = dim // 4
-            if name == "ell":
-                poly = elliptic_polynomials(k, max(k, q_index))[q_index]
-            else:
-                poly = _GENERA[name][1](k)
-            term = Functional.from_polynomial(dim, poly).coefficients
-        else:
-            # checked before the parts list is built: it is as long as the exponents
-            weight = sum(index * exponent for _, index, exponent in atoms)
-            if 4 * weight != dim:
-                raise sc.error(
-                    f"{sc.subject(term_start, 'the term')} has weight {weight}, "
-                    f"dim {dim} needs {dim // 4}",
-                    term_start,
-                )
-            term = {Partition([index for _, index, exponent in atoms for _ in range(exponent)]): 1}
-        for partition, c in term.items():
-            coefficients[partition] = coefficients.get(partition, 0) + coeff * c
+        start = sc.pos
+        for partition, c in _parse_term(sc, dim).items():
+            total = coefficients[partition] = coefficients.get(partition, 0) + sign * c
+            for field in ("numerator", "denominator"):
+                if abs(getattr(total, field)) >= 10 ** MAX_SUM_DIGITS:
+                    raise sc.error(f"the summed coefficient of {partition.key()} has a {field} "
+                                   f"above the digit limit {MAX_SUM_DIGITS}", start)
         sc.skip_ws()
         if sc.at_end():
             return Functional(dim, coefficients)
-        if sc.eat("+"):
-            sign = 1
-        elif sc.eat("-"):
-            sign = -1
-        else:
+        sign = {"+": 1, "-": -1}.get(sc.peek())
+        if sign is None:
             raise sc.error("expected '+' or '-'")
+        sc.pos += 1
         sc.skip_ws()
 
 
@@ -424,12 +399,12 @@ def _cmd_pontryagin(args: argparse.Namespace) -> int:
     vec = pontryagin_numbers(m)
     keys = [I.key() for I in partitions_of(vec.dimension // 4)]
     if args.csv:
-        _emit_csv(keys, [[_rat(v) for v in vec.as_row()]])
+        _emit_csv(keys, [[str(v) for v in vec.as_row()]])
     else:
         _emit_json({
             "dimension": vec.dimension,
             "manifold": m.name,
-            "values": {I.key(): _rat(v) for I, v in vec.values.items()},
+            "values": {I.key(): str(v) for I, v in vec.values.items()},
         })
     return 0
 
@@ -445,7 +420,7 @@ def _cmd_genus(args: argparse.Namespace) -> int:
         "dimension": m.real_dimension,
         "genus": args.which,
         "manifold": m.name,
-        "value": _rat(value),
+        "value": str(value),
     })
     return 0
 
@@ -455,10 +430,10 @@ def _cmd_elliptic(args: argparse.Namespace) -> int:
     order = args.q_order if args.q_order is not None else m.real_dimension // 4
     coeffs = elliptic_q_coefficients(m, order)
     if args.csv:
-        _emit_csv([f"q^{j}" for j in range(order + 1)], [[_rat(c) for c in coeffs]])
+        _emit_csv([f"q^{j}" for j in range(order + 1)], [[str(c) for c in coeffs]])
     else:
         _emit_json({
-            "coefficients": [_rat(c) for c in coeffs],
+            "coefficients": [str(c) for c in coeffs],
             "dimension": m.real_dimension,
             "manifold": m.name,
             "normalization": "coefficients of q^(k/2)*phi, k = dim/4",
@@ -537,14 +512,14 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     values = [(c, f.evaluate(pontryagin_numbers(fam.build(c)))) for c in range(a, b + 1)]
     poly = family_polynomial(fam, f)
     if args.csv:
-        _emit_csv(["c", "value"], [[str(c), _rat(v)] for c, v in values])
+        _emit_csv(["c", "value"], [[str(c), str(v)] for c, v in values])
     else:
         _emit_json({
             "dimension": fam.dimension,
             "family": fam.name,
             "functional": _functional_payload(f),
             **_family_payload(fam, poly),
-            "values": [{"c": c, "value": _rat(v)} for c, v in values],
+            "values": [{"c": c, "value": str(v)} for c, v in values],
         })
     return 0
 
@@ -560,7 +535,7 @@ def _cmd_verdict(args: argparse.Namespace) -> int:
         "verdict": "unbounded" if result.unbounded else "bounded_on_families",
         "witness": result.witness,
         "witness_polynomial": (
-            None if result.polynomial is None else [_rat(c) for c in result.polynomial]
+            None if result.polynomial is None else [str(c) for c in result.polynomial]
         ),
     })
     return 0
@@ -589,8 +564,30 @@ def _cmd_distinct(args: argparse.Namespace) -> int:
 # parser assembly
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse, with the over-long arguments its error lines repeat quoted in part."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.arg_strings = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
+
+    def parse_args(self, args=None, namespace=None):
+        namespace, extras = self.parse_known_args(args, namespace)
+        if extras:  # argparse would repeat them all, whole
+            self.error(f"unrecognized arguments: {brief(' '.join(extras))}")
+        return namespace
+
+    def error(self, message: str):
+        # argparse repeats an argument, or its part after '=' or after a one-dash
+        # flag, bare or as its repr
+        parts = {v for arg in self.arg_strings for v in (arg, arg.partition("=")[2], arg[2:])}
+        for value in sorted((v for v in parts if len(v) > QUOTE_CHARS), key=len, reverse=True):
+            message = message.replace(repr(value), quote(value)).replace(value, quote(value))
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ellcob",
         description="Exact characteristic numbers, genera, and rational-cobordism "
                     "linear algebra for projective-bundle manifolds.",

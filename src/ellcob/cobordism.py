@@ -254,10 +254,8 @@ def span_membership(f: Functional, span: Sequence[Functional]) -> bool:
         return not f.coefficients
     if any(g.dimension != f.dimension for g in span):
         raise ValueError("span and functional dimensions differ")
-    base = [g.as_row() for g in span]
-    r0 = RationalMatrix(base).rank()
-    r1 = RationalMatrix(base + [f.as_row()]).rank()
-    return r0 == r1
+    columns = list(zip(*(g.as_row() for g in span)))
+    return RationalMatrix(columns).solve(f.as_row()) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +289,7 @@ def family_polynomial(fam: FamilySpec, f: Functional) -> list[Fraction]:
     of the declared degree and is an internal failure.
     """
     if f.dimension != fam.dimension:
-        raise ValueError("functional dimension does not match the family")
+        raise ValueError(f"family {fam.name} lives in dimension {fam.dimension}, functional in {f.dimension}")
     samples = list(range(1, fam.max_degree + 2))
     values = [f.evaluate(pontryagin_numbers(fam.build(c))) for c in samples]
     coeffs = interpolate_polynomial(list(zip(map(Fraction, samples), values)))
@@ -320,18 +318,9 @@ class VerdictResult:
 def unbounded_verdict(f: Functional, families: Sequence[FamilySpec]) -> VerdictResult:
     """Decide whether f is unbounded on one of the given families: any
     nonzero coefficient in positive degree is a certificate."""
-    per_family: dict[str, tuple[Fraction, ...]] = {}
-    witness: str | None = None
-    witness_poly: tuple[Fraction, ...] | None = None
-    for fam in families:
-        if fam.dimension != f.dimension:
-            raise ValueError(f"family {fam.name} lives in dimension {fam.dimension}, functional in {f.dimension}")
-        coeffs = tuple(family_polynomial(fam, f))
-        per_family[fam.name] = coeffs
-        if witness is None and any(coeffs[1:]):
-            witness = fam.name
-            witness_poly = coeffs
-    return VerdictResult(witness is not None, witness, witness_poly, per_family)
+    polynomials = [(fam.name, tuple(family_polynomial(fam, f))) for fam in families]
+    witness, polynomial = next(((name, p) for name, p in polynomials if any(p[1:])), (None, None))
+    return VerdictResult(witness is not None, witness, polynomial, dict(polynomials))
 
 
 @dataclass(frozen=True, slots=True)

@@ -49,6 +49,8 @@ class TestFunctionalGrammar:
             parse_functional("  2 * p1 ^ 3+p3", 12).coefficients
             == parse_functional("2*p1^3 + p3", 12).coefficients
         )
+        assert parse_functional("3 /4 * p1 ^ 3", 12) == parse_functional("3/4*p1^3", 12)
+        assert parse_functional("ell [ 2 ] - 2 * p1 ^3", 12) == parse_functional("ell[2]-2*p1^3", 12)
 
     def test_named_genera_resolve(self):
         assert (
@@ -101,6 +103,20 @@ class TestFunctionalGrammar:
     def test_bad_dimension(self):
         with pytest.raises(FunctionalParseError):
             parse_functional("p1", 6)
+
+    @pytest.mark.parametrize("text,message", [
+        ("3 p3", "expected '*' in '3 p3' (at position 2)"),
+        ("- p3 p1", "expected '+' or '-' in '- p3 p1' (at position 5)"),
+        (" - sign * p1", "a named genus must stand alone in its term in ' - sign * p1' (at position 2)"),
+        ("p1*p1 *sign", "a named genus must stand alone in its term in 'p1*p1 *sign' (at position 0)"),
+        ("3 / 0 * p3", "zero denominator in '3 / 0 * p3' (at position 5)"),
+        ("p3 +", "unknown atom '' in 'p3 +' (at position 4)"),
+    ], ids=["coefficient", "sign", "leading_sign_genus", "trailing_genus", "denominator", "dangling"])
+    def test_whitespace_error_lines(self, capsys, text, message):
+        # a term starts where its sign ends, before any whitespace; other errors sit past the whitespace
+        code, out, err = run(capsys, ["member", "--dim", "12", f"--functional={text}"])
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_span_output_round_trips(self):
         from ellcob.cobordism import elliptic_span
@@ -438,6 +454,51 @@ class TestFunctionalFuzz:
     def test_exit_is_0_or_2(self, command, dim, text):
         _exit_is_0_or_2([command, "--dim", str(dim), f"--functional={text}"])
 
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        command=st.sampled_from(["member", "verdict"]),
+        dim=st.sampled_from([12, 16, 20]),
+        terms=st.lists(
+            st.tuples(st.sampled_from([1, -1, 10 ** 99]), st.integers(10 ** 98, 10 ** 100).map(lambda n: n | 1)),
+            min_size=20, max_size=60, unique_by=lambda term: term[1],
+        ),
+    )
+    @example(command="member", dim=12, terms=[(1, 10 ** 99 + 2 * i + 1) for i in range(50)])
+    def test_long_sums_exit_0_or_2(self, command, dim, terms):
+        # distinct odd denominators of 99-100 digits: from about 44 terms on one partition their lcm
+        # passes int()'s 4300-digit limit
+        text = " + ".join(f"{a}/{d}*p{dim // 4}" for a, d in terms)
+        _exit_is_0_or_2([command, "--dim", str(dim), f"--functional={text}"])
+
+
+def _argparse_error_is_2(argv):
+    """main(argv) exits 2 with argparse's usage and error lines, each under 250 bytes."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 2 and err.getvalue().startswith("usage: ")
+    assert all(len(line.encode()) < 250 for line in err.getvalue().splitlines())
+
+
+# argv that argparse itself refuses: a valid request for each command plus a
+# long --which value, a stray positional token or an unknown --flag, drawn
+# from printable ASCII that repr() prints unescaped.  quote() bounds an
+# excerpt by characters, not bytes, so escapes and wide characters lengthen
+# a quoted line in every grammar alike; this fuzz covers the argparse layer.
+_VALID = {
+    "pontryagin": ["--manifold=cp:2"], "genus": ["--manifold=cp:2", "--which=sign"],
+    "elliptic": ["--manifold=cp:2"], "spin": ["--manifold=cp:2"], "span": ["--dim=12"],
+    "member": ["--dim=12", "-f", "p3"], "scan": ["--family=X12", "-f", "p3", "--range=0..1"],
+    "verdict": ["--dim=12", "-f", "p3"], "distinct": ["--family=X12", "--range=0..1"],
+}
+_LONG = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E, blacklist_characters="\\'"),
+                min_size=100, max_size=5000)
+_STRAY = st.one_of(
+    st.builds("--which={}".format, _LONG),
+    _LONG.filter(lambda text: not text.startswith("-")),
+    st.builds("--{}".format, _LONG.map(lambda text: text.replace("=", "_"))),
+)
+
 
 # --range, --family, --dim and --q-order strings.  Well-formed draws stay
 # cheap (|c| <= 4, dims 12/16/20, q-order <= 8); the rest are near misses
@@ -477,6 +538,16 @@ class TestArgumentFuzz:
     @example(dim="20", q_order="8")
     def test_dim_and_q_order(self, dim, q_order):
         _exit_is_0_or_2(["span", f"--dim={dim}"] + ([] if q_order is None else [f"--q-order={q_order}"]))
+
+
+class TestArgparseFuzz:
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(command=st.sampled_from(sorted(_VALID)), stray=_STRAY)
+    @example(command="genus", stray="--which=" + "x" * 3000)
+    @example(command="spin", stray="y" * 3000)
+    @example(command="span", stray="--bogus" + "z" * 3000)
+    def test_exit_is_2_with_short_lines(self, command, stray):
+        _argparse_error_is_2([command, *_VALID[command], stray])
 
 
 def _left_nested_cp1(leaves):
@@ -532,7 +603,11 @@ class TestLimits:
         ["span", "--dim", "32"],
         ["distinct", "--family", "X12", "--range=0..100"],
         ["spin", "--manifold", _left_nested_cp1(16)],
-    ], ids=["cp", "hp", "prod", "x12xhp", "ell", "span", "range", "nested_prod"])
+        # genus coefficients have at most 35 digits through dimension 32: 100 + 35 stay under the sum limit
+        *(["member", "--dim", "32", "-f", f"{'9' * 100}/{'7' * 100}*{genus}"]
+          for genus in ["sign", "ahat", "ahat_t", "ell[32]"]),
+    ], ids=["cp", "hp", "prod", "x12xhp", "ell", "span", "range", "nested_prod",
+            "sum_sign", "sum_ahat", "sum_ahat_t", "sum_ell"])
     def test_largest_allowed_request_is_0(self, capsys, argv):
         code, out, _ = run(capsys, argv)
         assert code == 0 and out
@@ -585,6 +660,55 @@ class TestLimits:
         code, out, err = run(capsys, argv)
         assert code == 2 and out == ""
         assert err == f"error: {message}\n" and len(err) < 250
+
+    @pytest.mark.parametrize("terms,field", [
+        ([f"1/{10 ** 99 + 2 * i + 1}*p3" for i in range(50)], "denominator"),
+        ([f"{10 ** 100 - 1}/{10 ** 99 + 2 * i + 1}*p3" for i in range(2)], "numerator"),
+    ], ids=["denominator", "numerator"])
+    def test_summed_coefficient_over_the_digit_limit_is_2(self, capsys, terms, field):
+        # refused as the second term is added, before a number too long to print exists
+        code, out, err = run(capsys, ["member", "--dim", "12", "-f", " + ".join(terms)])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: the summed coefficient of p3 has a {field} above the digit limit 150 in ")
+        assert err.endswith(f"(at position {len(terms[0]) + 3})\n") and len(err) < 250
+
+    @pytest.mark.parametrize("argv,line", [
+        (["genus", "--manifold", "cp:2", "--which", "x" * 3000],
+         "ellcob genus: error: argument --which: invalid choice: '" + "x" * 80 + "'... (choose from 'ahat', 'ahat_t', 'sign')"),
+        (["genus", "--manifold", "cp:2", "--which=" + "x" * 3000],
+         "ellcob genus: error: argument --which: invalid choice: '" + "x" * 80 + "'... (choose from 'ahat', 'ahat_t', 'sign')"),
+        (["spin", "--manifold", "cp:2", "y" * 3000], "ellcob: error: unrecognized arguments: '" + "y" * 80 + "'..."),
+        (["span", "--dim", "12", "--bogus" + "z" * 3000],
+         "ellcob: error: unrecognized arguments: '--bogus" + "z" * 73 + "'..."),
+        (["spin", "--manifold", "cp:2"] + ["a"] * 3000, "ellcob: error: unrecognized arguments: '" + "a " * 40 + "'..."),
+        (["spin", "--manifold", "cp:2", "--quiet=" + "q" * 3000],
+         "ellcob spin: error: argument --quiet: ignored explicit argument '" + "q" * 80 + "'..."),
+        (["spin", "--manifold", "cp:2", "-h" + "x" * 3000],
+         "ellcob spin: error: argument -h/--help: ignored explicit argument '" + "x" * 80 + "'..."),
+        (["elliptic", "--manifold", "cp:2", "--q=" + "1" * 3000],
+         "ellcob elliptic: error: ambiguous option: '--q=" + "1" * 76 + "'... could match --quiet, --q-order"),
+    ], ids=["which", "which_equals", "positional", "flag", "many_tokens", "flag_value", "help_value", "ambiguous"])
+    def test_overlong_argument_is_quoted_in_part(self, capsys, argv, line):
+        # argparse's own error lines repeat an argument; a long one is quoted as the grammars quote it
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and err.startswith("usage: ellcob")
+        assert err.splitlines()[-1] == line
+        assert all(len(text.encode()) < 250 for text in err.splitlines())
+
+    @pytest.mark.parametrize("argv,err", [
+        (["spin", "--manifold"],
+         "usage: ellcob spin [-h] --manifold MANIFOLD [--quiet]\n"
+         "ellcob spin: error: argument --manifold: expected one argument\n"),
+        (["genus", "--manifold", "cp:2", "--which", "x" * 80],
+         "usage: ellcob genus [-h] --manifold MANIFOLD [--quiet] --which\n                    {ahat,ahat_t,sign}\n"
+         "ellcob genus: error: argument --which: invalid choice: '" + "x" * 80 + "' (choose from 'ahat', 'ahat_t', 'sign')\n"),
+        (["spin", "--manifold", "cp:2", "a", "b"],
+         "usage: ellcob [-h]\n              {pontryagin,genus,elliptic,spin,span,member,scan,verdict,distinct}\n"
+         "              ...\nellcob: error: unrecognized arguments: a b\n"),
+    ], ids=["missing", "which", "positional"])
+    def test_short_argparse_error_is_argparse_own(self, capsys, argv, err):
+        # an offending text of at most 80 characters is repeated whole, as argparse words it
+        assert run(capsys, argv) == (2, "", err)
 
     def test_lone_double_dash_value_is_2(self, capsys):
         # argparse reads --range=-- as an empty list, not as the string '--'

@@ -12,6 +12,7 @@ Oracles:
   * classical L/A-hat functional coefficients (cross-checked in
     test_genera against sympy).
 """
+import random
 from fractions import Fraction
 from functools import reduce
 
@@ -244,6 +245,41 @@ class TestEllipticSpan:
         assert span_membership(Functional(12, {}), [])
         assert not span_membership(Functional(12, {Partition((3,)): F(1)}), [])
 
+    def test_membership_agrees_with_rank_criterion(self):
+        # f lies in the span exactly when adding it leaves the rank unchanged;
+        # spans mix the elliptic functionals, rational combinations of them
+        # (dependent rows) and random rows
+        rng = random.Random(0)
+
+        def ratio():
+            return F(rng.randint(-6, 6), rng.randint(1, 5))
+
+        seen = set()
+        for _ in range(60):
+            dim = rng.choice([12, 16, 20])
+            elliptic, _ = elliptic_span(dim, dim // 4)
+            rows = [g.as_row() for g in elliptic]
+            rows += [[sum((ratio() * r[i] for r in rows), F(0)) for i in range(len(rows[0]))]
+                     for _ in range(rng.randint(0, 3))]
+            rows += [[ratio() for _ in rows[0]] for _ in range(rng.randint(0, 1))]
+            rng.shuffle(rows)
+            if rng.random() < 0.5:  # a combination of the rows: inside
+                f_row = [sum((ratio() * r[i] for r in rows), F(0)) for i in range(len(rows[0]))]
+            else:
+                f_row = [ratio() for _ in rows[0]]
+            k = dim // 4
+            span = [Functional(dim, dict(zip(partitions_of(k), r))) for r in rows]
+            f = Functional(dim, dict(zip(partitions_of(k), f_row)))
+            expected = RationalMatrix(rows).rank() == RationalMatrix(rows + [f_row]).rank()
+            assert span_membership(f, span) == expected, (dim, rows, f_row)
+            seen.add(expected)
+        assert seen == {True, False}
+
+    def test_ranks_through_dimension_32(self):
+        # the rank of the span at q-order k + 4 is floor(k/2) + 1, k = dim/4
+        ranks = [elliptic_span(dim, dim // 4 + 4)[1] for dim in range(12, 33, 4)]
+        assert ranks == [2, 3, 3, 4, 4, 5]
+
 
 def raw_family(name: str, dim: int, builder, max_degree: int) -> FamilySpec:
     return FamilySpec(name, dim, builder, "c -> c", max_degree)
@@ -392,6 +428,25 @@ class TestVerdicts:
         f = Functional(16, {Partition((4,)): F(1)})
         with pytest.raises(ValueError):
             unbounded_verdict(f, designated_families(12))
+
+    def test_witness_is_first_unbounded_family(self):
+        f = Functional(12, {Partition((3,)): F(1)})  # -c^3 on x12(c)
+        constant = raw_family("constant", 12, lambda c: x12(1), 3)
+        plain = raw_family("plain", 12, x12, 3)
+        doubled = raw_family("doubled", 12, lambda c: x12(2 * c), 3)
+        for families, witness, polynomial in [
+            ([constant, plain], "plain", poly(0, 0, 0, -1)),
+            ([plain, constant], "plain", poly(0, 0, 0, -1)),
+            ([plain, doubled], "plain", poly(0, 0, 0, -1)),
+            ([doubled, plain], "doubled", poly(0, 0, 0, -8)),
+        ]:
+            result = unbounded_verdict(f, families)
+            assert result.unbounded and result.witness == witness
+            assert list(result.polynomial) == polynomial
+            assert list(result.per_family) == [fam.name for fam in families]
+        result = unbounded_verdict(f, [constant])
+        assert not result.unbounded and result.witness is None and result.polynomial is None
+        assert result.per_family == {"constant": (F(-1),)}
 
 
 class TestDistinctness:
