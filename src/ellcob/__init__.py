@@ -9,7 +9,6 @@ floating-point number in the pipeline.
 from .algebra import (
     GradedElement,
     QSeries,
-    Rational,
     RationalMatrix,
     RingSpec,
     as_rational,
@@ -67,7 +66,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # algebra
-    "GradedElement", "QSeries", "Rational", "RationalMatrix", "RingSpec",
+    "GradedElement", "QSeries", "RationalMatrix", "RingSpec",
     "as_rational", "interpolate_polynomial",
     # errors
     "ConsistencyError", "FunctionalParseError",

@@ -45,7 +45,6 @@ from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
 __all__ = [
-    "Rational",
     "as_rational",
     "RingSpec",
     "GradedElement",
@@ -54,7 +53,6 @@ __all__ = [
     "interpolate_polynomial",
 ]
 
-Rational = Fraction
 Scalar = Union[int, Fraction]
 _ZERO = Fraction(0)  # shared: a Fraction is immutable
 
@@ -182,9 +180,6 @@ class RingSpec:
     def degree_of(self, exps: tuple[int, ...]) -> int:
         return sum(map(mul, exps, self.degrees))
 
-    def index(self, name: str) -> int:
-        return self._index[name]
-
     def code(self, exps: Sequence[int]) -> int | None:
         """The integer code sum e_i * place_i of a monomial, or None when an
         exponent lies outside [0, base_i), where no normal monomial and no
@@ -303,7 +298,7 @@ class RingSpec:
 
     def gen(self, name: str) -> "GradedElement":
         exps = [0] * self.ngens
-        exps[self.index(name)] = 1
+        exps[self._index[name]] = 1
         return self.element({tuple(exps): 1})
 
 
@@ -407,8 +402,6 @@ class GradedElement:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return self.ring.zero()
-            if isinstance(other, int):
-                return _canonical(self.ring, self.den, {c: n * other for c, n in self.num.items()})
             p = other.numerator
             return _canonical(self.ring, self.den * other.denominator, {c: n * p for c, n in self.num.items()})
         return NotImplemented
@@ -521,9 +514,6 @@ class QSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, i: int) -> Fraction:
-        return self.coeffs[i] if i <= self.order else _ZERO
-
     def __bool__(self) -> bool:
         return any(self.coeffs)
 
@@ -547,7 +537,7 @@ class QSeries:
 
     def __mul__(self, other: Union["QSeries", Scalar]) -> "QSeries":
         if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+            return QSeries([c * other for c in self.coeffs])
         if not isinstance(other, QSeries):
             return NotImplemented
         n = min(self.order, other.order)
@@ -562,9 +552,6 @@ class QSeries:
         return QSeries(out)
 
     __rmul__ = __mul__
-
-    def scale(self, value: Scalar) -> "QSeries":
-        return QSeries([c * value for c in self.coeffs])
 
     def __repr__(self) -> str:
         return f"QSeries({self.coeffs!r})"

@@ -12,8 +12,6 @@ computation routes disagreed — a bug).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from fractions import Fraction
@@ -37,7 +35,7 @@ from .cobordism import (
     y16,
     z20,
 )
-from .errors import QUOTE_CHARS, ConsistencyError, FunctionalParseError, brief, quote
+from .errors import QUOTE_BYTES, QUOTE_CHARS, ConsistencyError, FunctionalParseError, brief, quote
 from .genera import (
     ahat,
     ahat_sequence,
@@ -80,11 +78,8 @@ def _emit_json(payload: object) -> None:
 
 
 def _emit_csv(header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
+    # no field (partition keys, q^j, c, value, ints and fractions) holds a comma, quote or newline
+    sys.stdout.write("".join(",".join(row) + "\n" for row in [header, *rows]))
 
 
 def _functional_payload(f: Functional) -> dict:
@@ -171,9 +166,10 @@ class _Scanner:
         return sign * self.unsigned_int(field, limit)
 
     def subject(self, start: int, noun: str) -> str:
-        """The input from ``start`` to here, or ``noun`` where it is too long to repeat beside the quote."""
+        """The input from ``start`` to here where it is printable ASCII short
+        enough to repeat beside the quote, else ``noun``."""
         text = self.text[start:self.pos].strip()
-        return text if len(text) <= QUOTE_CHARS // 2 else noun
+        return text if len(text) <= QUOTE_CHARS // 2 and text.isascii() and text.isprintable() else noun
 
     def word(self) -> str:
         start = self.pos
@@ -579,9 +575,11 @@ class _ArgumentParser(argparse.ArgumentParser):
 
     def error(self, message: str):
         # argparse repeats an argument, or its part after '=' or after a one-dash
-        # flag, bare or as its repr
+        # flag, bare or as its repr; a value whose repr is over the budget, or
+        # that would break the line, is quoted in part
         parts = {v for arg in self.arg_strings for v in (arg, arg.partition("=")[2], arg[2:])}
-        for value in sorted((v for v in parts if len(v) > QUOTE_CHARS), key=len, reverse=True):
+        to_quote = (v for v in parts if len(repr(v).encode()) > QUOTE_BYTES or not v.isprintable())
+        for value in sorted(to_quote, key=len, reverse=True):
             message = message.replace(repr(value), quote(value)).replace(value, quote(value))
         super().error(message)
 

@@ -91,11 +91,6 @@ def partitions_of(k: int) -> tuple[Partition, ...]:
     return tuple(sorted(Partition(p) for p in gen(k, k)))
 
 
-@lru_cache(maxsize=None)
-def _partition_index(k: int) -> dict[Partition, int]:
-    return {I: i for i, I in enumerate(partitions_of(k))}
-
-
 @dataclass(frozen=True, slots=True)
 class CharNumberVector:
     """All Pontryagin numbers of one manifold: ``row[i]`` is the number of
@@ -113,8 +108,7 @@ class CharNumberVector:
         return dict(zip(partitions_of(self.dimension // 4), self.as_row()))
 
     def get(self, partition: Sequence[int]) -> Fraction:
-        i = _partition_index(self.dimension // 4).get(Partition(partition))
-        return Fraction(0) if i is None else Fraction(self.row[i])
+        return self.values.get(Partition(partition), Fraction(0))
 
     def as_row(self) -> list[Fraction]:
         return [Fraction(v) for v in self.row]
@@ -153,7 +147,7 @@ class Functional:
     def evaluate(self, vec: CharNumberVector) -> Fraction:
         if vec.dimension != self.dimension:
             raise ValueError("functional and vector dimensions differ")
-        return sum((c * vec.get(I) for I, c in self.coefficients.items()), Fraction(0))
+        return sum((c * v for c, v in zip(self.as_row(), vec.row)), Fraction(0))
 
     def as_row(self) -> list[Fraction]:
         return [self.coefficients.get(I, Fraction(0)) for I in partitions_of(self.dimension // 4)]

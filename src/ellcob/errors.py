@@ -19,18 +19,28 @@ class FunctionalParseError(ValueError):
 
 
 QUOTE_CHARS = 80  # longest input an error message quotes whole
+QUOTE_BYTES = QUOTE_CHARS + 2  # UTF-8 bytes of a printed excerpt, its quotes included
+
+
+def _fits(text: str) -> bool:
+    return len(repr(text).encode()) <= QUOTE_BYTES
 
 
 def quote(text: str, position: int = 0) -> str:
-    """repr(text), or for a longer text the repr of QUOTE_CHARS characters
-    around ``position``, with '...' outside the quotes where text was cut."""
-    if len(text) <= QUOTE_CHARS:
+    """repr(text) where it fits in QUOTE_BYTES, else the repr of the widest
+    window of at most QUOTE_CHARS characters around ``position`` that fits,
+    with '...' outside the quotes where text was cut.  Printable ASCII other
+    than backslash and quote gets the full QUOTE_CHARS characters."""
+    if _fits(text):
         return repr(text)
-    start = max(0, min(position - QUOTE_CHARS // 2, len(text) - QUOTE_CHARS))
-    end = start + QUOTE_CHARS
+    for width in range(QUOTE_CHARS, 0, -1):  # one character's repr always fits
+        start = max(0, min(position - width // 2, len(text) - width))
+        end = start + width
+        if _fits(text[start:end]):
+            break
     return f"{'...' if start else ''}{text[start:end]!r}{'...' if end < len(text) else ''}"
 
 
 def brief(text: str) -> str:
-    """text itself where quote() would give it whole, else quote(text)."""
-    return text if len(text) <= QUOTE_CHARS else quote(text)
+    """text itself where it is printable and at most QUOTE_CHARS bytes, else quote(text)."""
+    return text if text.isprintable() and len(text.encode()) <= QUOTE_CHARS else quote(text)

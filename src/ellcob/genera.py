@@ -367,7 +367,7 @@ def evaluate_genus(m: ManifoldModel, seq: MultiplicativeSequence) -> Fraction:
     dim = m.real_dimension
     if dim % 4:
         warnings.warn(
-            f"{m.name} has dimension {dim}, not divisible by 4; genus is 0 by convention",
+            f"{brief(m.name)} has dimension {dim}, not divisible by 4; genus is 0 by convention",
             stacklevel=2,
         )
         return Fraction(0)

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from dataclasses import dataclass
-from itertools import combinations
-from math import prod
 from typing import Iterable, Sequence
 
 from .algebra import GradedElement, RingSpec, as_rational
@@ -133,10 +131,6 @@ def build_hp(n: int) -> ManifoldModel:
     )
 
 
-def _elementary_symmetric(values: Sequence[int], i: int) -> int:
-    return sum(prod(c) for c in combinations(values, i))
-
-
 def build_proj_bundle(bundle: LineBundleSum) -> ManifoldModel:
     """Projectivization P(E) of a sum of line bundles E over CP^l.
 
@@ -151,11 +145,10 @@ def build_proj_bundle(bundle: LineBundleSum) -> ManifoldModel:
     """
     l, degrees, r = bundle.base_dim, bundle.degrees, bundle.rank
     dim = 2 * (l + r - 1)
-    rhs: dict[tuple[int, int], Fraction] = {}
-    for i in range(1, r + 1):
-        e_i = _elementary_symmetric(degrees, i)
-        if e_i:
-            rhs[(r - i, i)] = Fraction(-e_i)
+    e = [1]  # coefficients of prod (1 + d x), so e[i] = e_i(d)
+    for d in degrees:
+        e = [a + d * b for a, b in zip(e + [0], [0] + e)]
+    rhs = {(r - i, i): -e[i] for i in range(1, r + 1) if e[i]}
     ring = RingSpec([("a", 2), ("b", 2)], dim, {"a": (r, rhs), "b": (l + 1, {})})
     a, b = ring.gen("a"), ring.gen("b")
     roots = [b] * (l + 1) + [a + b * d for d in degrees]

@@ -368,8 +368,8 @@ class TestQSeries:
 
     def test_scalar_multiplication(self):
         s = QSeries([F(0), F(3), F(0), F(0), F(0)])
-        assert (2 * s).coefficient(1) == F(6)
-        assert (s * F(1, 3)).coefficient(1) == F(1)
+        assert (2 * s).coeffs[1] == F(6)
+        assert (s * F(1, 3)).coeffs[1] == F(1)
 
     def test_zero_coefficients_keep_their_kind(self):
         scalar = QSeries([F(0), F(1)]) * QSeries([F(0), F(1)])

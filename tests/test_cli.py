@@ -6,6 +6,7 @@ wrap and then frozen byte-for-byte; the CLI is a thin adapter, so any
 drift in these bytes is a real interface change.
 """
 import contextlib
+import csv
 import io
 import json
 import warnings
@@ -15,9 +16,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ellcob.cli import _poly_string, main, parse_functional, parse_manifold
-from ellcob.cobordism import Partition, genus_as_functional
+from ellcob.cobordism import Partition, genus_as_functional, partitions_of, pontryagin_numbers, standard_family
 from ellcob.errors import ConsistencyError, FunctionalParseError
-from ellcob.genera import ahat, signature
+from ellcob.genera import ahat, elliptic_q_coefficients, signature
 
 F = Fraction
 
@@ -231,6 +232,39 @@ class TestGoldenOutputs:
         assert code == 0 and out == "c,value\n1,-8\n2,-64\n"
 
 
+def _csv_writer_text(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+class TestCsvRendering:
+    """--csv output equals what csv.writer renders for the same header and rows."""
+
+    @pytest.mark.parametrize("text", ["Y16:c=-3", "pb:2:[1,-1,2]", "prod(cp:2,hp:1)"])
+    def test_pontryagin(self, capsys, text):
+        vec = pontryagin_numbers(parse_manifold(text)[0])
+        header = [I.key() for I in partitions_of(vec.dimension // 4)]
+        expected = _csv_writer_text(header, [[str(v) for v in vec.as_row()]])
+        assert run(capsys, ["pontryagin", "--manifold", text, "--csv"]) == (0, expected, "")
+
+    @pytest.mark.parametrize("text", ["pb:2:[1,-1,2]", "cp:2", "prod(cp:2,pb:1:[1,-2])"])
+    def test_elliptic(self, capsys, text):
+        coeffs = elliptic_q_coefficients(parse_manifold(text)[0], 4)
+        expected = _csv_writer_text([f"q^{j}" for j in range(5)], [[str(c) for c in coeffs]])
+        assert run(capsys, ["elliptic", "--manifold", text, "--q-order", "4", "--csv"]) == (0, expected, "")
+
+    @pytest.mark.parametrize("family,text", [("X12", "1/3*p3 - 2/5*p1^3"), ("Y16", "sign - 3/7*p2^2")])
+    def test_scan(self, capsys, family, text):
+        fam = standard_family(family)
+        f = parse_functional(text, fam.dimension)
+        rows = [[str(c), str(f.evaluate(pontryagin_numbers(fam.build(c))))] for c in range(-3, 4)]
+        expected = _csv_writer_text(["c", "value"], rows)
+        assert run(capsys, ["scan", "--family", family, "-f", text, "--range=-3..3", "--csv"]) == (0, expected, "")
+
+
 class TestCommandBehaviour:
     def test_verdict_unbounded(self, capsys):
         code, out, _ = run(capsys, ["verdict", "--dim", "12", "-f", "p3"])
@@ -401,14 +435,16 @@ class TestExitCodes:
 
 
 def _exit_is_0_or_2(argv):
-    """main(argv) exits 0, or 2 with an 'error: ' line; stderr stays short either way."""
+    """main(argv) exits 0, or 2 with exactly one 'error: ' line; every stderr
+    line stays under 250 bytes of UTF-8 either way."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 2)
+    lines = err.getvalue().splitlines()
     if code == 2:
-        assert err.getvalue().startswith("error: ")
-    assert len(err.getvalue()) < 250 and "set_int_max_str_digits" not in err.getvalue()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert all(len(line.encode()) < 250 for line in lines) and "set_int_max_str_digits" not in err.getvalue()
 
 
 # digit runs of 4000-5000 digits: past any limit, and past int()'s own 4300
@@ -451,6 +487,13 @@ class TestFunctionalFuzz:
     @example(command="member", dim=12, text="p1^99999999999999999999")
     @example(command="verdict", dim=16, text="p\u00b2")
     @example(command="member", dim=20, text="3/4*ell[8] - 10000000000000000000000000*p5")
+    @example(command="member", dim=12, text="\u00e9" * 3000)
+    @example(command="member", dim=12, text="\t" * 40 + "x" * 200)
+    @example(command="member", dim=16, text="p1" + "\u3000" * 30 + "*p1")
+    @example(command="member", dim=16, text="p1\n*p1")
+    @example(command="member", dim=16, text="p1\r*p1")
+    @example(command="member", dim=16, text="p1\u0085*p1")
+    @example(command="member", dim=16, text="p1\u2028*p1")
     def test_exit_is_0_or_2(self, command, dim, text):
         _exit_is_0_or_2([command, "--dim", str(dim), f"--functional={text}"])
 
@@ -482,16 +525,16 @@ def _argparse_error_is_2(argv):
 
 # argv that argparse itself refuses: a valid request for each command plus a
 # long --which value, a stray positional token or an unknown --flag, drawn
-# from printable ASCII that repr() prints unescaped.  quote() bounds an
-# excerpt by characters, not bytes, so escapes and wide characters lengthen
-# a quoted line in every grammar alike; this fuzz covers the argparse layer.
+# from printable ASCII and from every character but surrogates, so that
+# escapes and wide characters meet the byte bound of each quoted excerpt.
 _VALID = {
     "pontryagin": ["--manifold=cp:2"], "genus": ["--manifold=cp:2", "--which=sign"],
     "elliptic": ["--manifold=cp:2"], "spin": ["--manifold=cp:2"], "span": ["--dim=12"],
     "member": ["--dim=12", "-f", "p3"], "scan": ["--family=X12", "-f", "p3", "--range=0..1"],
     "verdict": ["--dim=12", "-f", "p3"], "distinct": ["--family=X12", "--range=0..1"],
 }
-_LONG = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E, blacklist_characters="\\'"),
+_LONG = st.text(st.one_of(st.characters(min_codepoint=0x20, max_codepoint=0x7E),
+                          st.characters(blacklist_categories=("Cs",))),
                 min_size=100, max_size=5000)
 _STRAY = st.one_of(
     st.builds("--which={}".format, _LONG),
@@ -546,6 +589,8 @@ class TestArgparseFuzz:
     @example(command="genus", stray="--which=" + "x" * 3000)
     @example(command="spin", stray="y" * 3000)
     @example(command="span", stray="--bogus" + "z" * 3000)
+    @example(command="genus", stray="--which=" + "\U0001f600" * 70)
+    @example(command="genus", stray="--which=" + "\U0001f600" * 3000)
     def test_exit_is_2_with_short_lines(self, command, stray):
         _argparse_error_is_2([command, *_VALID[command], stray])
 
@@ -747,6 +792,7 @@ class TestManifoldFuzz:
     @example(command="genus", text="prod(pb:15:[1],hp:4)")
     @example(command="spin", text="pb:1:[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]")
     @example(command="spin", text="prod(" * 1200)
+    @example(command="spin", text="\U0001f600" * 100)
     def test_exit_is_0_or_2(self, command, text):
         argv = [command, f"--manifold={text}", "--quiet"] + (["--which", "sign"] if command == "genus" else [])
         _exit_is_0_or_2(argv)

@@ -190,6 +190,19 @@ class TestGenusFunctionals:
         with pytest.raises(ValueError):
             Functional(12, {Partition((2,)): F(1)})
 
+    @pytest.mark.parametrize("name", ["X12", "Y16", "Z20"])
+    def test_evaluate_is_the_sum_of_coefficient_times_number(self, name):
+        fam = standard_family(name)
+        rng = random.Random(name)
+        choices = [0, 0, 1, -3, F(2, 7), F(-5, 3), F(10 ** 20 + 1, 3)]
+        for c in range(-2, 3):
+            vec = pontryagin_numbers(fam.build(c))
+            for _ in range(4):
+                coefficients = {I: rng.choice(choices) for I in partitions_of(fam.dimension // 4)}
+                value = Functional(fam.dimension, coefficients).evaluate(vec)
+                assert type(value) is Fraction
+                assert value == sum((F(a) * vec.get(I) for I, a in coefficients.items()), F(0))
+
     def test_evaluate_dimension_mismatch(self):
         f = Functional(12, {Partition((3,)): F(1)})
         with pytest.raises(ValueError):

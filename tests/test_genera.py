@@ -264,6 +264,14 @@ class TestClassicalGenusValues:
         with pytest.warns(UserWarning):
             assert signature(m) == F(0)
 
+    def test_warning_quotes_a_long_name_in_part(self):
+        degrees = tuple(10 ** 99 + i for i in (1, 2, 3))
+        m = build_proj_bundle(LineBundleSum(1, degrees))  # dim 6, a 309-character name
+        with pytest.warns(UserWarning) as record:
+            assert signature(m) == F(0)
+        message = str(record[0].message)
+        assert m.name not in message and message.startswith("'pb:1:[1000") and len(message) < 160
+
     def test_signature_multiplicative(self):
         pairs = [
             (build_cp(2), build_cp(2)),

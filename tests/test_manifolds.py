@@ -7,6 +7,8 @@ projective space recomputed here with independent list arithmetic, and
 classical spin criteria.
 """
 from fractions import Fraction
+from itertools import combinations
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -107,6 +109,20 @@ class TestProjBundle:
         m = build_proj_bundle(LineBundleSum(3, (2, 0, 0, 0)))
         a = m.ring.gen("a")
         assert (a ** 4).terms == {(3, 1): F(-2)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=1, max_size=8))
+    def test_relation_coefficients_are_elementary_symmetric(self, degrees):
+        # a^r = -sum e_i(d) a^(r-i) b^i, each e_i summed here over all i-subsets of the degrees
+        r = len(degrees)
+        m = build_proj_bundle(LineBundleSum(1, tuple(degrees)))
+        e = {i: sum(prod(subset) for subset in combinations(degrees, i)) for i in range(1, r + 1)}
+        assert m.ring.rules[0] == (r, {(r - i, i): F(-e[i]) for i in e if e[i]})
+
+    @pytest.mark.parametrize("d", [1, -7, 10 ** 100])
+    def test_relation_coefficients_of_sixteen_equal_degrees(self, d):
+        m = build_proj_bundle(LineBundleSum(1, (d,) * 16))
+        assert m.ring.rules[0] == (16, {(16 - i, i): F(-comb(16, i) * d ** i) for i in range(1, 17)})
 
     def test_pairing_normalization(self):
         # <a^(r-1) b^l> = 1: the fibre-times-base fundamental monomial
