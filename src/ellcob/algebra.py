@@ -40,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm, prod
-from operator import mul
+from operator import index, mul
 from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
@@ -90,30 +90,31 @@ class RingSpec:
         rewrite_rules: Mapping[str, tuple[int, Mapping[tuple[int, ...], Scalar]]] | None = None,
     ) -> None:
         names = tuple(name for name, _ in generators)
-        degs = tuple(int(d) for _, d in generators)
+        degs = tuple(index(d) for _, d in generators)
+        top = index(truncation_dimension)
         if len(set(names)) != len(names):
             raise ValueError("generator names must be unique")
         for name, d in zip(names, degs):
             if d <= 0 or d % 2:
                 raise ValueError(f"generator {name!r} must have positive even degree, got {d}")
-        if truncation_dimension < 0 or truncation_dimension % 2:
+        if top < 0 or top % 2:
             raise ValueError("truncation dimension must be a nonnegative even integer")
         self.generators = names
         self.degrees = degs
-        self.truncation_dimension = top = int(truncation_dimension)
+        self.truncation_dimension = top
         self._index = {name: i for i, name in enumerate(names)}
         rules: dict[int, tuple[int, dict[tuple[int, ...], Fraction]]] = {}
         for name, (power, rhs) in (rewrite_rules or {}).items():
             if name not in self._index:
                 raise ValueError(f"rewrite rule for unknown generator {name!r}")
             g = self._index[name]
-            power = int(power)
+            power = index(power)
             if power <= 0:
                 raise ValueError(f"rewrite rule power for {name!r} must be positive")
             head_degree = power * degs[g]
             clean: dict[tuple[int, ...], Fraction] = {}
             for exps, coeff in rhs.items():
-                exps = tuple(int(e) for e in exps)
+                exps = tuple(map(index, exps))
                 if len(exps) != len(names) or any(e < 0 for e in exps):
                     raise ValueError(f"malformed monomial {exps} in rule for {name!r}")
                 c = as_rational(coeff)
@@ -222,7 +223,7 @@ class RingSpec:
         out: dict[tuple[int, ...], Fraction] = {}
         stack: list[tuple[tuple[int, ...], Fraction]] = []
         for exps, coeff in terms.items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(index, exps))
             if len(exps) != self.ngens or any(e < 0 for e in exps):
                 raise ValueError(f"malformed monomial {exps}")
             c = as_rational(coeff)

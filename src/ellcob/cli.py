@@ -73,15 +73,6 @@ MAX_SUM_DIGITS = 150  # digits of a numerator or denominator of a functional coe
 # serialization
 
 
-def _emit_json(payload: object) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _emit_csv(header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
-    # no field (partition keys, q^j, c, value, ints and fractions) holds a comma, quote or newline
-    sys.stdout.write("".join(",".join(row) + "\n" for row in [header, *rows]))
-
-
 def _functional_payload(f: Functional) -> dict:
     return {
         "coefficients": {I.key(): str(c) for I, c in f.coefficients.items()},
@@ -301,6 +292,9 @@ def parse_functional(text: str, dim: int) -> Functional:
 # manifold descriptors
 
 
+_DESCRIPTORS = "cp:N | hp:N | pb:L:[d,...] | prod(a,b) | X12:c=N | Y16:c=N | Z20:c=N | X12xHP:n:c=N"
+
+
 def _within_dimension_limit(sc: _Scanner, start: int, dim: int) -> None:
     """Refuse a model of real dimension above MAX_DIMENSION before it is built."""
     if dim > MAX_DIMENSION:
@@ -355,9 +349,7 @@ def _parse_manifold_expr(sc: _Scanner, warnings: list[str], depth: int = 0) -> M
         if sc.eat(name + ":c="):
             c = sc.signed_int("c")
             return _family_member(builder(c), name, c, warnings)
-    raise sc.error("expected a manifold descriptor "
-                   "(cp:N | hp:N | pb:L:[d,...] | prod(a,b) | X12:c=N | Y16:c=N | Z20:c=N | X12xHP:n:c=N)",
-                   start)
+    raise sc.error(f"expected a manifold descriptor ({_DESCRIPTORS})", start)
 
 
 def _family_member(m: ManifoldModel, family: str, c: int, warnings: list[str]) -> ManifoldModel:
@@ -380,96 +372,88 @@ def parse_manifold(text: str) -> tuple[ManifoldModel, list[str]]:
 
 def _load_manifold(args: argparse.Namespace) -> ManifoldModel:
     m, warnings = parse_manifold(args.manifold)
-    if not getattr(args, "quiet", False):
+    if not args.quiet:
         for w in warnings:
             print(f"note: {w}", file=sys.stderr)
     return m
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its answer, a dict written as JSON or a list of
+# CSV rows, header first
 
 
-def _cmd_pontryagin(args: argparse.Namespace) -> int:
+def _cmd_pontryagin(args: argparse.Namespace) -> dict | list[list[str]]:
     m = _load_manifold(args)
     vec = pontryagin_numbers(m)
-    keys = [I.key() for I in partitions_of(vec.dimension // 4)]
     if args.csv:
-        _emit_csv(keys, [[str(v) for v in vec.as_row()]])
-    else:
-        _emit_json({
-            "dimension": vec.dimension,
-            "manifold": m.name,
-            "values": {I.key(): str(v) for I, v in vec.values.items()},
-        })
-    return 0
+        return [[I.key() for I in partitions_of(vec.dimension // 4)], [str(v) for v in vec.as_row()]]
+    return {
+        "dimension": vec.dimension,
+        "manifold": m.name,
+        "values": {I.key(): str(v) for I, v in vec.values.items()},
+    }
 
 
-def _cmd_genus(args: argparse.Namespace) -> int:
+def _cmd_genus(args: argparse.Namespace) -> dict:
     m = _load_manifold(args)
     if m.real_dimension % 4:  # the library's evaluate_genus would warn and return 0
         raise ValueError(
             f"{brief(m.name)} has dimension {m.real_dimension}; the genus {args.which} needs a multiple of 4"
         )
     value = _GENERA[args.which][0](m)
-    _emit_json({
+    return {
         "dimension": m.real_dimension,
         "genus": args.which,
         "manifold": m.name,
         "value": str(value),
-    })
-    return 0
+    }
 
 
-def _cmd_elliptic(args: argparse.Namespace) -> int:
+def _cmd_elliptic(args: argparse.Namespace) -> dict | list[list[str]]:
     m = _load_manifold(args)
     order = args.q_order if args.q_order is not None else m.real_dimension // 4
     coeffs = elliptic_q_coefficients(m, order)
     if args.csv:
-        _emit_csv([f"q^{j}" for j in range(order + 1)], [[str(c) for c in coeffs]])
-    else:
-        _emit_json({
-            "coefficients": [str(c) for c in coeffs],
-            "dimension": m.real_dimension,
-            "manifold": m.name,
-            "normalization": "coefficients of q^(k/2)*phi, k = dim/4",
-            "q_order": order,
-        })
-    return 0
+        return [[f"q^{j}" for j in range(order + 1)], [str(c) for c in coeffs]]
+    return {
+        "coefficients": [str(c) for c in coeffs],
+        "dimension": m.real_dimension,
+        "manifold": m.name,
+        "normalization": "coefficients of q^(k/2)*phi, k = dim/4",
+        "q_order": order,
+    }
 
 
-def _cmd_spin(args: argparse.Namespace) -> int:
+def _cmd_spin(args: argparse.Namespace) -> dict:
     m = _load_manifold(args)
-    _emit_json({"manifold": m.name, "spin": is_spin(m)})
-    return 0
+    return {"manifold": m.name, "spin": is_spin(m)}
 
 
-def _cmd_span(args: argparse.Namespace) -> int:
+def _cmd_span(args: argparse.Namespace) -> dict:
     order = args.q_order if args.q_order is not None else args.dim // 4
     functionals, rank = elliptic_span(args.dim, order)
-    _emit_json({
+    return {
         "dimension": args.dim,
         "functionals": [_functional_payload(f) for f in functionals],
         "q_order": order,
         "rank": rank,
-    })
-    return 0
+    }
 
 
-def _cmd_member(args: argparse.Namespace) -> int:
+def _cmd_member(args: argparse.Namespace) -> dict:
     f = parse_functional(args.functional, args.dim)
     order = args.q_order if args.q_order is not None else args.dim // 4
     span, rank = elliptic_span(args.dim, order)
     inside = span_membership(f, span)
-    _emit_json({
+    return {
         "dimension": args.dim,
         "functional": _functional_payload(f),
         "in_span": inside,
         "q_order": order,
         "span_rank": rank,
         "verdict": "in-span" if inside else "not-in-span",
-    })
-    return 0
+    }
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -501,30 +485,28 @@ def _family(name: str) -> FamilySpec:
     return fam
 
 
-def _cmd_scan(args: argparse.Namespace) -> int:
+def _cmd_scan(args: argparse.Namespace) -> dict | list[list[str]]:
     fam = _family(args.family)
     f = parse_functional(args.functional, fam.dimension)
     a, b = _parse_range(args.range)
     values = [(c, f.evaluate(pontryagin_numbers(fam.build(c)))) for c in range(a, b + 1)]
     poly = family_polynomial(fam, f)
     if args.csv:
-        _emit_csv(["c", "value"], [[str(c), str(v)] for c, v in values])
-    else:
-        _emit_json({
-            "dimension": fam.dimension,
-            "family": fam.name,
-            "functional": _functional_payload(f),
-            **_family_payload(fam, poly),
-            "values": [{"c": c, "value": str(v)} for c, v in values],
-        })
-    return 0
+        return [["c", "value"], *([str(c), str(v)] for c, v in values)]
+    return {
+        "dimension": fam.dimension,
+        "family": fam.name,
+        "functional": _functional_payload(f),
+        **_family_payload(fam, poly),
+        "values": [{"c": c, "value": str(v)} for c, v in values],
+    }
 
 
-def _cmd_verdict(args: argparse.Namespace) -> int:
+def _cmd_verdict(args: argparse.Namespace) -> dict:
     f = parse_functional(args.functional, args.dim)
     families = designated_families(args.dim)
     result = unbounded_verdict(f, families)
-    _emit_json({
+    return {
         "dimension": args.dim,
         "families": {fam.name: _family_payload(fam, result.per_family[fam.name]) for fam in families},
         "functional": _functional_payload(f),
@@ -533,15 +515,14 @@ def _cmd_verdict(args: argparse.Namespace) -> int:
         "witness_polynomial": (
             None if result.polynomial is None else [str(c) for c in result.polynomial]
         ),
-    })
-    return 0
+    }
 
 
-def _cmd_distinct(args: argparse.Namespace) -> int:
+def _cmd_distinct(args: argparse.Namespace) -> dict:
     fam = _family(args.family)
     a, b = _parse_range(args.range)
     result = distinct_cobordism_types(fam, list(range(a, b + 1)))
-    _emit_json({
+    return {
         "collisions": [list(pair) for pair in result.collisions],
         "dimension": fam.dimension,
         "distinct": result.distinct,
@@ -552,12 +533,40 @@ def _cmd_distinct(args: argparse.Namespace) -> int:
             for pair, I in sorted(result.separators.items())
         ],
         "substitution": fam.substitution,
-    })
-    return 0
+    }
 
 
 # ---------------------------------------------------------------------------
 # parser assembly
+
+
+# each option: its flags and argparse settings
+_OPTIONS: dict[str, tuple[tuple[str, ...], dict]] = {
+    "manifold": (("--manifold",), {"required": True, "help": _DESCRIPTORS}),
+    "quiet": (("--quiet",), {"action": "store_true", "help": "suppress informational warnings"}),
+    "csv": (("--csv",), {"action": "store_true", "help": "CSV output"}),
+    "which": (("--which",), {"required": True, "choices": sorted(_GENERA)}),
+    "dim": (("--dim",), {"required": True}),
+    "q_order": (("--q-order",), {"help": "highest q power (default dim/4)"}),
+    "functional": (("-f", "--f", "--functional"), {"dest": "functional", "required": True}),
+    "family": (("--family",), {"required": True, "help": "X12 | Y16 | Z20 | X12xHP:<n>"}),
+    "range": (("--range",), {"required": True, "help": "parameter range a..b"}),
+}
+
+_MODEL = ("manifold", "quiet")  # every subcommand that loads a manifold takes both
+
+# each subcommand: its handler, its help line and its options, in the order its usage line shows them
+_COMMANDS: dict[str, tuple[Callable, str, tuple[str, ...]]] = {
+    "pontryagin": (_cmd_pontryagin, "all Pontryagin numbers of a manifold", (*_MODEL, "csv")),
+    "genus": (_cmd_genus, "evaluate a named genus", (*_MODEL, "which")),
+    "elliptic": (_cmd_elliptic, "q-expansion coefficients of the elliptic genus", (*_MODEL, "q_order", "csv")),
+    "spin": (_cmd_spin, "whether the manifold is spin", _MODEL),
+    "span": (_cmd_span, "elliptic-coefficient functionals and their rank", ("dim", "q_order")),
+    "member": (_cmd_member, "is a functional in the elliptic span?", ("dim", "functional", "q_order")),
+    "scan": (_cmd_scan, "evaluate a functional along a family", ("family", "functional", "range", "csv")),
+    "verdict": (_cmd_verdict, "bounded or unbounded on the designated families", ("dim", "functional")),
+    "distinct": (_cmd_distinct, "are family members pairwise non-cobordant?", ("family", "range")),
+}
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -591,64 +600,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "linear algebra for projective-bundle manifolds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def manifold_cmd(name: str, help_text: str) -> argparse.ArgumentParser:
+    for name, (handler, help_text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--manifold", required=True,
-                       help="cp:N | hp:N | pb:L:[d,...] | prod(a,b) | "
-                            "X12:c=N | Y16:c=N | Z20:c=N | X12xHP:n:c=N")
-        p.add_argument("--quiet", action="store_true",
-                       help="suppress informational warnings")
-        return p
-
-    p = manifold_cmd("pontryagin", "all Pontryagin numbers of a manifold")
-    p.add_argument("--json", action="store_true", help="JSON output (default)")
-    p.add_argument("--csv", action="store_true", help="CSV output")
-    p.set_defaults(func=_cmd_pontryagin)
-
-    p = manifold_cmd("genus", "evaluate a named genus")
-    p.add_argument("--which", required=True, choices=sorted(_GENERA))
-    p.set_defaults(func=_cmd_genus)
-
-    p = manifold_cmd("elliptic", "q-expansion coefficients of the elliptic genus")
-    p.add_argument("--q-order", default=None,
-                   help="highest q power (default dim/4)")
-    p.add_argument("--csv", action="store_true", help="CSV output")
-    p.set_defaults(func=_cmd_elliptic)
-
-    p = manifold_cmd("spin", "whether the manifold is spin")
-    p.set_defaults(func=_cmd_spin)
-
-    p = sub.add_parser("span", help="elliptic-coefficient functionals and their rank")
-    p.add_argument("--dim", required=True)
-    p.add_argument("--q-order", default=None,
-                   help="highest q power (default dim/4)")
-    p.set_defaults(func=_cmd_span)
-
-    p = sub.add_parser("member", help="is a functional in the elliptic span?")
-    p.add_argument("--dim", required=True)
-    p.add_argument("-f", "--f", "--functional", dest="functional", required=True)
-    p.add_argument("--q-order", default=None)
-    p.set_defaults(func=_cmd_member)
-
-    p = sub.add_parser("scan", help="evaluate a functional along a family")
-    p.add_argument("--family", required=True,
-                   help="X12 | Y16 | Z20 | X12xHP:<n>")
-    p.add_argument("-f", "--f", "--functional", dest="functional", required=True)
-    p.add_argument("--range", required=True, help="parameter range a..b")
-    p.add_argument("--csv", action="store_true", help="CSV output")
-    p.set_defaults(func=_cmd_scan)
-
-    p = sub.add_parser("verdict", help="bounded or unbounded on the designated families")
-    p.add_argument("--dim", required=True)
-    p.add_argument("-f", "--f", "--functional", dest="functional", required=True)
-    p.set_defaults(func=_cmd_verdict)
-
-    p = sub.add_parser("distinct", help="are family members pairwise non-cobordant?")
-    p.add_argument("--family", required=True)
-    p.add_argument("--range", required=True, help="parameter range a..b")
-    p.set_defaults(func=_cmd_distinct)
-
+        for option in options:
+            flags, settings = _OPTIONS[option]
+            p.add_argument(*flags, **settings)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -673,7 +630,12 @@ def main(argv: Sequence[str] | None = None) -> int:
                 if value > limit:
                     raise FunctionalParseError(f"{flag} {value} is above the {what} limit {limit}")
                 setattr(args, name, value)
-        return args.func(args)
+        answer = args.func(args)
+        if isinstance(answer, dict):
+            sys.stdout.write(json.dumps(answer, sort_keys=True, indent=2) + "\n")
+        else:  # no field (partition keys, q^j, c, value, ints and fractions) holds a comma, quote or newline
+            sys.stdout.write("".join(",".join(row) + "\n" for row in answer))
+        return 0
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
+from operator import index
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .algebra import RationalMatrix, as_rational, interpolate_polynomial
@@ -55,7 +56,7 @@ class Partition(tuple):
     """A partition of an integer: a non-increasing tuple of positive parts."""
 
     def __new__(cls, parts: Sequence[int]) -> "Partition":
-        parts = tuple(sorted((int(p) for p in parts), reverse=True))
+        parts = tuple(sorted(map(index, parts), reverse=True))
         if any(p < 1 for p in parts):
             raise ValueError("partition parts must be positive")
         return super().__new__(cls, parts)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Sequence
 
 from .algebra import GradedElement, RingSpec, as_rational
@@ -59,7 +60,7 @@ class LineBundleSum:
             raise ValueError("base projective space must have positive dimension")
         if not self.degrees:
             raise ValueError("the bundle needs at least one summand")
-        object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
+        object.__setattr__(self, "degrees", tuple(map(index, self.degrees)))
 
     @property
     def rank(self) -> int:

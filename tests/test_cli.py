@@ -9,6 +9,7 @@ import contextlib
 import csv
 import io
 import json
+import re
 import warnings
 from fractions import Fraction
 
@@ -188,6 +189,173 @@ GOLDEN_GENUS = (
     '  "value": "-1/8"\n}\n'
 )
 
+GOLDEN_SPAN = """\
+{
+  "dimension": 12,
+  "functionals": [
+    {
+      "coefficients": {
+        "p1*p2": "11/241920",
+        "p1^3": "-31/967680",
+        "p3": "-1/60480"
+      },
+      "expression": "-31/967680*p1^3 + 11/241920*p1*p2 - 1/60480*p3"
+    },
+    {
+      "coefficients": {
+        "p1*p2": "31/20160",
+        "p1^3": "-11/80640",
+        "p3": "-41/5040"
+      },
+      "expression": "-11/80640*p1^3 + 31/20160*p1*p2 - 41/5040*p3"
+    },
+    {
+      "coefficients": {
+        "p1*p2": "899/40320",
+        "p1^3": "521/161280",
+        "p3": "-1609/10080"
+      },
+      "expression": "521/161280*p1^3 + 899/40320*p1*p2 - 1609/10080*p3"
+    },
+    {
+      "coefficients": {
+        "p1*p2": "3893/30240",
+        "p1^3": "-18073/120960",
+        "p3": "3197/7560"
+      },
+      "expression": "-18073/120960*p1^3 + 3893/30240*p1*p2 + 3197/7560*p3"
+    }
+  ],
+  "q_order": 3,
+  "rank": 2
+}
+"""
+
+GOLDEN_SCAN = """\
+{
+  "dimension": 12,
+  "family": "X12",
+  "functional": {
+    "coefficients": {
+      "p3": "1"
+    },
+    "expression": "p3"
+  },
+  "polynomial": [
+    "0",
+    "0",
+    "0",
+    "-8"
+  ],
+  "polynomial_string": "-8*c^3",
+  "substitution": "c -> 2c (spin)",
+  "values": [
+    {
+      "c": 1,
+      "value": "-8"
+    },
+    {
+      "c": 2,
+      "value": "-64"
+    },
+    {
+      "c": 3,
+      "value": "-216"
+    }
+  ]
+}
+"""
+
+GOLDEN_VERDICT = """\
+{
+  "dimension": 12,
+  "families": {
+    "X12": {
+      "polynomial": [
+        "0",
+        "0",
+        "0",
+        "-8"
+      ],
+      "polynomial_string": "-8*c^3",
+      "substitution": "c -> 2c (spin)"
+    }
+  },
+  "functional": {
+    "coefficients": {
+      "p3": "1"
+    },
+    "expression": "p3"
+  },
+  "verdict": "unbounded",
+  "witness": "X12",
+  "witness_polynomial": [
+    "0",
+    "0",
+    "0",
+    "-8"
+  ]
+}
+"""
+
+GOLDEN_DISTINCT = """\
+{
+  "collisions": [],
+  "dimension": 20,
+  "distinct": true,
+  "family": "X12xHP:2",
+  "range": [
+    1,
+    4
+  ],
+  "separators": [
+    {
+      "pair": [
+        1,
+        2
+      ],
+      "partition": "p1^5"
+    },
+    {
+      "pair": [
+        1,
+        3
+      ],
+      "partition": "p1^5"
+    },
+    {
+      "pair": [
+        1,
+        4
+      ],
+      "partition": "p1^5"
+    },
+    {
+      "pair": [
+        2,
+        3
+      ],
+      "partition": "p1^5"
+    },
+    {
+      "pair": [
+        2,
+        4
+      ],
+      "partition": "p1^5"
+    },
+    {
+      "pair": [
+        3,
+        4
+      ],
+      "partition": "p1^5"
+    }
+  ],
+  "substitution": "c -> 2c (spin)"
+}
+"""
+
 
 class TestGoldenOutputs:
     def test_pontryagin(self, capsys):
@@ -209,6 +377,15 @@ class TestGoldenOutputs:
     def test_genus(self, capsys):
         code, out, _ = run(capsys, ["genus", "--manifold", "cp:2", "--which", "ahat"])
         assert code == 0 and out == GOLDEN_GENUS
+
+    @pytest.mark.parametrize("argv,golden", [
+        (["span", "--dim", "12", "--q-order", "3"], GOLDEN_SPAN),
+        (["scan", "--family", "X12", "-f", "p3", "--range", "1..3"], GOLDEN_SCAN),
+        (["verdict", "--dim", "12", "-f", "p3"], GOLDEN_VERDICT),
+        (["distinct", "--family", "X12xHP:2", "--range", "1..4"], GOLDEN_DISTINCT),
+    ], ids=["span", "scan", "verdict", "distinct"])
+    def test_family_and_span_commands(self, capsys, argv, golden):
+        assert run(capsys, argv) == (0, golden, "")
 
     def test_byte_identical_repeat(self, capsys):
         _, first, _ = run(capsys, ["span", "--dim", "12", "--q-order", "2"])
@@ -368,6 +545,28 @@ class TestExitCodes:
     def test_help_is_0(self, capsys):
         code, _, _ = run(capsys, ["--help"])
         assert code == 0
+
+    @pytest.mark.parametrize("command,flags", [
+        ("pontryagin", ["--manifold", "--quiet", "--csv"]),
+        ("genus", ["--manifold", "--quiet", "--which"]),
+        ("elliptic", ["--manifold", "--quiet", "--q-order", "--csv"]),
+        ("spin", ["--manifold", "--quiet"]),
+        ("span", ["--dim", "--q-order"]),
+        ("member", ["--dim", "-f", "--f", "--functional", "--q-order"]),
+        ("scan", ["--family", "-f", "--f", "--functional", "--range", "--csv"]),
+        ("verdict", ["--dim", "-f", "--f", "--functional"]),
+        ("distinct", ["--family", "--range"]),
+    ])
+    def test_subcommand_help_names_its_flags(self, capsys, command, flags):
+        code, out, err = run(capsys, [command, "--help"])
+        assert code == 0 and err == ""
+        assert set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", out)) == {"-h", "--help", *flags}
+
+    def test_json_flag_is_refused(self, capsys):
+        # JSON is the default output; there is no flag for it
+        code, out, err = run(capsys, ["pontryagin", "--manifold", "cp:2", "--json"])
+        assert code == 2 and out == ""
+        assert err.endswith("ellcob: error: unrecognized arguments: --json\n")
 
     @pytest.mark.parametrize("dim", ["0", "6", "-4"])
     @pytest.mark.parametrize(

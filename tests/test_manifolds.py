@@ -13,6 +13,8 @@ from math import comb, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ellcob.algebra import RingSpec
+from ellcob.cobordism import Partition, x12
 from ellcob.manifolds import (
     LineBundleSum,
     ManifoldModel,
@@ -228,6 +230,31 @@ class TestModelValidation:
         ring = build_cp(2).ring
         with pytest.raises(ValueError):
             ManifoldModel("bad", 3, ring, (), (2,), spin=False)
+
+    @pytest.mark.parametrize("value", [0.5, Fraction(5, 2), "7"], ids=["float", "fraction", "str"])
+    @pytest.mark.parametrize("build", [
+        lambda v: RingSpec([("a", v)], 4),
+        lambda v: RingSpec([("a", 2)], v),
+        lambda v: RingSpec([("a", 2)], 4, {"a": (v, {})}),
+        lambda v: RingSpec([("a", 2)], 4, {"a": (2, {(v,): 1})}),
+        lambda v: RingSpec([("a", 2)], 4).element({(v,): 1}),
+        lambda v: LineBundleSum(3, (v, 0, 0, 0)),
+        lambda v: Partition([v, 2]),
+        lambda v: x12(v),
+    ], ids=["degree", "truncation", "rule_power", "rule_exponent", "exponent", "bundle_degree", "part", "x12"])
+    def test_non_integer_is_type_error(self, build, value):
+        # int() would truncate a float or Fraction and parse a str, building a wrong model
+        with pytest.raises(TypeError):
+            build(value)
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_cp(2.0),
+        lambda: build_hp(1.0),
+        lambda: build_proj_bundle(LineBundleSum(Fraction(5, 2), (1, 0))),
+    ], ids=["cp", "hp", "base_dim"])
+    def test_non_integer_dimension_fails_in_the_ring(self, build):
+        with pytest.raises(TypeError):
+            build()
 
 
 @settings(max_examples=25, deadline=None)
