@@ -617,7 +617,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         for name, value in vars(args).items():
-            if value == []:  # argparse's reading of a lone '--' value, as in --range=--
+            if value in ([], "--"):  # a lone '--' value, as in --range=--: [] before Python 3.13, '--' after
                 raise FunctionalParseError(f"--{name.replace('_', '-')} needs a value, not '--'")
         # read here rather than by argparse, whose int() takes '1_2' and '١'
         for name, limit, what in (("dim", MAX_DIMENSION, "dimension"), ("q_order", MAX_Q_ORDER, "q-order")):

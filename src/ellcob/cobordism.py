@@ -195,6 +195,8 @@ def pontryagin_numbers(m: ManifoldModel) -> CharNumberVector:
 
 @lru_cache(maxsize=None)
 def _basis_data(dim: int) -> tuple[tuple[ManifoldModel, ...], RationalMatrix]:
+    if dim % 4 or dim < 4:
+        raise ValueError("basis manifolds exist in positive dimensions divisible by 4")
     k = dim // 4
     manifolds = []
     for I in partitions_of(k):
@@ -212,8 +214,6 @@ def _basis_data(dim: int) -> tuple[tuple[ManifoldModel, ...], RationalMatrix]:
 def basis_manifolds(dim: int) -> tuple[ManifoldModel, ...]:
     """Products of even complex projective spaces forming a rational
     cobordism basis in the given dimension; invertibility is checked."""
-    if dim % 4 or dim < 4:
-        raise ValueError("basis manifolds exist in positive dimensions divisible by 4")
     return _basis_data(dim)[0]
 
 

@@ -10,8 +10,9 @@ a virtual summand.
 * A complex root x of the stable tangent bundle gives t = x^2.  CP^n
   has (b^2, n+1) from the splitting T + C = (n+1) H.  A projectivized
   sum of line bundles P(E) over CP^l has (b^2, l+1) from the base plus
-  ((a + d_i b)^2, 1) along the fibres; ``root_groups`` collects equal
-  squares.  The spin flag is read off the complex roots at build time.
+  ((a + d b)^2, m) along the fibres for each distinct twist d, m the
+  number of summands twisted by d.  P(E) is spin when the first Chern
+  class r a + (l+1+sum d_i) b is even.
 * Quaternionic projective space HP^n has (u, 2n+2) and (4u, -1), read
   off p(HP^n) = (1+u)^(2n+2) (1+4u)^(-1) (Borel-Hirzebruch, Amer. J.
   Math. 80, 1958).
@@ -23,12 +24,13 @@ are pure.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import index
 from typing import Iterable, Sequence
 
-from .algebra import GradedElement, RingSpec, as_rational
+from .algebra import GradedElement, RingSpec
 
 __all__ = [
     "LineBundleSum",
@@ -38,7 +40,6 @@ __all__ = [
     "build_hp",
     "build_proj_bundle",
     "product",
-    "root_groups",
     "total_pontryagin",
     "pontryagin_classes",
     "pontryagin_products",
@@ -56,6 +57,7 @@ class LineBundleSum:
     degrees: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "base_dim", index(self.base_dim))
         if self.base_dim < 1:
             raise ValueError("base projective space must have positive dimension")
         if not self.degrees:
@@ -111,6 +113,7 @@ def build_point() -> ManifoldModel:
 
 def build_cp(n: int) -> ManifoldModel:
     """Complex projective space CP^n: ring Q[b]/(b^(n+1)), Pontryagin root b^2 of multiplicity n+1."""
+    n = index(n)
     if n < 1:
         raise ValueError("CP^n needs n >= 1")
     ring = RingSpec([("b", 2)], 2 * n, {"b": (n + 1, {})})
@@ -122,6 +125,7 @@ def build_cp(n: int) -> ManifoldModel:
 def build_hp(n: int) -> ManifoldModel:
     """Quaternionic projective space HP^n: ring Q[u]/(u^(n+1)), Pontryagin
     roots u of multiplicity 2n+2 and 4u of multiplicity -1."""
+    n = index(n)
     if n < 1:
         raise ValueError("HP^n needs n >= 1")
     ring = RingSpec([("u", 4)], 4 * n, {"u": (n + 1, {})})
@@ -142,7 +146,8 @@ def build_proj_bundle(bundle: LineBundleSum) -> ManifoldModel:
     elementary symmetric functions of the twisting degrees d.  The
     stable complex tangent roots are (l+1) copies of b from the base
     plus a + d_i b from the bundle along the fibres; their squares are
-    the Pontryagin roots.
+    the Pontryagin roots, one per distinct d.  For r >= 2 the roots
+    a + d b are distinct, and for r = 1 the ring rewrites a to -d b.
     """
     l, degrees, r = bundle.base_dim, bundle.degrees, bundle.rank
     dim = 2 * (l + r - 1)
@@ -152,23 +157,12 @@ def build_proj_bundle(bundle: LineBundleSum) -> ManifoldModel:
     rhs = {(r - i, i): -e[i] for i in range(1, r + 1) if e[i]}
     ring = RingSpec([("a", 2), ("b", 2)], dim, {"a": (r, rhs), "b": (l + 1, {})})
     a, b = ring.gen("a"), ring.gen("b")
-    roots = [b] * (l + 1) + [a + b * d for d in degrees]
+    roots = [(b ** 2, l + 1)] + [((a + b * d) ** 2, m) for d, m in Counter(degrees).items()]
+    c1 = a * r + b * (l + 1 + sum(degrees))  # the sum of the complex roots
     name = f"pb:{l}:[{','.join(str(d) for d in degrees)}]"
     cert = f"T^2 quotient of S^{2 * l + 1} x S^{2 * r - 1}"
-    spin = _has_even_root_sum(roots)
-    return ManifoldModel(name, dim, ring, root_groups(roots), (r - 1, l), spin=spin,
-                         curvature_certificate=cert)
-
-
-def _has_even_root_sum(roots: Sequence[GradedElement]) -> bool:
-    """True when every coefficient of the sum of roots (the first Chern
-    class of the stable complex tangent structure) is an even integer."""
-    if not roots:
-        return True
-    total = roots[0].ring.zero()
-    for x in roots:
-        total = total + x
-    return total.den == 1 and not any(n % 2 for n in total.num.values())
+    spin = all(c % 2 == 0 for c in c1.terms.values())
+    return ManifoldModel(name, dim, ring, roots, (r - 1, l), spin=spin, curvature_certificate=cert)
 
 
 # ---------------------------------------------------------------------------
@@ -218,24 +212,6 @@ def product(m1: ManifoldModel, m2: ManifoldModel) -> ManifoldModel:
 
 # ---------------------------------------------------------------------------
 # characteristic data
-
-
-def _grouped(pairs) -> tuple[tuple[GradedElement, int], ...]:
-    """Pairs (element, count) with equal elements merged, in order of first
-    appearance, keyed by the canonical numerators and denominator."""
-    groups: dict[tuple, tuple[GradedElement, int]] = {}
-    for x, count in pairs:
-        key = (x.den, frozenset(x.num.items()))
-        first, total = groups.get(key, (x, 0))
-        groups[key] = (first, total + count)
-    return tuple(groups.values())
-
-
-def root_groups(roots: Sequence[GradedElement]) -> tuple[tuple[GradedElement, int], ...]:
-    """The Pontryagin roots of a list of complex roots x: ``(x^2, m)``
-    pairs, one per distinct square, m counting the roots with that square
-    (x and -x share one).  Each distinct root is squared once."""
-    return _grouped((x * x, m) for x, m in _grouped((x, 1) for x in roots))
 
 
 def total_pontryagin(m: ManifoldModel) -> GradedElement:

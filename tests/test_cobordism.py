@@ -150,8 +150,10 @@ class TestBasis:
 
     def test_bad_dimension_rejected(self):
         for dim in (0, 6, -4):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="positive dimensions divisible by 4"):
                 basis_manifolds(dim)
+            with pytest.raises(ValueError, match="positive dimensions divisible by 4"):
+                genus_as_functional(signature, dim)
 
 
 class TestGenusFunctionals:
@@ -374,6 +376,20 @@ class TestFamilyPolynomials:
         fam = standard_family("X12")
         with pytest.raises(ValueError):
             family_polynomial(fam, Functional(16, {Partition((4,)): F(1)}))
+
+    def test_family_beyond_its_degree_fails(self):
+        # c -> 2^c is no polynomial; the extra sample at c = max_degree + 2 catches it
+        steep = FamilySpec("steep", 12, lambda c: x12(2 ** c), "c -> 2^c", 3)
+        p3 = Functional(12, {Partition((3,)): F(1)})
+        with pytest.raises(ConsistencyError, match="steep is not polynomial of degree <= 3"):
+            family_polynomial(steep, p3)
+
+    def test_declared_degree_is_checked(self):
+        # X12 doubled gives -8c^3 under p3: degree 3 is accepted, degree 2 is not
+        p3 = Functional(12, {Partition((3,)): F(1)})
+        assert family_polynomial(FamilySpec("X12", 12, lambda c: x12(2 * c), "c -> 2c", 3), p3) == poly(0, 0, 0, -8)
+        with pytest.raises(ConsistencyError, match="X12 is not polynomial of degree <= 2"):
+            family_polynomial(FamilySpec("X12", 12, lambda c: x12(2 * c), "c -> 2c", 2), p3)
 
     def test_wrong_builder_dimension_fails(self):
         fam = FamilySpec("broken", 12, lambda c: build_cp(4), "c -> c", 1)

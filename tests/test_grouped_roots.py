@@ -7,8 +7,8 @@ per-root product in ``symmetric_reference``, one factor f(t) per unit of
 multiplicity, compared by exact equality, on models whose roots repeat
 in many patterns: projective bundles with twisting degrees in
 {-1, 0, 1}, complex projective spaces (every root equal), products with
-X12, explicit complex root lists in a small ring (x and -x share a
-square), and one model with no repeated root.
+X12, explicit complex root lists in a small ring (x and -x give two
+equal squares, left ungrouped), and one model with no repeated root.
 
 ``TestPowerSums`` checks ``evaluate_at`` on whole root lists: it equals
 the q-product of its single-root values, negative multiplicities
@@ -43,7 +43,6 @@ from ellcob.manifolds import (
     build_cp,
     build_proj_bundle,
     product,
-    root_groups,
     total_pontryagin,
 )
 
@@ -53,8 +52,9 @@ _ROOT_CHOICES = (_A, _B, _A + _B, _A - _B, _A * 2, -_B)
 
 
 def _explicit(roots) -> ManifoldModel:
-    """A dim-8 model on Q[a, b]/(a^3, b^3) with the given complex roots."""
-    return ManifoldModel("explicit", 8, _AB, root_groups(roots), (2, 2), spin=False)
+    """A dim-8 model on Q[a, b]/(a^3, b^3) with the given complex roots,
+    one Pontryagin root each, repeated squares left ungrouped."""
+    return ManifoldModel("explicit", 8, _AB, [(x * x, 1) for x in roots], (2, 2), spin=False)
 
 
 NO_REPEATED_ROOT = _explicit([_A, _B, _A + _B, _A - _B])
@@ -88,8 +88,6 @@ class TestGroups:
     def test_no_repeated_root_and_all_equal(self):
         assert [mult for _, mult in NO_REPEATED_ROOT.roots] == [1, 1, 1, 1]
         assert [mult for _, mult in ALL_ROOTS_EQUAL.roots] == [7]
-        # x and -x have one square
-        assert root_groups([_A, -_A, _B, _A * 2]) == ((_A * _A, 2), (_B * _B, 1), (_A * _A * 4, 1))
 
 
 class TestAgainstPerRootProducts:

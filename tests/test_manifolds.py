@@ -6,6 +6,7 @@ Oracles: hand-expanded Pontryagin classes from the root description
 projective space recomputed here with independent list arithmetic, and
 classical spin criteria.
 """
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
@@ -144,6 +145,35 @@ class TestProjBundle:
         assert len(normal) == 16
         assert all(i <= 3 and j <= 3 for i, j in normal)
 
+    def test_tangent_data_read_off_the_twist_degrees(self):
+        # seeded bundles over CP^1..CP^8 of rank 1..8, rank-1 bundles over
+        # each base, and bundles over CP^1, where b^2 = 0 and, on
+        # pb:1:[1,1], (a + b)^2 = 0 too: equal squares in two groups
+        rng = random.Random(15)
+        cases = [(l, (d,)) for l in range(1, 9) for d in (-3, 0, 1, 2)]
+        cases += [(1, (1, 1)), (1, (0, 2, 1)), (1, (3, -1, 1, 1))]
+        while len(cases) < 320:
+            l, r = rng.randint(1, 8), rng.randint(1, 8)
+            cases.append((l, tuple(rng.randint(-4, 4) for _ in range(r))))
+        spins = set()
+        for l, degrees in cases:
+            m = build_proj_bundle(LineBundleSum(l, degrees))
+            a, b = m.ring.gen("a"), m.ring.gen("b")
+            # one Pontryagin root (a + d b)^2 per distinct twist d, first seen first
+            counts = {}
+            for d in degrees:
+                counts[d] = counts.get(d, 0) + 1
+            fibre = tuple(((a + b * d) * (a + b * d), n) for d, n in counts.items())
+            assert m.roots == ((b * b, l + 1),) + fibre, (l, degrees)
+            # spin iff the sum of all l + 1 + r complex roots has even integer coefficients
+            c1 = m.ring.zero()
+            for x in [b] * (l + 1) + [a + b * d for d in degrees]:
+                c1 = c1 + x
+            even = all(c.denominator == 1 and c.numerator % 2 == 0 for c in c1.terms.values())
+            assert is_spin(m) == even, (l, degrees)
+            spins.add(even)
+        assert spins == {True, False}
+
     def test_curvature_certificate_present(self):
         m = build_proj_bundle(LineBundleSum(3, (2, 0, 0, 0)))
         assert m.curvature_certificate is not None
@@ -241,7 +271,11 @@ class TestModelValidation:
         lambda v: LineBundleSum(3, (v, 0, 0, 0)),
         lambda v: Partition([v, 2]),
         lambda v: x12(v),
-    ], ids=["degree", "truncation", "rule_power", "rule_exponent", "exponent", "bundle_degree", "part", "x12"])
+        lambda v: LineBundleSum(v, (1, 0)),
+        lambda v: build_cp(v),
+        lambda v: build_hp(v),
+    ], ids=["degree", "truncation", "rule_power", "rule_exponent", "exponent", "bundle_degree", "part", "x12",
+            "base_dim", "cp", "hp"])
     def test_non_integer_is_type_error(self, build, value):
         # int() would truncate a float or Fraction and parse a str, building a wrong model
         with pytest.raises(TypeError):
@@ -253,6 +287,7 @@ class TestModelValidation:
         lambda: build_proj_bundle(LineBundleSum(Fraction(5, 2), (1, 0))),
     ], ids=["cp", "hp", "base_dim"])
     def test_non_integer_dimension_fails_in_the_ring(self, build):
+        # integral floats too: the builders read n and base_dim before building the ring
         with pytest.raises(TypeError):
             build()
 
