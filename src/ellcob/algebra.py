@@ -22,14 +22,16 @@ Ring arithmetic runs on integers.
   ``num``.  Sums, scalar multiples and products stay in ints and divide
   out one gcd per result; ``terms`` (exponent tuple -> Fraction) is a
   read-only view built on demand.
-* Reduction tables.  A product sums codes pairwise and reads each raw
-  code's normal form from the ring's table.  An entry is filled on first
-  use by one rewrite step on codes from lower entries, filled the same
-  way when missing; the worklist :meth:`RingSpec.normalize_terms` only
-  normalizes terms given to the constructor.  A table belongs to one
-  :class:`RingSpec` and dies with it: equal rings built apart fill their
-  own, and nothing here caches rings or tables across models, so memory
-  does not grow with the number of models a caller builds.
+* One rewrite engine.  A ring's reduction table maps a raw monomial code
+  to its normal form.  An entry is filled on first use by one rewrite
+  step on codes from lower entries, filled the same way when missing
+  (:meth:`RingSpec._reduce`, the only code that applies a rule).  A
+  product sums codes pairwise and the constructor codes its terms; both
+  then read every raw code's normal form from the table.  A table
+  belongs to one :class:`RingSpec` and dies with it: equal rings built
+  apart fill their own, and nothing here caches rings or tables across
+  models, so memory does not grow with the number of models a caller
+  builds.
 
 Elements, series and matrices are immutable and all operations are pure.
 Table entries are filled idempotently (an entry depends only on its
@@ -211,52 +213,37 @@ class RingSpec:
 
     # -- reduction ----------------------------------------------------
 
-    def normalize_terms(self, terms: Mapping[tuple[int, ...], Scalar]) -> dict[tuple[int, ...], Fraction]:
-        """Rewrite an arbitrary term dict into normal form.
+    def normalize_terms(self, terms: Mapping[tuple[int, ...], Scalar]) -> tuple[int, dict[int, int]]:
+        """The canonical ``(den, num)`` of an arbitrary term dict.
 
-        Worklist reduction: apply any applicable head rule, drop
-        monomials above the truncation dimension, accumulate the rest.
-        Each rule application strictly decreases the head exponent while
-        leaving exponents of lex-greater generators untouched, so the
-        lex measure decreases and reduction terminates.
+        Monomials above the truncation dimension are dropped; the rest
+        are coded, put over one common denominator and reduced through
+        the table like the raw monomials of a product.
         """
-        out: dict[tuple[int, ...], Fraction] = {}
-        stack: list[tuple[tuple[int, ...], Fraction]] = []
+        top, places = self.truncation_dimension, self._places
+        coded: dict[int, Scalar] = {}
         for exps, coeff in terms.items():
             exps = tuple(map(index, exps))
             if len(exps) != self.ngens or any(e < 0 for e in exps):
                 raise ValueError(f"malformed monomial {exps}")
-            c = as_rational(coeff)
-            if c:
-                stack.append((exps, c))
-        while stack:
-            exps, coeff = stack.pop()
-            if self.degree_of(exps) > self.truncation_dimension:
-                continue
-            for g, (power, rhs) in self.rules.items():
-                if exps[g] >= power:
-                    base = list(exps)
-                    base[g] -= power
-                    if not rhs:
-                        break
-                    for rexps, rcoeff in rhs.items():
-                        mono = tuple(b + r for b, r in zip(base, rexps))
-                        stack.append((mono, coeff * rcoeff))
-                    break
-            else:
-                out[exps] = out[exps] + coeff if exps in out else coeff
-        return {e: c for e, c in out.items() if c}
+            c = coeff if type(coeff) is int else as_rational(coeff)  # an int needs no Fraction
+            if c and self.degree_of(exps) <= top:
+                k = sum(map(mul, exps, places))  # a degree <= top keeps each exponent below its base
+                coded[k] = coded[k] + c if k in coded else c
+        den = reduce(lcm, (c.denominator for c in coded.values()), 1)
+        x = self._normal(den, {k: c.numerator * (den // c.denominator) for k, c in coded.items()})
+        return x.den, x.num
 
     def _reduce(self, code: int) -> tuple[tuple[int, Scalar], ...]:
         """Tabled normal form of one monomial: ``(code, int or Fraction)`` pairs.
 
-        One rewrite step on codes, the step :meth:`normalize_terms` takes:
-        a monomial above the top is zero, one no head rule applies to is
-        its own normal form, and otherwise the first applicable rule
-        g**power = sum c_r r gives sum c_r * table[code - power * place_g
-        + code(r)].  Those monomials have the same degree, at most the
-        top, so their exponents stay inside the bases, and they are
-        lex-smaller, so the recursion filling any missing one ends.
+        One rewrite step on codes: a monomial above the top is zero, one
+        no head rule applies to is its own normal form, and otherwise the
+        first applicable rule g**power = sum c_r r gives sum c_r *
+        table[code - power * place_g + code(r)].  Those monomials have the
+        same degree, at most the top, so their exponents stay inside the
+        bases, and they are lex-smaller, so the recursion filling any
+        missing one ends.
         """
         exps = self.exponents(code)
         if self.degree_of(exps) > self.truncation_dimension:
@@ -279,6 +266,22 @@ class RingSpec:
                 reduced = ((code, 1),)
         self._table[code] = reduced
         return reduced
+
+    def _normal(self, den: int, raw: dict[int, int]) -> "GradedElement":
+        """The element raw / den, raw mapping codes with exponents inside
+        the bases to ints.  Normal form is linear, so each raw monomial is
+        replaced by its table entry."""
+        table = self._table
+        acc: dict[int, Scalar] = {}
+        get = acc.get
+        for k, n in raw.items():
+            if n:
+                reduced = table.get(k)
+                if reduced is None:
+                    reduced = self._reduce(k)
+                for c, r in reduced:
+                    acc[c] = get(c, 0) + n * r
+        return _canonical(self, den, acc)
 
     # -- element constructors ------------------------------------------
 
@@ -311,12 +314,8 @@ class GradedElement:
     __slots__ = ("ring", "den", "num")
 
     def __init__(self, ring: RingSpec, terms: Mapping[tuple[int, ...], Scalar]) -> None:
-        normal = ring.normalize_terms(terms)
-        # the lcm of reduced denominators shares no prime with every numerator
-        den = reduce(lcm, (c.denominator for c in normal.values()), 1)
         self.ring = ring
-        self.den = den
-        self.num = {ring.code(e): c.numerator * (den // c.denominator) for e, c in normal.items()}
+        self.den, self.num = ring.normalize_terms(terms)
 
     # -- inspection ----------------------------------------------------
 
@@ -337,8 +336,8 @@ class GradedElement:
         return self.coefficient((0,) * self.ring.ngens)
 
     def homogeneous_part(self, d: int) -> "GradedElement":
-        degree = self.ring.code_degree
-        return _canonical(self.ring, self.den, {c: n for c, n in self.num.items() if degree(c) == d})
+        ring, degree = self.ring, self.ring.code_degree
+        return _canonical(ring, self.den, {c: n for c, n in self.num.items() if degree(c) == d})
 
     # -- arithmetic -----------------------------------------------------
 
@@ -387,19 +386,7 @@ class GradedElement:
                 for c2, n2 in pairs:
                     k = c1 + c2
                     raw[k] = get(k, 0) + n1 * n2
-            # normalize is linear, so reducing each raw monomial gives the normal form
-            table = ring._table
-            acc: dict[int, Scalar] = {}
-            get = acc.get
-            for k, n in raw.items():
-                if not n:
-                    continue
-                reduced = table.get(k)
-                if reduced is None:
-                    reduced = ring._reduce(k)
-                for c, r in reduced:
-                    acc[c] = get(c, 0) + n * r
-            return _canonical(ring, self.den * other.den, acc)
+            return ring._normal(self.den * other.den, raw)
         if isinstance(other, (int, Fraction)):
             if not other:
                 return self.ring.zero()

@@ -355,6 +355,8 @@ def distinct_cobordism_types(fam: FamilySpec, params: Sequence[int]) -> Distinct
     Pontryagin numbers differ; a pair with identical full vectors is a
     collision and the family members are rationally cobordant.
     """
+    if len(set(params)) != len(params):
+        raise ValueError("family parameters must be distinct")
     vectors = {c: pontryagin_numbers(fam.build(c)) for c in params}
     partitions = partitions_of(fam.dimension // 4)
     ordered = tuple(sorted(params))

@@ -171,6 +171,8 @@ class CharacteristicSeries:
         carry every such j.  The q^0 part of the exponent is nilpotent and
         is exponentiated by weight up to the ring's top weight (the P_j can
         stop below it), the rest in q."""
+        if not roots:
+            raise ValueError("evaluate_at needs at least one root, whose ring it works in")
         ring = roots[0][0].ring
         mults = [m for _, m in roots]
         sums = [ring.zero()]  # stands for P_0, which logs[0] = 0 never reads

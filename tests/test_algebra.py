@@ -1,13 +1,16 @@
 """Exact-arithmetic kernel: graded rings with rewrite rules, truncated
 power series, and rational linear algebra.
 
-Oracles: hand-reduced normal forms for a small quotient ring, classical
-power-series identities, and sympy (test-only) for matrix ranks.
+Oracles: hand-reduced normal forms for a small quotient ring, a rewrite
+worklist on exponent tuples (independent of the reduction table the
+library uses), classical power-series identities, and sympy (test-only)
+for matrix ranks.
 """
 import random
 from fractions import Fraction
 from itertools import product
 from math import gcd, prod
+from operator import index
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -203,14 +206,53 @@ def fresh_twin(ring):
     )
 
 
-def worklist_product(x, y):
-    """The unreduced exponent-sum product, normalized by the worklist."""
+def worklist_normal_form(ring, terms):
+    """Rewrite an arbitrary term dict into normal form, exponent tuple ->
+    Fraction.
+
+    Worklist reduction: apply any applicable head rule, drop
+    monomials above the truncation dimension, accumulate the rest.
+    Each rule application strictly decreases the head exponent while
+    leaving exponents of lex-greater generators untouched, so the
+    lex measure decreases and reduction terminates.
+    """
+    out = {}
+    stack = []
+    for exps, coeff in terms.items():
+        exps = tuple(map(index, exps))
+        if len(exps) != ring.ngens or any(e < 0 for e in exps):
+            raise ValueError(f"malformed monomial {exps}")
+        c = as_rational(coeff)
+        if c:
+            stack.append((exps, c))
+    while stack:
+        exps, coeff = stack.pop()
+        if ring.degree_of(exps) > ring.truncation_dimension:
+            continue
+        for g, (power, rhs) in ring.rules.items():
+            if exps[g] >= power:
+                base = list(exps)
+                base[g] -= power
+                if not rhs:
+                    break
+                for rexps, rcoeff in rhs.items():
+                    mono = tuple(b + r for b, r in zip(base, rexps))
+                    stack.append((mono, coeff * rcoeff))
+                break
+        else:
+            out[exps] = out[exps] + coeff if exps in out else coeff
+    return {e: c for e, c in out.items() if c}
+
+
+def worklist_product(ring, x_terms, y_terms):
+    """The unreduced exponent-sum product of two term dicts, normalized
+    by the worklist."""
     raw = {}
-    for e1, c1 in x.terms.items():
-        for e2, c2 in y.terms.items():
+    for e1, c1 in x_terms.items():
+        for e2, c2 in y_terms.items():
             mono = tuple(a + b for a, b in zip(e1, e2))
             raw[mono] = raw.get(mono, F(0)) + c1 * c2
-    return GradedElement(x.ring, raw)
+    return worklist_normal_form(ring, raw)
 
 
 @st.composite
@@ -220,11 +262,56 @@ def rule_ring_pairs(draw):
 
 
 @st.composite
-def bundle_ring_pairs(draw):
+def bundle_rings(draw):
     base = draw(st.integers(1, 3))
     degrees = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4))
-    ring = build_proj_bundle(LineBundleSum(base, tuple(degrees))).ring
+    return build_proj_bundle(LineBundleSum(base, tuple(degrees))).ring
+
+
+@st.composite
+def bundle_ring_pairs(draw):
+    ring = draw(bundle_rings())
     return GradedElement(ring, raw_terms(draw, ring)), GradedElement(ring, raw_terms(draw, ring))
+
+
+@st.composite
+def raw_ring_terms(draw):
+    """A rule ring or projective-bundle ring and unreduced terms on it:
+    exponents up to 3 put monomials above the top and fire heads, and the
+    coefficients are rational, with integral ones sometimes plain ints."""
+    ring = draw(st.one_of(rule_rings(), bundle_rings()))
+    terms = raw_terms(draw, ring)
+    if draw(st.booleans()):
+        terms = {e: c.numerator if c.denominator == 1 else c for e, c in terms.items()}
+    return ring, terms
+
+
+class TestConstructor:
+    @settings(max_examples=150, deadline=None)
+    @given(raw_ring_terms())
+    def test_matches_worklist(self, case):
+        ring, terms = case
+        x = GradedElement(ring, terms)
+        assert_canonical(x)
+        assert dict(x.terms) == worklist_normal_form(ring, terms)
+
+    def test_keys_naming_one_monomial_add_up(self):
+        # a range and a tuple are different keys for the same exponents
+        ring = small_ring()
+        terms = {(1, 2): F(1, 2), range(1, 3): 1, (3, 0): F(1, 3)}
+        x = GradedElement(ring, terms)
+        assert dict(x.terms) == worklist_normal_form(ring, terms) == {(1, 2): F(3, 2) + F(4, 3)}
+
+    def test_input_is_checked_before_truncation(self):
+        ring = small_ring()
+        with pytest.raises(ValueError, match=r"malformed monomial \(1,\)"):
+            ring.element({(1,): 1})
+        with pytest.raises(ValueError, match=r"malformed monomial \(9, -1\)"):
+            ring.element({(9, -1): 1})
+        with pytest.raises(TypeError, match="exact rational expected, got float"):
+            ring.element({(9, 0): 0.5})
+        with pytest.raises(TypeError):
+            ring.element({(1.0, 0): 1})
 
 
 class TestTabledProduct:
@@ -233,14 +320,14 @@ class TestTabledProduct:
     def test_matches_worklist(self, pair):
         x, y = pair
         xy = x * y
-        assert xy == worklist_product(x, y)
+        assert dict(xy.terms) == worklist_product(x.ring, x.terms, y.terms)
         assert all(type(c) is Fraction for c in xy.terms.values())
 
     @settings(max_examples=60, deadline=None)
     @given(bundle_ring_pairs())
     def test_matches_worklist_on_bundles(self, pair):
         x, y = pair
-        assert x * y == worklist_product(x, y)
+        assert dict((x * y).terms) == worklist_product(x.ring, x.terms, y.terms)
 
     @settings(max_examples=60, deadline=None)
     @given(rule_ring_pairs())
@@ -289,15 +376,14 @@ class TestTableFill:
                 ring._reduce(code)
         assert len(ring._table) == len(codes)
         for code, entry in ring._table.items():
-            assert {ring.exponents(c): F(v) for c, v in entry} == ring.normalize_terms({ring.exponents(code): 1})
+            assert {ring.exponents(c): F(v) for c, v in entry} == worklist_normal_form(ring, {ring.exponents(code): 1})
             assert all(v for _, v in entry)
 
     def test_a_product_never_runs_the_worklist(self, monkeypatch):
-        # building the model filled its ring's table, so take an equal fresh one
-        ring = fresh_twin(build_proj_bundle(LineBundleSum(3, (1, -2, 0, 2))).ring)
+        ring = build_proj_bundle(LineBundleSum(3, (1, -2, 0, 2))).ring
         x = ring.element({(1, 2): F(1, 3), (0, 1): 2, (0, 0): 1})
         y = ring.element({(2, 1): -1, (1, 0): F(5, 2), (0, 3): 1})
-        assert not ring._table
+        ring._table.clear()  # the model and the constructors filled it; the product starts cold
         calls = []
         original = RingSpec.normalize_terms
 
@@ -310,7 +396,8 @@ class TestTableFill:
         monkeypatch.undo()
         assert calls == []
         assert ring._table
-        assert xy == worklist_product(worklist_product(worklist_product(x, y), x), y)
+        xt, yt = x.terms, y.terms
+        assert dict(xy.terms) == worklist_product(ring, worklist_product(ring, worklist_product(ring, xt, yt), xt), yt)
 
     @pytest.mark.parametrize("name", ["rank16", "cp15", "product8"])
     def test_dimension_limit_models(self, name):
@@ -322,7 +409,7 @@ class TestTableFill:
         rng = random.Random(name)
         for _ in range(10):
             x, y = random_element(rng, ring), random_element(rng, ring)
-            assert x * y == worklist_product(x, y)
+            assert dict((x * y).terms) == worklist_product(ring, x.terms, y.terms)
 
 
 class TestHomogeneousParts:
@@ -475,21 +562,11 @@ def assert_canonical(x):
         assert x.den == 1
 
 
-def oracle_product(x_terms, y_terms, ring):
-    """The parent-style product: Fraction dicts, exponent sums, worklist."""
-    raw = {}
-    for e1, c1 in x_terms.items():
-        for e2, c2 in y_terms.items():
-            mono = tuple(a + b for a, b in zip(e1, e2))
-            raw[mono] = raw.get(mono, F(0)) + c1 * c2
-    return ring.normalize_terms(raw)
-
-
 def oracle_sum(x_terms, y_terms, ring):
     acc = dict(x_terms)
     for e, c in y_terms.items():
         acc[e] = acc.get(e, F(0)) + c
-    return ring.normalize_terms(acc)
+    return worklist_normal_form(ring, acc)
 
 
 @st.composite
@@ -513,13 +590,13 @@ class TestIntegerKernel:
             (x + y, oracle_sum(xt, yt, ring)),
             (x - y, oracle_sum(xt, {e: -c for e, c in yt.items()}, ring)),
             (-x, {e: -c for e, c in xt.items()}),
-            (x * s, ring.normalize_terms({e: c * s for e, c in xt.items()})),
-            (s * y, ring.normalize_terms({e: c * s for e, c in yt.items()})),
-            (x * y, oracle_product(xt, yt, ring)),
+            (x * s, worklist_normal_form(ring, {e: c * s for e, c in xt.items()})),
+            (s * y, worklist_normal_form(ring, {e: c * s for e, c in yt.items()})),
+            (x * y, worklist_product(ring, xt, yt)),
         ]
-        power = ring.normalize_terms({(0,) * ring.ngens: 1})
+        power = worklist_normal_form(ring, {(0,) * ring.ngens: 1})
         for _ in range(n):
-            power = oracle_product(power, xt, ring)
+            power = worklist_product(ring, power, xt)
         results.append((x ** n, power))
         for got, want in results:
             assert_canonical(got)

@@ -10,13 +10,14 @@ import csv
 import io
 import json
 import re
+import sys
 import warnings
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from ellcob.cli import _poly_string, main, parse_functional, parse_manifold
+from ellcob.cli import _poly_string, entrypoint, main, parse_functional, parse_manifold
 from ellcob.cobordism import Partition, genus_as_functional, partitions_of, pontryagin_numbers, standard_family
 from ellcob.errors import ConsistencyError, FunctionalParseError
 from ellcob.genera import ahat, elliptic_q_coefficients, signature
@@ -541,6 +542,15 @@ class TestExitCodes:
     def test_argparse_error_is_2(self, capsys):
         code, _, _ = run(capsys, ["no-such-command"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv,code", [(["spin", "--manifold", "cp:2"], 0), (["spin", "--manifold", "cp:0"], 2)])
+    def test_console_script_exits_with_mains_code(self, capsys, monkeypatch, argv, code):
+        # the ellcob console script of pyproject.toml
+        monkeypatch.setattr(sys, "argv", ["ellcob", *argv])
+        with pytest.raises(SystemExit) as exc:
+            entrypoint()
+        assert exc.value.code == code
+        assert capsys.readouterr().err.startswith("error: ") == (code == 2)
 
     def test_help_is_0(self, capsys):
         code, _, _ = run(capsys, ["--help"])

@@ -515,6 +515,12 @@ class TestDistinctness:
         assert result.separators == {(0, 1): Partition((1, 1, 1)), (0, 2): Partition((1, 1, 1))}
         assert result.collisions == ((1, 2),) and not result.distinct
 
+    @pytest.mark.parametrize("params", [[1, 1, 2], [1, 2, 1]])
+    def test_repeated_parameters_are_refused(self, params):
+        # a member is not a second family member cobordant to itself
+        with pytest.raises(ValueError, match="family parameters must be distinct"):
+            distinct_cobordism_types(standard_family("X12"), params)
+
 
 class TestStandardFamilies:
     def test_known_names(self):

@@ -159,6 +159,10 @@ class TestSeriesPowers:
         with pytest.raises(ValueError):
             CharacteristicSeries("bad", [F(1), F(1)])
 
+    def test_no_roots_raises(self):
+        with pytest.raises(ValueError, match="needs at least one root"):
+            CharacteristicSeries.l_genus(2).evaluate_at([])
+
 
 class TestUniversalPolynomials:
     def test_l_polynomials_frozen(self):
