@@ -1,4 +1,5 @@
-"""Exact scalars, truncated graded rings, q-series and rational matrices.
+"""Exact scalars, truncated graded rings, q-series, rational matrices and
+the base class of the immutable records.
 
 Every scalar this package hands out is a ``fractions.Fraction``; nothing
 here rounds, ever.  The central object is :class:`GradedElement`, a sparse
@@ -39,12 +40,12 @@ key), so everything is safe to share.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm, prod
 from operator import index, mul
 from types import MappingProxyType
-from typing import Mapping, Sequence, Union
 
 __all__ = [
     "as_rational",
@@ -55,8 +56,41 @@ __all__ = [
     "interpolate_polynomial",
 ]
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 _ZERO = Fraction(0)  # shared: a Fraction is immutable
+
+
+class Record:
+    """Base of the small immutable records: a subclass names its fields in
+    ``__slots__`` and sets them once through :meth:`_fill`.  Repr, equality, hash,
+    pickle and copy act as a frozen dataclass's, without importing ``dataclasses``."""
+
+    __slots__ = ()
+
+    def _fill(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:  # the fields equality and hash compare
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"field {name!r} of {type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
 
 def as_rational(value: Scalar) -> Fraction:
@@ -374,7 +408,7 @@ class GradedElement:
     def __neg__(self) -> "GradedElement":
         return _element(self.ring, self.den, {c: -n for c, n in self.num.items()})
 
-    def __mul__(self, other: Union["GradedElement", Scalar]) -> "GradedElement":
+    def __mul__(self, other: GradedElement | Scalar) -> "GradedElement":
         if isinstance(other, GradedElement):
             self._check_ring(other)
             ring = self.ring
@@ -397,10 +431,10 @@ class GradedElement:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "GradedElement":
-        """Integer powers; a negative power needs constant term 1, where
-        the inverse of 1 + y (y nilpotent) is the finite sum of (-y)^j."""
-        if not isinstance(n, int):
-            raise ValueError("ring elements only take integer powers")
+        """Integer powers, the exponent read with ``operator.index``; a
+        negative power needs constant term 1, where the inverse of 1 + y
+        (y nilpotent) is the finite sum of (-y)^j."""
+        n = index(n)
         base = self
         if n < 0:
             if self.constant() != 1:
@@ -523,7 +557,7 @@ class QSeries:
     def __neg__(self) -> "QSeries":
         return QSeries([-c for c in self.coeffs])
 
-    def __mul__(self, other: Union["QSeries", Scalar]) -> "QSeries":
+    def __mul__(self, other: QSeries | Scalar) -> "QSeries":
         if isinstance(other, (int, Fraction)):
             return QSeries([c * other for c in self.coeffs])
         if not isinstance(other, QSeries):

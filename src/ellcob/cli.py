@@ -14,8 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
 
 from .cobordism import (
     FamilySpec,

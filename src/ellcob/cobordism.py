@@ -8,14 +8,13 @@ linear algebra over that partition-indexed coordinate system.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
 from operator import index
-from typing import Callable, Iterable, Mapping, Sequence
 
-from .algebra import RationalMatrix, as_rational, interpolate_polynomial
+from .algebra import RationalMatrix, Record, as_rational, interpolate_polynomial
 from .errors import ConsistencyError, brief, quote
 from .manifolds import (
     LineBundleSum,
@@ -92,8 +91,7 @@ def partitions_of(k: int) -> tuple[Partition, ...]:
     return tuple(sorted(Partition(p) for p in gen(k, k)))
 
 
-@dataclass(frozen=True, slots=True)
-class CharNumberVector:
+class CharNumberVector(Record):
     """All Pontryagin numbers of one manifold: ``row[i]`` is the number of
     ``partitions_of(dimension // 4)[i]``, an int where it is integral (on
     a closed manifold, always) and a Fraction otherwise.  A row of ints,
@@ -101,8 +99,12 @@ class CharNumberVector:
     dict and the Fractions would be most of their size.  Every accessor
     hands out Fractions."""
 
-    dimension: int
-    row: tuple[int | Fraction, ...]
+    __slots__ = ("dimension", "row")
+
+    def __init__(self, dimension: int, row: tuple[int | Fraction, ...]) -> None:
+        # not _fill, which is slower: family scans build one per pontryagin_numbers call
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "row", row)
 
     @property
     def values(self) -> dict[Partition, Fraction]:
@@ -118,26 +120,25 @@ class CharNumberVector:
         return f"CharNumberVector(dimension={self.dimension!r}, values={self.values!r})"
 
 
-@dataclass(frozen=True)
-class Functional:
-    """A rational linear combination of Pontryagin numbers in one dimension."""
+class Functional(Record):
+    """A rational linear combination of Pontryagin numbers in one dimension 4k, k >= 0."""
 
-    dimension: int
-    coefficients: Mapping[Partition, Fraction]
+    __slots__ = ("dimension", "coefficients")
 
-    def __post_init__(self) -> None:
+    def __init__(self, dimension: int, coefficients: Mapping[Partition, Fraction]) -> None:
+        dimension = index(dimension)
+        if dimension < 0 or dimension % 4:
+            raise ValueError(f"a functional needs a nonnegative dimension divisible by 4, not {brief(str(dimension))}")
         clean = {}
-        for partition, c in self.coefficients.items():
+        for partition, c in coefficients.items():
             partition = Partition(partition)
-            if 4 * partition.weight != self.dimension:
-                raise ValueError(
-                    f"{partition.key()} has weight {partition.weight}, "
-                    f"dimension {self.dimension} needs {self.dimension // 4}"
-                )
+            if 4 * partition.weight != dimension:
+                raise ValueError(f"{partition.key()} has weight {partition.weight}, "
+                                 f"dimension {dimension} needs {dimension // 4}")
             c = as_rational(c)
             if c:
                 clean[partition] = c
-        object.__setattr__(self, "coefficients", clean)
+        self._fill(dimension, clean)
 
     @classmethod
     def from_polynomial(cls, dim: int, poly: Mapping[tuple[int, ...], Fraction]) -> "Functional":
@@ -257,17 +258,19 @@ def span_membership(f: Functional, span: Sequence[Functional]) -> bool:
 # families
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Record):
     """A one-parameter family of manifolds.  The builder already applies
     whatever substitution (e.g. doubling for spin) the family needs, so
-    every integer parameter is admissible."""
+    every integer parameter is admissible.  Equality and hash skip the builder."""
 
-    name: str
-    dimension: int
-    builder: Callable[[int], ManifoldModel] = field(compare=False)
-    substitution: str = "c -> c"
-    max_degree: int = 7
+    __slots__ = ("name", "dimension", "builder", "substitution", "max_degree")
+
+    def __init__(self, name: str, dimension: int, builder: Callable[[int], ManifoldModel],
+                 substitution: str = "c -> c", max_degree: int = 7) -> None:
+        self._fill(name, dimension, builder, substitution, max_degree)
+
+    def _key(self) -> tuple:
+        return self.name, self.dimension, self.substitution, self.max_degree
 
     def build(self, c: int) -> ManifoldModel:
         m = self.builder(c)
@@ -302,12 +305,12 @@ def family_polynomial(fam: FamilySpec, f: Functional) -> list[Fraction]:
     return coeffs
 
 
-@dataclass(frozen=True, slots=True)
-class VerdictResult:
-    unbounded: bool
-    witness: str | None
-    polynomial: tuple[Fraction, ...] | None
-    per_family: Mapping[str, tuple[Fraction, ...]]
+class VerdictResult(Record):
+    __slots__ = ("unbounded", "witness", "polynomial", "per_family")
+
+    def __init__(self, unbounded: bool, witness: str | None, polynomial: tuple[Fraction, ...] | None,
+                 per_family: Mapping[str, tuple[Fraction, ...]]) -> None:
+        self._fill(unbounded, witness, polynomial, per_family)
 
 
 def unbounded_verdict(f: Functional, families: Sequence[FamilySpec]) -> VerdictResult:
@@ -318,16 +321,17 @@ def unbounded_verdict(f: Functional, families: Sequence[FamilySpec]) -> VerdictR
     return VerdictResult(witness is not None, witness, polynomial, dict(polynomials))
 
 
-@dataclass(frozen=True, slots=True)
-class DistinctnessResult:
+class DistinctnessResult(Record):
     """Pairwise certificates over the sorted parameters: entry k of
     ``pair_separators`` is a partition whose Pontryagin numbers differ on
     the k-th pair of ``combinations(params, 2)``, or None for a collision.
     A tuple, not a dict keyed by pairs, because callers keep many results;
     ``separators`` and ``collisions`` are built on access."""
 
-    params: tuple[int, ...]
-    pair_separators: tuple[Partition | None, ...]
+    __slots__ = ("params", "pair_separators")
+
+    def __init__(self, params: tuple[int, ...], pair_separators: tuple[Partition | None, ...]) -> None:
+        self._fill(params, pair_separators)
 
     @property
     def distinct(self) -> bool:

@@ -51,11 +51,11 @@ minus the A-hat genus twisted by the complexified tangent bundle.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from types import MappingProxyType
-from typing import Mapping, Sequence, Union
 
 from .algebra import GradedElement, QSeries, as_rational
 from .errors import ConsistencyError, brief
@@ -78,7 +78,7 @@ __all__ = [
 ]
 
 # a genus coefficient: a rational, or a scalar q-series
-Coefficient = Union[Fraction, QSeries]
+Coefficient = Fraction | QSeries
 
 
 def _exp(first: Coefficient, logs: Sequence[Coefficient], order: int) -> list[Coefficient]:

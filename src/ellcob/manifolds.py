@@ -25,12 +25,11 @@ are pure.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from operator import index
-from typing import Iterable, Sequence
 
-from .algebra import GradedElement, RingSpec
+from .algebra import GradedElement, Record, RingSpec
 
 __all__ = [
     "LineBundleSum",
@@ -48,21 +47,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LineBundleSum:
+class LineBundleSum(Record):
     """A sum of powers of the tautological line bundle over CP^base_dim,
     plus trivial summands encoded as degree 0."""
 
-    base_dim: int
-    degrees: tuple[int, ...]
+    __slots__ = ("base_dim", "degrees")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "base_dim", index(self.base_dim))
-        if self.base_dim < 1:
+    def __init__(self, base_dim: int, degrees: Sequence[int]) -> None:
+        base_dim = index(base_dim)
+        if base_dim < 1:
             raise ValueError("base projective space must have positive dimension")
-        if not self.degrees:
+        if not degrees:
             raise ValueError("the bundle needs at least one summand")
-        object.__setattr__(self, "degrees", tuple(map(index, self.degrees)))
+        self._fill(base_dim, tuple(map(index, degrees)))
 
     @property
     def rank(self) -> int:

@@ -446,6 +446,12 @@ class TestNegativeRingPowers:
         with pytest.raises(ValueError):
             (ring.scalar(2) + ring.gen("b")) ** -1
 
+    @pytest.mark.parametrize("n", [0.5, 2.0, F(2), "2"], ids=["half", "float", "fraction", "string"])
+    def test_exponent_is_read_as_an_exact_integer(self, n):
+        b = small_ring().gen("b")
+        with pytest.raises(TypeError):
+            b ** n
+
 
 class TestQSeries:
     def test_product_truncates_to_min_order(self):

@@ -41,7 +41,7 @@ from ellcob.cobordism import (
 )
 from ellcob.errors import ConsistencyError
 from ellcob.genera import ahat, elliptic_q_coefficients, signature
-from ellcob.manifolds import build_cp, build_hp, product
+from ellcob.manifolds import build_cp, build_hp, build_point, product
 
 F = Fraction
 
@@ -191,6 +191,21 @@ class TestGenusFunctionals:
     def test_functional_weight_validation(self):
         with pytest.raises(ValueError):
             Functional(12, {Partition((2,)): F(1)})
+
+    @pytest.mark.parametrize("dimension,error", [
+        (4.0, TypeError), (F(4), TypeError), ("4", TypeError),
+        (5, ValueError), (-4, ValueError), (2, ValueError),
+    ])
+    def test_functional_dimension_is_a_nonnegative_multiple_of_4(self, dimension, error):
+        with pytest.raises(error):
+            Functional(dimension, {})
+        if error is ValueError:
+            with pytest.raises(ValueError, match="divisible by 4"):
+                Functional(dimension, {Partition((1,)): 1})
+
+    def test_functional_in_dimension_0_pairs_with_a_point(self):
+        f = Functional(0, {Partition(()): F(3)})
+        assert f.evaluate(pontryagin_numbers(build_point())) == 3
 
     @pytest.mark.parametrize("name", ["X12", "Y16", "Z20"])
     def test_evaluate_is_the_sum_of_coefficient_times_number(self, name):
