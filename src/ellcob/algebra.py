@@ -28,18 +28,23 @@ Ring arithmetic runs on integers.
   step on codes from lower entries, filled the same way when missing
   (:meth:`RingSpec._reduce`, the only code that applies a rule).  A
   product sums codes pairwise and the constructor codes its terms; both
-  then read every raw code's normal form from the table.  A table
-  belongs to one :class:`RingSpec` and dies with it: equal rings built
-  apart fill their own, and nothing here caches rings or tables across
-  models, so memory does not grow with the number of models a caller
-  builds.
+  then read every raw code's normal form from the table.
+* Shared tables.  A table depends only on the ring's signature, so equal
+  rings built again share one.  A ring whose signature is new keeps its
+  own table, which dies with it, and leaves only the signature's hash
+  behind; from its second build on, equal rings read and fill one table
+  kept under the full signature.  Hashes and shared tables are each kept
+  for the 128 signatures built last, so memory stays bounded however
+  many models a caller builds.
 
 Elements, series and matrices are immutable and all operations are pure.
 Table entries are filled idempotently (an entry depends only on its
-key), so everything is safe to share.
+key) and the shared tables are handed out under a lock, so everything is
+safe to share between threads.
 """
 from __future__ import annotations
 
+from _thread import allocate_lock
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import reduce
@@ -91,6 +96,19 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
+
+
+_SHARED_RINGS = 128  # how many signatures _SEEN and _SHARED each remember
+_SEEN: dict[int, bool] = {}  # hash(signature) of rings built once, oldest first
+_SHARED: dict[tuple, tuple[dict, dict]] = {}  # signature -> (table, code degrees)
+_SHARING = allocate_lock()  # RingSpec.__init__ reads and updates both at once
+
+
+def _remember(cache: dict, key: object, value: object) -> None:
+    """Put ``key`` last in ``cache`` and forget its oldest entry past the bound."""
+    cache[key] = value
+    if len(cache) > _SHARED_RINGS:
+        del cache[next(iter(cache))]
 
 
 def as_rational(value: Scalar) -> Fraction:
@@ -177,8 +195,9 @@ class RingSpec:
             names,
             degs,
             top,
-            tuple(sorted((g, p, tuple(sorted(rhs.items()))) for g, (p, rhs) in rules.items())),
-        )
+            tuple(sorted((g, p, tuple((e, c.numerator, c.denominator) for e, c in sorted(rhs.items())))
+                         for g, (p, rhs) in rules.items())),
+        )  # ints and strs only, so hashing and comparing it runs no Python code
         # a normal monomial has e_i <= top // deg_i, a product of two at most
         # twice that, so every such exponent is one digit below its base
         self._bases = tuple(2 * top // d + 1 for d in degs)
@@ -193,8 +212,19 @@ class RingSpec:
             for g, (power, rhs) in rules.items()
             if power * degs[g] <= top
         )
-        self._table: dict[int, tuple] = {}  # raw monomial code -> its normal form
-        self._code_degrees: dict[int, int] = {}
+        # the reduction table (raw monomial code -> its normal form) and the
+        # code-degree cache, shared between equal rings (module docstring); a
+        # hash in _SEEN only admits, the tables stay keyed by the full signature
+        key = self._signature
+        with _SHARING:
+            tables = _SHARED.pop(key, None)  # put back last: least recently built first
+            if tables is None and _SEEN.pop(hash(key), False):
+                tables = {}, {}  # built again: from now on equal rings share these
+            if tables is None:
+                _remember(_SEEN, hash(key), True)
+            else:
+                _remember(_SHARED, key, tables)
+        self._table, self._code_degrees = tables or ({}, {})
 
     # -- identity -----------------------------------------------------
 

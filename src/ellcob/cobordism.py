@@ -261,12 +261,19 @@ def span_membership(f: Functional, span: Sequence[Functional]) -> bool:
 class FamilySpec(Record):
     """A one-parameter family of manifolds.  The builder already applies
     whatever substitution (e.g. doubling for spin) the family needs, so
-    every integer parameter is admissible.  Equality and hash skip the builder."""
+    every integer parameter is admissible.  ``dimension`` is a nonnegative
+    multiple of 4 and ``max_degree`` a nonnegative int, both read with
+    ``operator.index``.  Equality and hash skip the builder."""
 
     __slots__ = ("name", "dimension", "builder", "substitution", "max_degree")
 
     def __init__(self, name: str, dimension: int, builder: Callable[[int], ManifoldModel],
                  substitution: str = "c -> c", max_degree: int = 7) -> None:
+        dimension, max_degree = index(dimension), index(max_degree)
+        if dimension < 0 or dimension % 4:
+            raise ValueError(f"a family needs a nonnegative dimension divisible by 4, not {brief(str(dimension))}")
+        if max_degree < 0:
+            raise ValueError(f"a family needs a nonnegative max_degree, not {brief(str(max_degree))}")
         self._fill(name, dimension, builder, substitution, max_degree)
 
     def _key(self) -> tuple:

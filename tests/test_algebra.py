@@ -7,14 +7,17 @@ library uses), classical power-series identities, and sympy (test-only)
 for matrix ranks.
 """
 import random
+import sys
+import threading
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 from math import gcd, prod
 from operator import index
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ellcob import algebra
 from ellcob.algebra import (
     GradedElement,
     QSeries,
@@ -198,7 +201,9 @@ def raw_terms(draw, ring):
 
 
 def fresh_twin(ring):
-    """A ring equal to ``ring``, built apart, with an empty table."""
+    """A ring equal to ``ring``, built apart from it.  From the second build
+    of a signature on, equal rings share one reduction table, so the twin
+    may start with ``ring``'s entries or with an empty table of its own."""
     return RingSpec(
         list(zip(ring.generators, ring.degrees)),
         ring.truncation_dimension,
@@ -410,6 +415,128 @@ class TestTableFill:
         for _ in range(10):
             x, y = random_element(rng, ring), random_element(rng, ring)
             assert dict((x * y).terms) == worklist_product(ring, x.terms, y.terms)
+
+
+TAGS = count()
+
+
+def tagged_ring(tag, coefficient=-2, second="b"):
+    """small_ring's shape under a first generator name no other ring uses."""
+    first = f"shared{tag}"
+    return RingSpec([(first, 2), (second, 2)], 8, {first: (2, {(1, 1): F(coefficient)})})
+
+
+class TestSharedTables:
+    """Equal rings built again share one reduction table and code-degree
+    cache, kept under the full signature; a ring built once keeps its own."""
+
+    def test_a_ring_built_once_leaves_no_table(self):
+        ring = tagged_ring(next(TAGS))
+        assert ring.gen(ring.generators[0]) ** 3 == ring.element({(1, 2): 4})
+        assert ring._table and ring._signature not in algebra._SHARED
+        assert all(ring._table is not table for table, _ in algebra._SHARED.values())
+        assert hash(ring._signature) in algebra._SEEN
+
+    def test_equal_rings_share_from_the_third_build_on(self):
+        tag = next(TAGS)
+        first, second, third, fourth = (tagged_ring(tag) for _ in range(4))
+        shared = algebra._SHARED[first._signature]
+        assert first._table is not second._table and first._code_degrees is not second._code_degrees
+        assert second._table is third._table is fourth._table is shared[0]
+        assert second._code_degrees is third._code_degrees is fourth._code_degrees is shared[1]
+
+    def test_rings_differing_in_a_coefficient_or_a_name_never_share(self):
+        tag = next(TAGS)
+        variants = [{}, {"coefficient": -3}, {"second": "c"}]
+        built = [[tagged_ring(tag, **variant) for _ in range(3)] for variant in variants]
+        for rings in built:
+            assert rings[1]._table is rings[2]._table
+        assert len({id(rings[2]._table) for rings in built}) == len(variants)
+        for rings, coefficient in zip(built, (-2, -3, -2)):
+            a = rings[2].gen(rings[2].generators[0])
+            assert dict((a * a).terms) == {(1, 1): F(coefficient)}
+
+    def test_a_hash_collision_shares_no_table(self, monkeypatch):
+        # every signature hashes alike, so each build admits the one after it
+        monkeypatch.setattr(algebra, "hash", lambda key: 0, raising=False)
+        tag = next(TAGS)
+        for _ in range(4):
+            x, y = tagged_ring(tag), tagged_ring(tag, coefficient=-3)
+            assert x._table is not y._table
+            for ring, other, coefficient in ((x, y, -2), (y, x, -3)):
+                assert algebra._SHARED.get(ring._signature, ({},))[0] is not other._table
+                a = ring.gen(ring.generators[0])
+                assert dict((a * a * a).terms) == {(1, 2): F(coefficient) ** 2}
+        assert algebra._SHARED[x._signature][0] is x._table and algebra._SHARED[y._signature][0] is y._table
+
+    def test_the_cache_holds_at_most_the_bound(self):
+        bound = algebra._SHARED_RINGS
+        signatures = []
+        for _ in range(3 * bound):
+            tag = next(TAGS)
+            signatures.append(tagged_ring(tag)._signature)
+            tagged_ring(tag)
+        assert len(algebra._SHARED) <= bound and len(algebra._SEEN) <= bound
+        assert set(algebra._SHARED) == set(signatures[-bound:])
+
+    def test_the_ring_built_least_recently_is_forgotten_first(self):
+        tags = [next(TAGS) for _ in range(algebra._SHARED_RINGS + 1)]
+        admitted = [[tagged_ring(tag) for _ in range(2)][1]._signature for tag in tags[:-1]]
+        kept, dropped = admitted[:2]
+        tagged_ring(tags[0])  # built again, kept becomes the newest
+        tagged_ring(tags[-1]), tagged_ring(tags[-1])  # one admission past the bound
+        assert kept in algebra._SHARED and dropped not in algebra._SHARED
+
+    @settings(max_examples=60, deadline=None)
+    @given(rule_ring_pairs())
+    def test_products_on_a_filled_shared_table_match_worklist(self, pair):
+        x, y = pair
+        first, second = fresh_twin(x.ring), fresh_twin(x.ring)
+        assert first._table is second._table
+        for code in range(prod(first._bases)):
+            if code not in first._table:
+                first._reduce(code)
+        product_on_second = GradedElement(second, x.terms) * GradedElement(second, y.terms)
+        assert dict(product_on_second.terms) == worklist_product(second, x.terms, y.terms)
+
+    def test_threads_building_equal_and_unequal_rings(self):
+        # bundles no other test builds, so their shared tables fill while the threads run
+        specs = [(2, (5, -4, 1)), (3, (4, -5, 2, 0)), (1, (6, -3)), (2, (-5, 3, 4))]
+        rng = random.Random("threads")
+        cases = []
+        for spec in specs:
+            ring = build_proj_bundle(LineBundleSum(*spec)).ring
+            x, y = ({tuple(rng.randint(0, 4) for _ in ring.generators): F(rng.randint(-5, 5), rng.randint(1, 3))
+                     for _ in range(6)} for _ in range(2))
+            expected = worklist_product(ring, worklist_normal_form(ring, x), worklist_normal_form(ring, y))
+            cases.append((spec, x, y, expected))
+        rounds, results, errors = 12, [], []
+
+        def work(worker):
+            try:
+                for r in range(rounds):
+                    spec, x, y, expected = cases[(worker + r) % len(cases)]
+                    ring = build_proj_bundle(LineBundleSum(*spec)).ring
+                    results.append(dict((GradedElement(ring, x) * GradedElement(ring, y)).terms) == expected)
+                    tag = next(TAGS)  # two builds of a new ring admit it and evict the oldest
+                    a = [tagged_ring(tag), tagged_ring(tag)][worker % 2].gen(f"shared{tag}")
+                    results.append(dict((a * a).terms) == {(1, 1): F(-2)})
+            except Exception as error:  # reported below; a thread cannot raise into the test
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(worker,)) for worker in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert results == [True] * (2 * rounds * len(threads))
 
 
 class TestHomogeneousParts:

@@ -411,6 +411,31 @@ class TestFamilyPolynomials:
         with pytest.raises(ConsistencyError):
             fam.build(1)
 
+    @pytest.mark.parametrize("dimension,max_degree,error,match", [
+        (16.0, 5, TypeError, None), (F(16), 5, TypeError, None), ("16", 5, TypeError, None),
+        (16, 5.0, TypeError, None), (16, F(5), TypeError, None), (16, None, TypeError, None),
+        (18, 5, ValueError, "divisible by 4, not 18"), (-4, 5, ValueError, "divisible by 4, not -4"),
+        (10 ** 300 + 2, 5, ValueError, "divisible by 4, not '"), (16, -1, ValueError, "max_degree, not -1"),
+    ], ids=["float_dim", "fraction_dim", "str_dim", "float_degree", "fraction_degree", "none_degree",
+            "dim_18", "negative_dim", "huge_dim_quoted", "negative_degree"])
+    def test_family_integers_are_checked(self, dimension, max_degree, error, match):
+        with pytest.raises(error, match=match):
+            FamilySpec("Y16", dimension, y16, "c -> c", max_degree)
+
+    def test_family_integers_are_read_exactly(self):
+        class Sixteen:
+            def __index__(self):
+                return 16
+
+        spec = FamilySpec("Y16", Sixteen(), y16, "c -> c", True)
+        assert (type(spec.dimension), spec.dimension, type(spec.max_degree), spec.max_degree) == (int, 16, int, 1)
+        assert spec == FamilySpec("Y16", 16, y16, "c -> c", 1)
+
+    def test_degree_0_family_is_valid_and_checked(self):
+        p4 = Functional(16, {Partition((4,)): F(1)})
+        with pytest.raises(ConsistencyError, match="Y16 is not polynomial of degree <= 0"):
+            family_polynomial(FamilySpec("Y16", 16, y16, "c -> c", 0), p4)
+
 
 class TestVerdicts:
     def test_p3_unbounded_in_dim_12(self):

@@ -1,10 +1,14 @@
-"""Ring state dies with its models.
+"""Ring state stays bounded however many models are built.
 
-Every ``RingSpec`` carries its own reduction table, and nothing in the
-library keeps rings or tables across models.  A cache of either would
-make memory grow with the number of models a caller builds; this guard
-builds and evaluates fresh models after a warm-up and checks that the
-allocations made in ``ellcob/algebra.py`` do not grow.
+A ring built once keeps its own reduction table, which dies with its
+model, and leaves only its signature's hash behind; equal rings built
+again share one table, and both the hashes and the shared tables are
+kept for a bounded number of signatures.  An unbounded cache of either
+would make memory grow with the number of models a caller builds; this
+guard builds and evaluates fresh models after a warm-up and checks that
+the allocations made in ``ellcob/algebra.py`` do not grow.  What the
+shared tables hold depends on what ran before in the same interpreter,
+so the guard must pass both alone and after the whole suite.
 """
 import gc
 import random
