@@ -8,6 +8,10 @@ respect to single-head-generator rewrite rules (``a**r -> lower order``)
 and truncated above the ring's top dimension.  :class:`QSeries`
 carries truncated power series in q with rational coefficients.
 :class:`RationalMatrix` does exact rank and solve.
+:func:`interpolate_polynomial` fits n points by Newton's divided
+differences in O(n^2) operations, with no elimination.  A fit through
+one point more than a degree bound checks the bound: it holds exactly
+when the top coefficient is zero.
 
 Ring arithmetic runs on integers.
 
@@ -679,15 +683,17 @@ def _rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
 
 
 def interpolate_polynomial(points: Sequence[tuple[Scalar, Scalar]]) -> list[Fraction]:
-    """Coefficients (by ascending degree) of the unique polynomial of
-    degree < len(points) through the given points.  Exact Vandermonde solve."""
+    """Coefficients (by ascending degree) of the unique polynomial of degree
+    < len(points) through the given points: Newton's divided differences."""
     xs = [as_rational(x) for x, _ in points]
-    ys = [as_rational(y) for _, y in points]
+    c = [as_rational(y) for _, y in points]
+    if not xs:
+        raise ValueError("interpolation needs at least one point")
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes must be distinct")
-    n = len(xs)
-    vand = RationalMatrix([[x ** j for j in range(n)] for x in xs])
-    coeffs = vand.solve(ys)
-    if coeffs is None:  # a Vandermonde system with distinct nodes is never inconsistent
-        raise RuntimeError("unreachable: singular Vandermonde system")
-    return coeffs
+    for j in range(1, len(xs)):  # c[i] becomes the divided difference over xs[i-j..i]
+        c[j:] = [(b - a) / (x - w) for x, w, a, b in zip(xs[j:], xs, c[j - 1:], c[j:])]
+    coeffs: list[Fraction] = []
+    for x, d in zip(reversed(xs), reversed(c)):  # Horner's rule: coeffs * (t - x) + d
+        coeffs = [a - x * b for a, b in zip([d] + coeffs, coeffs + [0])]
+    return [a if a else _ZERO for a in coeffs]  # callers keep coefficients, and many are zero

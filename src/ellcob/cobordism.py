@@ -12,7 +12,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
-from operator import index
+from operator import index, mul
 
 from .algebra import RationalMatrix, Record, as_rational, interpolate_polynomial
 from .errors import ConsistencyError, brief, quote
@@ -289,21 +289,18 @@ class FamilySpec(Record):
 def family_polynomial(fam: FamilySpec, f: Functional) -> list[Fraction]:
     """Coefficients (ascending degree) of the polynomial c -> f(fam(c)).
 
-    Exact interpolation through max_degree+1 samples plus one extra
-    verification sample; a mismatch means the family is not polynomial
-    of the declared degree and is an internal failure.
+    Exact interpolation through max_degree+2 samples, each pairing only
+    the Pontryagin numbers f reads; a nonzero top coefficient means the
+    family is not polynomial of the declared degree and is an internal failure.
     """
     if f.dimension != fam.dimension:
         raise ValueError(f"family {fam.name} lives in dimension {fam.dimension}, functional in {f.dimension}")
-    samples = list(range(1, fam.max_degree + 2))
-    values = [f.evaluate(pontryagin_numbers(fam.build(c))) for c in samples]
-    coeffs = interpolate_polynomial(list(zip(map(Fraction, samples), values)))
-    check_at = fam.max_degree + 2
-    predicted = sum(
-        (coeffs[j] * Fraction(check_at) ** j for j in range(len(coeffs))), Fraction(0)
-    )
-    actual = f.evaluate(pontryagin_numbers(fam.build(check_at)))
-    if predicted != actual:
+    partitions, points = list(f.coefficients), []
+    for c in range(1, fam.max_degree + 3):
+        numbers = pontryagin_products(fam.build(c), partitions)
+        points.append((c, sum(map(mul, f.coefficients.values(), numbers), Fraction(0))))
+    coeffs = interpolate_polynomial(points)
+    if coeffs[-1]:
         raise ConsistencyError(
             f"family {fam.name} is not polynomial of degree <= {fam.max_degree} under {f.coefficients}"
         )

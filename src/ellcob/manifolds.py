@@ -231,7 +231,12 @@ def pontryagin_classes(m: ManifoldModel) -> list[GradedElement]:
 
 def pontryagin_products(m: ManifoldModel, partitions: Iterable[Sequence[int]]) -> list[Fraction]:
     """<p_I, [M]> for each partition I, in order.  A product starts from
-    its first class, and products of shared prefixes are formed once."""
+    its first class, and products of shared prefixes are formed once.
+    Every part must lie in 1..k, k = dim/4; another is a ValueError."""
+    partitions, k = [tuple(I) for I in partitions], m.real_dimension // 4
+    for I in partitions:
+        if not all(0 < part <= k for part in I):
+            raise ValueError(f"partition {I} has a part outside 1..{k}")
     p = pontryagin_classes(m)
     prefixes: dict[tuple[int, ...], GradedElement] = {(): m.ring.one()}
 
@@ -243,7 +248,7 @@ def pontryagin_products(m: ManifoldModel, partitions: Iterable[Sequence[int]]) -
             prefixes[parts] = x
         return x
 
-    return [pair(m, monomial(tuple(I))) for I in partitions]
+    return [pair(m, monomial(I)) for I in partitions]
 
 
 def pair(m: ManifoldModel, x: GradedElement) -> Fraction:

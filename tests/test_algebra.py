@@ -682,6 +682,51 @@ class TestInterpolation:
         assert padded[: len(coeffs)] == coeffs
 
 
+
+def lagrange_coefficients(points):
+    """Reference fit, independent of the library: the Lagrange form
+    sum_i y_i prod_(j != i) (t - x_j) / (x_i - x_j), expanded factor by
+    factor into ascending coefficients."""
+    total = [F(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        basis = [F(1)]
+        for j, (xj, _) in enumerate(points):
+            if j != i:  # basis * (t - xj) / (xi - xj)
+                shifted = [F(0)] + basis
+                basis = [(a - xj * b) / (xi - xj) for a, b in zip(shifted, basis + [F(0)])]
+        total = [t + yi * b for t, b in zip(total, basis)]
+    return total
+
+
+nodes = st.fractions(min_value=-12, max_value=12, max_denominator=7)
+
+
+class TestNewtonInterpolation:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(nodes, st.fractions(min_value=-50, max_value=50, max_denominator=9)),
+                    min_size=1, max_size=10, unique_by=lambda point: point[0]))
+    def test_matches_lagrange_form(self, points):
+        found = interpolate_polynomial(points)
+        assert found == lagrange_coefficients(points)
+        assert all(type(c) is Fraction for c in found)
+        assert all(c is algebra._ZERO for c in found if not c)  # zeros share one object
+
+    def test_integer_input_gives_fractions(self):
+        found = interpolate_polynomial([(-1, 2), (0, 1), (2, 5)])
+        assert found == [F(1), F(0), F(1)] and all(type(c) is Fraction for c in found)
+
+    def test_no_points_is_its_own_value_error(self):
+        with pytest.raises(ValueError, match="^interpolation needs at least one point$"):
+            interpolate_polynomial([])
+
+    def test_duplicate_node_is_value_error(self):
+        with pytest.raises(ValueError, match="nodes must be distinct"):
+            interpolate_polynomial([(F(1), F(2)), (F(2, 2), F(3))])
+
+    def test_float_node_is_type_error(self):
+        with pytest.raises(TypeError):
+            interpolate_polynomial([(1.0, F(2)), (F(2), F(3))])
+
 # -- the integer kernel: canonical numerators against the Fraction oracle ----
 
 

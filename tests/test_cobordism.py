@@ -437,6 +437,49 @@ class TestFamilyPolynomials:
             family_polynomial(FamilySpec("Y16", 16, y16, "c -> c", 0), p4)
 
 
+STANDARD_FAMILIES = ("X12", "Y16", "Z20", "X12xHP:1", "X12xHP:2", "X12xHP:3")
+
+
+def vandermonde_family_polynomial(fam: FamilySpec, f: Functional, vectors) -> list[Fraction]:
+    """The fit family_polynomial replaced: f on the full Pontryagin vectors at
+    c = 1..d+1, a Vandermonde solve, then the prediction checked at c = d+2."""
+    d = fam.max_degree
+    values = [f.evaluate(v) for v in vectors]
+    coeffs = RationalMatrix([[F(c) ** j for j in range(d + 1)] for c in range(1, d + 2)]).solve(values[:-1])
+    assert sum(a * F(d + 2) ** j for j, a in enumerate(coeffs)) == values[-1]
+    return poly(*coeffs)
+
+
+def seeded_functionals(dim: int, seed: int) -> list[Functional]:
+    rng = random.Random(f"family-route/{dim}/{seed}")
+    parts = partitions_of(dim // 4)
+    out = []
+    for _ in range(4):
+        picks = rng.sample(parts, rng.randint(1, len(parts)))
+        out.append(Functional(dim, {I: F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6)) for I in picks}))
+    return out
+
+
+class TestFamilyPolynomialRoutes:
+    @pytest.mark.parametrize("name", STANDARD_FAMILIES)
+    def test_matches_the_vandermonde_route(self, name):
+        fam = standard_family(name)
+        vectors = [pontryagin_numbers(fam.build(c)) for c in range(1, fam.max_degree + 3)]
+        singles = [Functional(fam.dimension, {I: F(1)}) for I in partitions_of(fam.dimension // 4)]
+        functionals = singles + seeded_functionals(fam.dimension, 0) + [Functional(fam.dimension, {})]
+        for f in functionals:
+            assert family_polynomial(fam, f) == vandermonde_family_polynomial(fam, f, vectors), f.to_expression()
+        assert family_polynomial(fam, functionals[-1]) == [F(0)]
+
+    def test_only_the_last_sample_deviating_fails(self):
+        # -8c^3 at c = 1..4 and anything else at c = 5: the degree-3 fit is
+        # exact on the first four samples, so only the check sample can catch it
+        fam = FamilySpec("kinked", 12, lambda c: x12(2 * c if c < 5 else 2 * c + 1), "c -> 2c", 3)
+        p3 = Functional(12, {Partition((3,)): F(1)})
+        with pytest.raises(ConsistencyError, match="kinked is not polynomial of degree <= 3"):
+            family_polynomial(fam, p3)
+
+
 class TestVerdicts:
     def test_p3_unbounded_in_dim_12(self):
         f = Functional(12, {Partition((3,)): F(1)})

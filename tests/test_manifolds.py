@@ -7,6 +7,7 @@ projective space recomputed here with independent list arithmetic, and
 classical spin criteria.
 """
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
@@ -27,6 +28,7 @@ from ellcob.manifolds import (
     is_spin,
     pair,
     pontryagin_classes,
+    pontryagin_products,
     product,
     total_pontryagin,
 )
@@ -290,6 +292,18 @@ class TestModelValidation:
         # integral floats too: the builders read n and base_dim before building the ring
         with pytest.raises(TypeError):
             build()
+
+
+class TestPontryaginProducts:
+    def test_hp2_numbers(self):
+        # p1^2 = 4 and p2 = 7 on HP^2; a shared prefix is formed once and reused
+        assert pontryagin_products(build_hp(2), [(1, 1), (2,), (1, 1)]) == [4, 7, 4]
+
+    @pytest.mark.parametrize("partition", [(0,), (-1,), (3,), (1, 3)], ids=["zero", "negative", "above_k", "tail"])
+    def test_part_outside_1_to_k_is_value_error(self, partition):
+        # p[part - 1] unchecked reads p2 for part 0 and p1 for part -1, and 3 is past the list
+        with pytest.raises(ValueError, match=re.escape(f"partition {partition} has a part outside 1..2")):
+            pontryagin_products(build_hp(2), [(2,), partition])
 
 
 @settings(max_examples=25, deadline=None)
