@@ -491,6 +491,10 @@ def _cmd_scan(args: argparse.Namespace) -> dict | list[list[str]]:
     a, b = _parse_range(args.range)
     values = [(c, f.evaluate(pontryagin_numbers(fam.build(c)))) for c in range(a, b + 1)]
     poly = family_polynomial(fam, f)
+    for c, value in values:
+        fitted = sum(coeff * c ** i for i, coeff in enumerate(poly))
+        if fitted != value:
+            raise ConsistencyError(f"family {fam.name} at c = {c} has value {value}, its polynomial gives {fitted}")
     if args.csv:
         return [["c", "value"], *([str(c), str(v)] for c, v in values)]
     return {

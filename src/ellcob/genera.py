@@ -4,9 +4,10 @@ A genus is its logarithm: a :class:`CharacteristicSeries` is given by the
 coefficients l_j of log f for f(t) = exp(l_1 t + l_2 t^2 + ...) in
 t = x^2, rationals from Bernoulli numbers (the L-genus x/tanh(x), the
 A-hat genus (x/2)/sinh(x/2)) or scalar q-series from divisor sums (the
-elliptic factor F below).  One recurrence, :func:`_exp`, does every
-exponential: f itself, the genus on the roots route, the twist
-character and the rank correction.
+elliptic factor F below).  The series stores log f alone; the
+coefficients of f are derived on read.  One recurrence, :func:`_exp`,
+does every exponential: f itself, the genus on the roots route, the
+twist character and the rank correction.
 
 The product of f over the variables t_i is exp(sum_r l_r s_r), where
 s_r = sum_i t_i^r are the power sums (Milnor-Stasheff, *Characteristic
@@ -118,22 +119,35 @@ def _twist_logs(q_order: int, x2_order: int) -> list[list[Fraction]]:
             for j in range(x2_order + 1)]
 
 
+def _kind(c: Coefficient) -> str:
+    return f"a q-series of q-order {c.order}" if isinstance(c, QSeries) else "a rational"
+
+
 class CharacteristicSeries:
     """The power series f(t) = exp(sum_(j>=1) logs[j] t^j) in t = x^2
-    defining a genus.  logs[j], the coefficient of x^(2j) in log f, is a
-    Fraction or a scalar q-series, and logs[0] must be zero; coeffs[j],
-    the coefficient of x^(2j) in f, is derived from it, coeffs[0] = 1."""
+    defining a genus, stored as log f alone.  logs[j], the coefficient of
+    x^(2j) in log f, is a Fraction for every j or a scalar q-series of one
+    q-order for every j, and logs[0] must be zero; one = f(0) is the unit
+    of that kind.  coeffs[j], the coefficient of x^(2j) in f, is derived
+    from the logs on each read."""
 
-    __slots__ = ("name", "logs", "coeffs")
+    __slots__ = ("name", "logs", "one")
 
     def __init__(self, name: str, logs: Sequence[Coefficient]) -> None:
         logs = tuple(c if isinstance(c, QSeries) else as_rational(c) for c in logs)
         if not logs or logs[0]:
             raise ValueError("a characteristic series needs log f with constant term 0")
-        one = QSeries.constant(Fraction(1), logs[0].order) if isinstance(logs[0], QSeries) else Fraction(1)
+        kind = _kind(logs[0])
+        for j, c in enumerate(logs):
+            if _kind(c) != kind:
+                raise ValueError(f"log f coefficient {j} is {brief(repr(c))}, not {kind} like coefficient 0")
         self.name = name
         self.logs = logs
-        self.coeffs = tuple(_exp(one, logs, len(logs) - 1))
+        self.one = QSeries.constant(Fraction(1), logs[0].order) if isinstance(logs[0], QSeries) else Fraction(1)
+
+    @property
+    def coeffs(self) -> tuple[Coefficient, ...]:
+        return tuple(_exp(self.one, self.logs, self.order))
 
     @property
     def order(self) -> int:
@@ -264,27 +278,22 @@ class MultiplicativeSequence:
 
     __slots__ = ("name", "max_weight", "weights", "source")
 
-    def __init__(
-        self,
-        name: str,
-        max_weight: int,
-        weights: Mapping[int, Mapping[tuple[int, ...], Coefficient]],
-        source: CharacteristicSeries,
-    ) -> None:
-        self.name = name
-        self.max_weight = max_weight
-        self.weights = {w: dict(weights.get(w, {})) for w in range(max_weight + 1)}
+    def __init__(self, weights: Mapping[int, Mapping[tuple[int, ...], Coefficient]],
+                 source: CharacteristicSeries) -> None:
+        self.name = source.name
+        self.max_weight = len(weights) - 1
+        self.weights = weights
         self.source = source
 
     def polynomial(self, weight: int) -> dict[tuple[int, ...], Coefficient]:
-        if weight > self.max_weight:
-            raise ValueError(f"{self.name} sequence only carries weights <= {self.max_weight}")
+        if not 0 <= weight <= self.max_weight:
+            raise ValueError(f"{self.name} sequence only carries weights 0..{self.max_weight}")
         return dict(self.weights[weight])
 
     def evaluate_top(self, numbers: Mapping[tuple[int, ...], Fraction], weight: int) -> Coefficient:
         """sum_I K_weight[I] * numbers[I], given the Pontryagin numbers
         <p_I, [M]> of a 4*weight-manifold for the partitions I of K_weight."""
-        acc = self.source.coeffs[0] * 0  # the zero of the coefficient kind
+        acc = self.source.logs[0]  # the zero of the coefficient kind
         for partition, coeff in self.weights[weight].items():
             number = numbers[partition]
             if number:
@@ -298,12 +307,12 @@ class MultiplicativeSequence:
 def universal_k_polynomials(series: CharacteristicSeries, max_weight: int) -> MultiplicativeSequence:
     """prod f(x_i) as polynomials in the Pontryagin classes, weight by weight;
     the partition basis is stable in the number of variables by construction."""
+    if max_weight < 0:
+        raise ValueError(f"a multiplicative sequence needs a nonnegative max weight, not {max_weight}")
     if series.order < max_weight:
-        raise ValueError(
-            f"series {series.name} carries x^2-order {series.order}, need {max_weight}"
-        )
-    weights = dict(enumerate(_symmetric_expansion(series.coeffs[0], series.logs, max_weight)))
-    return MultiplicativeSequence(series.name, max_weight, weights, series)
+        raise ValueError(f"series {series.name} carries x^2-order {series.order}, need {max_weight}")
+    weights = dict(enumerate(_symmetric_expansion(series.one, series.logs, max_weight)))
+    return MultiplicativeSequence(weights, series)
 
 
 @lru_cache(maxsize=None)
@@ -333,9 +342,9 @@ def _roots_route(m: ManifoldModel, series: CharacteristicSeries) -> Coefficient:
     """The genus of series on m from its Pontryagin roots, exp of the
     ring power sums, paired with the fundamental class."""
     if not m.roots:  # the point, whose genus is f(0) = 1
-        return series.coeffs[0]
+        return series.one
     total = [pair(m, c) for c in series.evaluate_at(m.roots)]
-    return QSeries(total) if isinstance(series.coeffs[0], QSeries) else total[0]
+    return QSeries(total) if isinstance(series.one, QSeries) else total[0]
 
 
 def _universal_route(m: ManifoldModel, seq: MultiplicativeSequence) -> Coefficient:

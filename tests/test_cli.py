@@ -642,6 +642,18 @@ class TestExitCodes:
         code, _, err = run(capsys, ["pontryagin", "--manifold", "cp:2"])
         assert code == 3 and "consistency" in err
 
+    def test_scan_value_off_the_fitted_polynomial_is_3(self, capsys, monkeypatch):
+        from ellcob.cobordism import FamilySpec, x12
+
+        # the member at c = -2 is x12(-2), not x12(-4); the fit reads c = 1..5 only
+        wrong = FamilySpec("X12", 12, lambda c: x12(-2 if c == -2 else 2 * c), "c -> 2c (spin)", 3)
+        monkeypatch.setattr("ellcob.cli.standard_family", lambda name: wrong)
+        code, out, _ = run(capsys, ["scan", "--family", "X12", "-f", "p3", "--range=-1..1"])
+        assert code == 0 and json.loads(out)["polynomial"] == ["0", "0", "0", "-8"]
+        code, out, err = run(capsys, ["scan", "--family", "X12", "-f", "p3", "--range=-3..0"])
+        assert code == 3 and out == ""
+        assert err == "internal consistency failure: family X12 at c = -2 has value 8, its polynomial gives 64\n"
+
 
 def _exit_is_0_or_2(argv):
     """main(argv) exits 0, or 2 with exactly one 'error: ' line; every stderr

@@ -15,9 +15,12 @@ Oracles:
     ``symmetric_reference``.
 """
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+import ellcob.cli as cli
+import ellcob.cobordism as cobordism
 import ellcob.genera as genera
 import symmetric_reference as ref
 from ellcob.algebra import QSeries
@@ -44,6 +47,7 @@ from ellcob.manifolds import (
     LineBundleSum,
     build_cp,
     build_hp,
+    build_point,
     build_proj_bundle,
     product,
 )
@@ -159,6 +163,18 @@ class TestSeriesPowers:
         with pytest.raises(ValueError):
             CharacteristicSeries("bad", [F(1), F(1)])
 
+    @pytest.mark.parametrize("logs,message", [
+        ([0, QSeries([1, 2]), F(1, 2)], r"^log f coefficient 1 is QSeries\(.*\), not a rational like coefficient 0$"),
+        ([QSeries([0, 0]), F(1, 2), QSeries([1, 2])],
+         r"^log f coefficient 1 is Fraction\(1, 2\), not a q-series of q-order 1 like coefficient 0$"),
+        # accepted, q-orders 1, 2 and 0 would cut every universal polynomial to q^0
+        ([QSeries([0, 0]), QSeries([1, 2, 3]), QSeries([5])],
+         r"^log f coefficient 1 is QSeries\(.*\), not a q-series of q-order 1 like coefficient 0$"),
+    ], ids=["series_after_rational", "rational_after_series", "unequal_q_orders"])
+    def test_mixed_coefficient_kinds_rejected(self, logs, message):
+        with pytest.raises(ValueError, match=message):
+            CharacteristicSeries("mixed", logs)
+
     def test_no_roots_raises(self):
         with pytest.raises(ValueError, match="needs at least one root"):
             CharacteristicSeries.l_genus(2).evaluate_at([])
@@ -188,6 +204,19 @@ class TestUniversalPolynomials:
     def test_weight_zero_is_one(self):
         seq = l_sequence(2)
         assert seq.polynomial(0) == {(): F(1)}
+
+    @pytest.mark.parametrize("build", [
+        lambda: universal_k_polynomials(CharacteristicSeries.l_genus(2), -1),
+        lambda: l_sequence(-1),
+    ], ids=["universal_k_polynomials", "l_sequence"])
+    def test_negative_weight_rejected(self, build):
+        with pytest.raises(ValueError, match="^a multiplicative sequence needs a nonnegative max weight, not -1$"):
+            build()
+
+    @pytest.mark.parametrize("weight", [-1, 3])
+    def test_polynomial_outside_the_weights_rejected(self, weight):
+        with pytest.raises(ValueError, match=r"^signature sequence only carries weights 0\.\.2$"):
+            l_sequence(2).polynomial(weight)
 
     def test_short_series_rejected(self):
         series = CharacteristicSeries.l_genus(1)
@@ -454,3 +483,39 @@ class TestEvaluateGenusErrors:
     def test_sequence_weight_too_small(self):
         with pytest.raises(ValueError):
             evaluate_genus(build_cp(4), l_sequence(1))
+
+
+def _library_values():
+    """Every public genus on the point and on cp, hp, pb and product
+    models, one elliptic span and one family polynomial."""
+    models = (build_point(), build_cp(2), build_hp(2), bundle_12(1), product(build_cp(2), build_hp(1)),
+              product(build_hp(1), bundle_12(2)))
+    values = [(signature(m), ahat(m), twisted_ahat_tangent(m), elliptic_q_coefficients(m, 3)) for m in models]
+    functionals, rank = cobordism.elliptic_span(12, 3)
+    family = cobordism.family_polynomial(cobordism.standard_family("X12"), cli.parse_functional("sign", 12))
+    return values, [repr(f) for f in functionals], rank, family
+
+
+class TestSeriesStoresLogsOnly:
+    """A series keeps log f; f's coefficients are derived on read, and no
+    library route reads them, so none pays for the expansion."""
+
+    def test_routes_never_read_coeffs(self, monkeypatch):
+        expected = _library_values()
+
+        def refuse(self):
+            raise AssertionError(f"coefficients of {self.name} read")
+
+        monkeypatch.setattr(CharacteristicSeries, "coeffs", property(refuse))
+        # fresh caches, so every series and sequence is built under the patch
+        for module in (genera, cobordism, cli):
+            for name, value in vars(module).items():
+                if hasattr(value, "cache_clear") and value.__module__ == "ellcob.genera":
+                    monkeypatch.setattr(module, name, lru_cache(maxsize=None)(value.__wrapped__))
+        assert _library_values() == expected
+
+    def test_coeffs_is_read_only(self):
+        s = CharacteristicSeries.l_genus(2)
+        with pytest.raises(AttributeError):
+            s.coeffs = (F(1),) * 3
+        assert s.coeffs == (F(1), F(1, 3), F(-1, 45))
