@@ -16,6 +16,7 @@ import json
 import sys
 from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
+from functools import lru_cache
 
 from .cobordism import (
     FamilySpec,
@@ -489,6 +490,8 @@ def _cmd_scan(args: argparse.Namespace) -> dict | list[list[str]]:
     fam = _family(args.family)
     f = parse_functional(args.functional, fam.dimension)
     a, b = _parse_range(args.range)
+    # each member built once: the range values and the fit share it, for this request only
+    fam = FamilySpec(fam.name, fam.dimension, lru_cache(maxsize=None)(fam.builder), fam.substitution, fam.max_degree)
     values = [(c, f.evaluate(pontryagin_numbers(fam.build(c)))) for c in range(a, b + 1)]
     poly = family_polynomial(fam, f)
     for c, value in values:

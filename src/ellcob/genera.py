@@ -6,8 +6,8 @@ t = x^2, rationals from Bernoulli numbers (the L-genus x/tanh(x), the
 A-hat genus (x/2)/sinh(x/2)) or scalar q-series from divisor sums (the
 elliptic factor F below).  The series stores log f alone; the
 coefficients of f are derived on read.  One recurrence, :func:`_exp`,
-does every exponential: f itself, the genus on the roots route, the
-twist character and the rank correction.
+does every exponential: f itself, the genus on the roots route and the
+twist character.
 
 The product of f over the variables t_i is exp(sum_r l_r s_r), where
 s_r = sum_i t_i^r are the power sums (Milnor-Stasheff, *Characteristic
@@ -41,13 +41,17 @@ factor is f_ahat(t) g(t, q), with g from :func:`twist_character`, where
 the q^N coefficient of log g(x, q) is sum_(d|N) (-1)^(N/d) (2/d) cosh(dx)
 (Zagier, *Note on the Landweber-Stong elliptic genus*, LNM 1326;
 Hirzebruch-Berger-Jung, *Manifolds and Modular Forms*, 6).  F =
-f_ahat(t) g(t, q) / g(0, q) has constant term 1, and the elliptic genus
-of a 4k-manifold is g(0, q)^(2k) times the genus of F on both routes: a
-trivial stable summand contributes F(0) = 1, so the character of T_C M
-keeps rank dim M whatever the number of roots.  q^(-k/2) is never
-materialized: all functions return the coefficients of q^(k/2) * phi(M),
-indexed 0..N, so coefficient 0 is the A-hat genus and coefficient 1 is
-minus the A-hat genus twisted by the complexified tangent bundle.
+f_ahat(t) g(t, q) / g(0, q) has constant term 1, so a trivial stable
+summand contributes F(0) = 1 and the character of T_C M keeps rank dim M
+whatever the number of roots.  The elliptic genus of a 4k-manifold is
+g(0, q)^(2k) times the genus of F, which is the genus of F(g(0, q)^2 t):
+t -> lambda t multiplies the weight-k part by lambda^k.  That series is
+:meth:`CharacteristicSeries.elliptic`, so both routes give the elliptic
+genus itself and nothing is applied after the cross-check.  q^(-k/2) is
+never materialized: all functions return the coefficients of
+q^(k/2) * phi(M), indexed 0..N, so coefficient 0 is the A-hat genus and
+coefficient 1 is minus the A-hat genus twisted by the complexified
+tangent bundle.
 """
 from __future__ import annotations
 
@@ -168,12 +172,18 @@ class CharacteristicSeries:
 
     @classmethod
     def elliptic(cls, q_order: int, order: int) -> "CharacteristicSeries":
-        """F(t) = f_ahat(t) g(t, q) / g(0, q), coefficients truncated at
-        q^q_order: log F is log f_ahat, in the q^0 place where log g has
-        0, plus the rows j >= 1 of log g."""
+        """F(g(0, q)^2 t) for F(t) = f_ahat(t) g(t, q) / g(0, q), the series
+        whose genus is the elliptic genus, coefficients truncated at
+        q^q_order: the t^j coefficient of log F, log f_ahat in the q^0
+        place where log g has 0 plus row j of log g, times g(0, q)^(2j)."""
         ahat, twist = cls.ahat_genus(order).logs, _twist_logs(q_order, order)
-        zero = QSeries.constant(Fraction(0), q_order)
-        return cls("elliptic", [zero] + [QSeries([ahat[j]] + twist[j][1:]) for j in range(1, order + 1)])
+        g0 = twist_character(q_order, 0)[0]
+        square, scale = g0 * g0, QSeries.constant(Fraction(1), q_order)
+        logs = [QSeries.constant(Fraction(0), q_order)]
+        for j in range(1, order + 1):
+            scale = scale * square
+            logs.append(QSeries([ahat[j]] + twist[j][1:]) * scale)
+        return cls("elliptic", logs)
 
     def evaluate_at(self, roots: Sequence[tuple[GradedElement, int]]) -> list[GradedElement]:
         """prod f(t)^m over Pontryagin roots (t, m), t a nilpotent ring
@@ -327,8 +337,9 @@ def ahat_sequence(max_weight: int) -> MultiplicativeSequence:
 
 @lru_cache(maxsize=None)
 def _elliptic_sequence(k: int, order: int) -> MultiplicativeSequence:
-    """The universal polynomials of F = f_ahat g / g(0, q) up to weight k,
-    coefficients truncated at q^order."""
+    """The universal polynomials of the elliptic series F(g(0, q)^2 t),
+    F = f_ahat g / g(0, q), up to weight k, coefficients truncated at
+    q^order; the weight-k table is the elliptic genus of a 4k-manifold."""
     if order < 0:
         raise ValueError("q-order must be nonnegative")
     return universal_k_polynomials(CharacteristicSeries.elliptic(order, k + 1), k)
@@ -414,32 +425,12 @@ def twist_character(q_order: int, x2_order: int) -> tuple[QSeries, ...]:
 
 
 @lru_cache(maxsize=None)
-def _rank_correction(k: int, order: int) -> QSeries:
-    """g(0, q)^(2k) = exp(2k log g(0, q)), one factor g(0, q) per stable
-    root pair of a 4k-manifold."""
-    return QSeries(_exp(Fraction(1), [c * (2 * k) for c in _twist_logs(order, 0)[0]], order))
-
-
-def _elliptic(m: ManifoldModel, order: int, what: str) -> list[Fraction]:
-    """Coefficients 0..order of q^(k/2) * phi(m): g(0, q)^(2k) times the
-    genus of F, cross-checked under the label what."""
-    k = m.real_dimension // 4
-    value = _cross_checked(m, what, _elliptic_sequence(k, order))
-    return (value * _rank_correction(k, order)).coeffs
-
-
-@lru_cache(maxsize=None)
 def elliptic_polynomials(k: int, order: int) -> tuple[Mapping[tuple[int, ...], Fraction], ...]:
     """The q-coefficients 0..order of q^(k/2) * phi as polynomials in the
     Pontryagin classes of a 4k-manifold, one partition table per power of q:
-    the universal polynomial of F times g(0, q)^(2k)."""
-    top = _elliptic_sequence(k, order).weights[k]
-    correction = _rank_correction(k, order)
-    series = {lam: c * correction for lam, c in top.items()}
-    return tuple(
-        MappingProxyType({lam: s.coeffs[n] for lam, s in series.items() if s.coeffs[n]})
-        for n in range(order + 1)
-    )
+    the weight-k universal polynomial of the elliptic series, split by q."""
+    top = _elliptic_sequence(k, order).weights[k].items()
+    return tuple(MappingProxyType({lam: s.coeffs[n] for lam, s in top if s.coeffs[n]}) for n in range(order + 1))
 
 
 def elliptic_q_coefficients(m: ManifoldModel, order: int | None = None) -> list[Fraction]:
@@ -453,7 +444,9 @@ def elliptic_q_coefficients(m: ManifoldModel, order: int | None = None) -> list[
     dim = m.real_dimension
     if dim % 4:
         raise ValueError(f"{brief(m.name)} has dimension {dim}; the expansion needs a multiple of 4")
-    return _elliptic(m, dim // 4 if order is None else order, "elliptic genus")
+    k = dim // 4
+    # a copy: on the point the value is the cached series' own unit
+    return list(_cross_checked(m, "elliptic genus", _elliptic_sequence(k, k if order is None else order)).coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -473,4 +466,4 @@ def twisted_ahat_tangent(m: ManifoldModel) -> Fraction:
     dim = m.real_dimension
     if dim % 4:
         raise ValueError(f"{brief(m.name)} has dimension {dim}; the twisted genus needs a multiple of 4")
-    return -_elliptic(m, 1, "twisted A-hat")[1]
+    return -_cross_checked(m, "twisted A-hat", _elliptic_sequence(dim // 4, 1)).coeffs[1]

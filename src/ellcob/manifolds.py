@@ -116,7 +116,10 @@ def build_cp(n: int) -> ManifoldModel:
     ring = RingSpec([("b", 2)], 2 * n, {"b": (n + 1, {})})
     b = ring.gen("b")
     # first Chern class of the stable splitting is (n+1) b
-    return ManifoldModel(f"cp:{n}", 2 * n, ring, ((b * b, n + 1),), (n,), spin=(n % 2 == 1))
+    return ManifoldModel(
+        f"cp:{n}", 2 * n, ring, ((b * b, n + 1),), (n,), spin=(n % 2 == 1),
+        curvature_certificate="symmetric space metric",
+    )
 
 
 def build_hp(n: int) -> ManifoldModel:

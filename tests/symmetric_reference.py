@@ -261,7 +261,7 @@ def elliptic_by_roots(m, order):
     route alone: g(0, q)^(2k) times the genus of F."""
     k = m.real_dimension // 4
     value = _roots_route(m, _elliptic_sequence(k, order).source)
-    return (value * _scalar_power(twist_character(order, k + 1)[0], 2 * k)).coeffs
+    return value.coeffs
 
 
 # ---------------------------------------------------------------------------

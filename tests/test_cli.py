@@ -654,6 +654,24 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err == "internal consistency failure: family X12 at c = -2 has value 8, its polynomial gives 64\n"
 
+    def test_scan_builds_each_member_once(self, capsys, monkeypatch):
+        from ellcob.cobordism import FamilySpec
+
+        z20 = standard_family("Z20")
+        built = []
+
+        def counting(c):
+            built.append(c)
+            return z20.builder(c)
+
+        counted = FamilySpec(z20.name, z20.dimension, counting, z20.substitution, z20.max_degree)
+        monkeypatch.setattr("ellcob.cli.standard_family", lambda name: counted)
+        code, _, _ = run(capsys, ["scan", "--family", "Z20", "-f", "p5", "--range", "1..9"])
+        assert code == 0 and sorted(built) == list(range(1, 10))
+        built.clear()  # nothing outlives the request: a second scan builds again
+        assert run(capsys, ["scan", "--family", "Z20", "-f", "p5", "--range", "1..2"])[0] == 0
+        assert sorted(built) == list(range(1, z20.max_degree + 3))
+
 
 def _exit_is_0_or_2(argv):
     """main(argv) exits 0, or 2 with exactly one 'error: ' line; every stderr

@@ -342,6 +342,12 @@ class TestEllipticExpansion:
         for m in (build_cp(2), build_hp(2), build_cp(4), bundle_12(2)):
             assert elliptic_q_coefficients(m, 0)[0] == ahat(m), m.name
 
+    def test_point_is_one_and_a_fresh_list(self):
+        coeffs = elliptic_q_coefficients(build_point(), 2)
+        assert coeffs == [F(1), F(0), F(0)]
+        coeffs[0] = F(5)  # the caller's list, not a cached series' unit
+        assert elliptic_q_coefficients(build_point(), 2) == [F(1), F(0), F(0)]
+
     def test_vanishes_on_spin_bundle_members(self):
         for c in (2, 4):
             assert elliptic_q_coefficients(bundle_12(c), 3) == [F(0)] * 4

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ellcob.algebra import RingSpec
-from ellcob.cobordism import Partition, x12
+from ellcob.cobordism import Partition, basis_manifolds, x12
 from ellcob.manifolds import (
     LineBundleSum,
     ManifoldModel,
@@ -250,6 +250,14 @@ class TestProducts:
         m1, m2 = build_cp(2), build_cp(3)
         with pytest.raises(ValueError):
             pair(m1, m2.ring.one())
+
+    def test_curvature_certificate_on_cp_and_its_products(self):
+        # Fubini-Study is a symmetric-space metric, so every product of CP's carries one
+        assert build_cp(2).curvature_certificate == build_hp(2).curvature_certificate
+        for dim in range(4, 21, 4):
+            for m in basis_manifolds(dim):
+                assert m.curvature_certificate is not None, m.name
+        assert product(x12(2), build_cp(2)).curvature_certificate is not None
 
 
 class TestModelValidation:

@@ -15,16 +15,18 @@ from functools import lru_cache
 import pytest
 
 import symmetric_reference as ref
-from ellcob.cli import parse_functional
-from ellcob.cobordism import basis_manifolds, elliptic_span, genus_as_functional
+from ellcob.cli import parse_functional, parse_manifold
+from ellcob.cobordism import Functional, basis_manifolds, elliptic_span, genus_as_functional, pontryagin_numbers
 from ellcob.genera import (
     CharacteristicSeries,
     _roots_route,
     ahat_sequence,
     elliptic_polynomials,
+    elliptic_q_coefficients,
     l_sequence,
     signature,
     twisted_ahat_polynomial,
+    twisted_ahat_tangent,
 )
 from ellcob.manifolds import build_cp, build_hp
 
@@ -83,6 +85,32 @@ class TestAgainstBasisSolve:
             assert repr(parse_functional(name, dim)) == repr(_oracle(dim, name)), name
         for j in range(dim // 4 + 2):
             assert repr(parse_functional(f"ell[{j}]", dim)) == repr(_oracle(dim, "ell", j)), j
+
+
+ROUTE_MODELS = ("cp:2", "hp:2", "hp:3", "X12:c=2", "Y16:c=1", "prod(cp:2,hp:1)", "pb:5:[1,-2,0,3]",
+                "X12xHP:1:c=3", "prod(pb:3:[1,2],cp:4)")
+
+
+class TestTablesAgainstValues:
+    """The universal tables (span, member, ell[j]) dotted with a model's
+    Pontryagin numbers give the cross-checked values, at every q-order."""
+
+    @pytest.mark.parametrize("text", ROUTE_MODELS)
+    def test_elliptic_at_every_q_order(self, text):
+        m, _ = parse_manifold(text)
+        dim, k = m.real_dimension, m.real_dimension // 4
+        numbers = pontryagin_numbers(m)
+        for order in range(k + 3):
+            tables, values = elliptic_polynomials(k, order), elliptic_q_coefficients(m, order)
+            assert len(tables) == len(values) == order + 1, order
+            for j, (table, value) in enumerate(zip(tables, values)):
+                assert Functional.from_polynomial(dim, table).evaluate(numbers) == value, (order, j)
+
+    @pytest.mark.parametrize("text", ROUTE_MODELS)
+    def test_twisted_ahat(self, text):
+        m, _ = parse_manifold(text)
+        table = twisted_ahat_polynomial(m.real_dimension // 4)
+        assert Functional.from_polynomial(m.real_dimension, table).evaluate(pontryagin_numbers(m)) == twisted_ahat_tangent(m)
 
 
 class TestWeightTwelve:
