@@ -19,14 +19,21 @@ independent ways, which share only the l_r:
   P_r = sum m t^r over the Pontryagin roots (t, m); a negative m (a
   virtual summand such as the (4u, -1) of HP^n) needs no inverse.  The
   exponential is taken by weight for its nilpotent q^0 part, then in q,
-  and paired with the fundamental class;
+  and paired with the fundamental class.  A genus is a ring homomorphism
+  on the rational cobordism ring (Hirzebruch, *Topological Methods*, 10),
+  so on a product this is done on each prime factor's own ring and the
+  values are multiplied; a factor of dimension not divisible by 4 pairs
+  to 0;
 * universal route: the power sums are symmetric functions, rewritten in
   the Pontryagin classes (:class:`MultiplicativeSequence`), and the
-  result is dotted with the Pontryagin numbers.
+  result is dotted with the Pontryagin numbers, a product's read off its
+  own ring.
 
 Both routes run on every model and must agree exactly; a mismatch
-raises :class:`ConsistencyError`.  With rational coefficients the value
-is a rational, with q-series coefficients a q-series of rationals.
+raises :class:`ConsistencyError`.  On a product the check therefore also
+compares the product ring, its rules, roots and pairing monomial, with
+its factors.  With rational coefficients the value is a rational, with
+q-series coefficients a q-series of rationals.
 
 The universal polynomials are computed in the partition basis
 (Macdonald, *Symmetric Functions*, I.2).  The weight parts E_w of
@@ -62,7 +69,7 @@ from functools import lru_cache
 from math import comb, factorial
 from types import MappingProxyType
 
-from .algebra import GradedElement, QSeries, as_rational
+from .algebra import _ZERO, GradedElement, QSeries, as_rational
 from .errors import ConsistencyError, brief
 from .manifolds import ManifoldModel, pair, pontryagin_products
 
@@ -351,11 +358,21 @@ def _elliptic_sequence(k: int, order: int) -> MultiplicativeSequence:
 
 def _roots_route(m: ManifoldModel, series: CharacteristicSeries) -> Coefficient:
     """The genus of series on m from its Pontryagin roots, exp of the
-    ring power sums, paired with the fundamental class."""
-    if not m.roots:  # the point, whose genus is f(0) = 1
+    ring power sums, paired with the fundamental class; on a product, the
+    product of those values on its prime factors, never its own ring.  A
+    zero is the shared ``_ZERO``, wherever the product made it."""
+    value = None
+    for factor in m.factors or (m,):
+        if not factor.roots:  # a point, whose genus is f(0) = 1
+            continue
+        paired = [pair(factor, c) for c in series.evaluate_at(factor.roots)]
+        total = QSeries(paired) if isinstance(series.one, QSeries) else paired[0]
+        value = total if value is None else value * total
+    if value is None:
         return series.one
-    total = [pair(m, c) for c in series.evaluate_at(m.roots)]
-    return QSeries(total) if isinstance(series.one, QSeries) else total[0]
+    if isinstance(value, QSeries):
+        return QSeries([c or _ZERO for c in value.coeffs])
+    return value or _ZERO
 
 
 def _universal_route(m: ManifoldModel, seq: MultiplicativeSequence) -> Coefficient:
@@ -367,7 +384,8 @@ def _universal_route(m: ManifoldModel, seq: MultiplicativeSequence) -> Coefficie
 
 def _cross_checked(m: ManifoldModel, what: str, seq: MultiplicativeSequence) -> Coefficient:
     """The value on m by both routes, which must agree.  The roots route's
-    is returned: its zeros, read off by ``pair``, share one Fraction."""
+    is returned: its zeros, read off by ``pair`` or mapped after a product
+    of factors, share one Fraction."""
     value = _universal_route(m, seq)
     direct = _roots_route(m, seq.source)
     if direct != value:

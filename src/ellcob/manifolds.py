@@ -17,10 +17,13 @@ a virtual summand.
   off p(HP^n) = (1+u)^(2n+2) (1+4u)^(-1) (Borel-Hirzebruch, Amer. J.
   Math. 80, 1958).
 
-The list is stable: trivial summands are not listed, and rank
-corrections downstream account for them.  Products concatenate the
-Pontryagin roots of both factors.  Models are immutable; build functions
-are pure.
+The list is stable: trivial summands are not listed, as they add nothing
+to the Pontryagin class and every genus series has constant term 1.  A
+product's ring is the tensor product of its factors' rings and its
+Pontryagin roots concatenate theirs; it also records its prime factors,
+nested products flattened, so that a genus can be read off them.
+Models are immutable: the constructor sets each attribute once.  Build
+functions are pure.
 """
 from __future__ import annotations
 
@@ -67,9 +70,16 @@ class LineBundleSum(Record):
 
 
 class ManifoldModel:
-    """Everything the genus and cobordism machinery needs about one manifold."""
+    """Everything the genus and cobordism machinery needs about one manifold.
 
-    __slots__ = ("name", "real_dimension", "ring", "roots", "pairing_exponents", "spin", "curvature_certificate")
+    factors is empty on a prime model and lists the prime factors of a
+    product, in order.  Attributes are read-only, and two models are equal
+    only when they are the same object."""
+
+    __slots__ = ("name", "real_dimension", "ring", "roots", "pairing_exponents", "spin",
+                 "curvature_certificate", "factors")
+    # read-only fields as a Record has, but not its equality and hash: the roots are unhashable
+    _fill, __setattr__, __delattr__ = Record._fill, Record.__setattr__, Record.__delattr__
 
     def __init__(
         self,
@@ -80,6 +90,7 @@ class ManifoldModel:
         pairing_exponents: tuple[int, ...],
         spin: bool,
         curvature_certificate: str | None = None,
+        factors: Sequence[ManifoldModel] = (),
     ) -> None:
         if real_dimension < 0 or real_dimension % 2:
             raise ValueError("models here all have even nonnegative dimension")
@@ -87,13 +98,8 @@ class ManifoldModel:
             raise ValueError("pairing monomial does not match the ring")
         if ring.degree_of(pairing_exponents) != real_dimension:
             raise ValueError("pairing monomial degree must equal the real dimension")
-        self.name = name
-        self.real_dimension = real_dimension
-        self.ring = ring
-        self.roots = tuple(roots)
-        self.pairing_exponents = tuple(pairing_exponents)
-        self.spin = bool(spin)
-        self.curvature_certificate = curvature_certificate
+        self._fill(name, real_dimension, ring, tuple(roots), tuple(pairing_exponents), bool(spin),
+                   curvature_certificate, tuple(factors))
 
     def __repr__(self) -> str:
         return f"ManifoldModel({self.name}, dim={self.real_dimension})"
@@ -181,7 +187,8 @@ def _embed(element: GradedElement, target: RingSpec, offset: int) -> GradedEleme
 
 def product(m1: ManifoldModel, m2: ManifoldModel) -> ManifoldModel:
     """Cartesian product.  Generators are renamed with factor suffixes,
-    so repeated factors never collide; the Pontryagin roots concatenate."""
+    so repeated factors never collide; the Pontryagin roots concatenate,
+    and so do the prime factors, a prime model standing for itself."""
     gens = [(f"{n}1", d) for n, d in zip(m1.ring.generators, m1.ring.degrees)]
     gens += [(f"{n}2", d) for n, d in zip(m2.ring.generators, m2.ring.degrees)]
     dim = m1.real_dimension + m2.real_dimension
@@ -207,6 +214,7 @@ def product(m1: ManifoldModel, m2: ManifoldModel) -> ManifoldModel:
     return ManifoldModel(
         f"prod({m1.name},{m2.name})", dim, ring, roots, pairing,
         spin=m1.spin and m2.spin, curvature_certificate=cert,
+        factors=(m1.factors or (m1,)) + (m2.factors or (m2,)),
     )
 
 

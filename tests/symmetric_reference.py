@@ -20,7 +20,9 @@ q-series of ring elements are plain coefficient lists multiplied by
 ``series_product`` here, not library series.  They have no inverse, so
 a model with a virtual root (m < 0, as on HP^n) is rejected.
 ``elliptic_by_roots`` runs the library's roots route alone, scaled like
-the public elliptic values.
+the public elliptic values.  ``genus_on_own_ring`` runs the library's
+``evaluate_at`` on a model's own roots, a product's embedded ones
+included, where the roots route reads a product's factors.
 
 ``twist_character_dense`` builds g(x, q) by dense products over a grid
 of q- and x-degrees, odd powers of x included; it is the oracle for
@@ -262,6 +264,16 @@ def elliptic_by_roots(m, order):
     k = m.real_dimension // 4
     value = _roots_route(m, _elliptic_sequence(k, order).source)
     return value.coeffs
+
+
+def genus_on_own_ring(m, series):
+    """The genus of series on m from the exp of the power sums of m's own
+    Pontryagin roots, paired in m's own ring: on a product, its embedded
+    roots and the product ring's rules and pairing monomial."""
+    if not m.roots:
+        return series.one
+    total = [pair(m, c) for c in series.evaluate_at(m.roots)]
+    return QSeries(total) if isinstance(series.one, QSeries) else total[0]
 
 
 # ---------------------------------------------------------------------------

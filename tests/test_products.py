@@ -1,0 +1,192 @@
+"""Genera of products by multiplicativity.
+
+A genus is a ring homomorphism on the rational cobordism ring, so
+phi(M x N) = phi(M) phi(N).  A product model records its prime factors,
+and the roots route multiplies their values, while the universal route
+reads the Pontryagin numbers of the product ring.  The cross-check then
+compares the product ring with its factors: a fault in the product
+construction must surface as a ConsistencyError (exit 3 on the CLI),
+where it used to pass because both routes read the same ring.
+
+The oracle for the factorwise values is ``genus_on_own_ring`` in
+``symmetric_reference``: ``evaluate_at`` on the product's own embedded
+roots, paired in the product ring.
+"""
+import random
+from fractions import Fraction
+
+import pytest
+
+import ellcob.manifolds as manifolds
+import symmetric_reference as ref
+from ellcob import algebra
+from ellcob.algebra import QSeries
+from ellcob.cli import main, parse_manifold
+from ellcob.errors import ConsistencyError
+from ellcob.genera import (
+    CharacteristicSeries,
+    _elliptic_sequence,
+    _roots_route,
+    ahat,
+    ahat_sequence,
+    elliptic_q_coefficients,
+    l_sequence,
+    signature,
+)
+from ellcob.manifolds import LineBundleSum, ManifoldModel, build_cp, build_hp, build_point, build_proj_bundle, product
+
+
+class TestFactors:
+    def test_prime_models_have_no_factors(self):
+        for m in (build_point(), build_cp(2), build_hp(1), build_proj_bundle(LineBundleSum(2, (1, -1, 2)))):
+            assert m.factors == ()
+
+    def test_nested_products_flatten(self):
+        a, b, c = build_cp(1), build_hp(1), build_cp(2)
+        assert product(a, b).factors == (a, b)
+        assert product(product(a, b), c).factors == (a, b, c)
+        assert product(a, product(b, c)).factors == (a, b, c)
+        assert product(product(a, b), product(c, a)).factors == (a, b, c, a)
+
+    def test_parsed_product_lists_its_primes(self):
+        m, _ = parse_manifold("prod(cp:2,prod(hp:1,pb:1:[1,0]))")
+        assert [f.name for f in m.factors] == ["cp:2", "hp:1", "pb:1:[1,0]"]
+
+
+class TestReadOnlyModel:
+    FIELDS = ManifoldModel.__slots__
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_assignment_and_deletion_raise(self, field):
+        m = product(build_cp(2), build_hp(1))
+        before = getattr(m, field)
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(m, field, None)
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(m, field)
+        assert getattr(m, field) is before
+
+    def test_new_attribute_raises(self):
+        with pytest.raises(AttributeError):
+            build_cp(2).extra = 1
+
+    def test_equality_is_identity(self):
+        m = build_cp(2)
+        assert m == m and m != build_cp(2)
+        assert len({m, m, build_cp(2)}) == 2
+
+
+class TestSharedZero:
+    """A product of factor values that is 0, or a q-coefficient that
+    cancels, is the one shared zero that ``pair`` hands out."""
+
+    @pytest.mark.parametrize("text", ["prod(cp:1,cp:3)", "prod(hp:1,cp:2)", "prod(hp:2,cp:2)",
+                                      "prod(cp:2,prod(cp:2,hp:1))"])
+    def test_elliptic_zeros_are_shared(self, text):
+        m, _ = parse_manifold(text)
+        coefficients = elliptic_q_coefficients(m, 6)
+        assert any(not c for c in coefficients)
+        assert all(c is algebra._ZERO for c in coefficients if not c)
+
+    @pytest.mark.parametrize("text", ["prod(cp:1,cp:3)", "prod(hp:1,cp:2)", "prod(cp:1,prod(cp:1,hp:1))"])
+    def test_signature_and_ahat_zeros_are_shared(self, text):
+        m, _ = parse_manifold(text)
+        assert signature(m) is algebra._ZERO
+        assert ahat(m) is algebra._ZERO
+
+    def test_cancelling_q_coefficient_is_shared(self):
+        # on CP^2 the genus of exp(l_1 t + ...) is 3 l_1, here 3 + 6q - 6q^2; on
+        # CP^2 x CP^2 its square's q^2 coefficient is -18 + 36 - 18, a sum that cancels
+        series = CharacteristicSeries("cancelling", [QSeries([0, 0, 0]), QSeries([1, 2, -2]), QSeries([0, 0, 0])])
+        value = _roots_route(product(build_cp(2), build_cp(2)), series)
+        assert value.coeffs == [9, 36, 0]
+        assert value.coeffs[2] is algebra._ZERO
+
+
+class TestProductConstructionIsChecked:
+    """Doubling the embedded roots of the second factor of every product
+    skews the product ring only; its factors stay right."""
+
+    @pytest.fixture
+    def doubled_second_factor(self, monkeypatch):
+        original = manifolds._embed
+        monkeypatch.setattr(manifolds, "_embed",
+                            lambda element, ring, offset: original(element, ring, offset) * (2 if offset else 1))
+
+    @pytest.mark.parametrize("text", ["prod(hp:2,cp:2)", "prod(cp:2,cp:4)"])
+    def test_library_raises(self, text, doubled_second_factor):
+        m, _ = parse_manifold(text)
+        with pytest.raises(ConsistencyError, match="^genus pipelines disagree"):
+            signature(m)
+        with pytest.raises(ConsistencyError, match="^elliptic genus pipelines disagree"):
+            elliptic_q_coefficients(m, 2)
+
+    def test_cli_exits_3(self, capsys, doubled_second_factor):
+        code = main(["genus", "--manifold", "prod(hp:2,cp:2)", "--which", "sign"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "internal consistency failure: genus pipelines disagree on prod(hp:2,cp:2)" in captured.err
+
+
+def _random_factor(rng: random.Random, odd: bool):
+    """cp:1 or cp:3 when odd, whose dimension is 2 mod 4; else a cp, hp
+    or pb of dimension divisible by 4 whose genera are not all 0 (they
+    all vanish on HP^1 and on a CP^1-bundle over CP^1)."""
+    if odd:
+        return build_cp(rng.choice((1, 3)))
+    kind = rng.choice(("cp", "hp", "pb", "pb"))
+    if kind == "cp":
+        return build_cp(rng.choice((2, 4)))
+    if kind == "hp":
+        return build_hp(2)
+    return build_proj_bundle(LineBundleSum(2, tuple(rng.randint(-2, 2) for _ in range(3))))
+
+
+def _random_product(seed: int, max_dim: int = 20):
+    """A product of 2 to 4 random factors of total dimension at most
+    max_dim, nested in random order; in about a quarter of them two
+    factors have dimension 2 mod 4."""
+    rng = random.Random(f"products-{seed}")
+    count = rng.randint(2, 4)
+    odd = 2 if rng.random() < 0.25 else 0
+    while True:
+        factors = [_random_factor(rng, i < odd) for i in range(count)]
+        if sum(f.real_dimension for f in factors) <= max_dim:
+            break
+    rng.shuffle(factors)
+    m = factors[0]
+    for f in factors[1:]:
+        m = product(m, f) if rng.random() < 0.5 else product(f, m)
+    return m
+
+
+SERIES = {
+    "L": lambda k: l_sequence(k).source,
+    "ahat": lambda k: ahat_sequence(k).source,
+    "elliptic": lambda k: _elliptic_sequence(k, 6).source,
+}
+
+
+@pytest.mark.parametrize("genus", SERIES)
+@pytest.mark.parametrize("seed", range(24))
+def test_factorwise_value_equals_the_product_ring(seed, genus):
+    m = _random_product(seed)
+    series = SERIES[genus](m.real_dimension // 4)
+    assert len(m.factors) >= 2
+    assert _roots_route(m, series) == ref.genus_on_own_ring(m, series), m.name
+
+
+@pytest.mark.parametrize("text", ["prod(cp:1,cp:3)", "prod(cp:3,prod(cp:1,cp:2))", "prod(cp:1,cp:1)",
+                                  "prod(hp:1,prod(cp:3,cp:3))"])
+@pytest.mark.parametrize("genus", SERIES)
+def test_odd_complex_dimension_factors(text, genus):
+    m, _ = parse_manifold(text)
+    series = SERIES[genus](m.real_dimension // 4)
+    assert _roots_route(m, series) == ref.genus_on_own_ring(m, series)
+
+
+def test_products_with_a_point():
+    cp = build_cp(2)
+    for m in (product(cp, build_point()), product(build_point(), cp)):
+        assert signature(m) == signature(cp) == Fraction(1)
+        assert elliptic_q_coefficients(m, 3) == elliptic_q_coefficients(cp, 3)
