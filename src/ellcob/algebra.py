@@ -35,10 +35,10 @@ Ring arithmetic runs on integers.
   then read every raw code's normal form from the table.
 * Shared tables.  A table depends only on the ring's signature, so equal
   rings built again share one.  A ring whose signature is new keeps its
-  own table, which dies with it, and leaves only the signature's hash
-  behind; from its second build on, equal rings read and fill one table
-  kept under the full signature.  Hashes and shared tables are each kept
-  for the 128 signatures built last, so memory stays bounded however
+  own table, which dies with it, and leaves only its signature behind;
+  from its second build on, equal rings read and fill one table kept
+  under that signature.  One registry holds the 128 signatures built
+  last, one-off and shared together, so memory stays bounded however
   many models a caller builds.
 
 Elements, series and matrices are immutable and all operations are pure.
@@ -102,17 +102,9 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
 
-_SHARED_RINGS = 128  # how many signatures _SEEN and _SHARED each remember
-_SEEN: dict[int, bool] = {}  # hash(signature) of rings built once, oldest first
-_SHARED: dict[tuple, tuple[dict, dict]] = {}  # signature -> (table, code degrees)
-_SHARING = allocate_lock()  # RingSpec.__init__ reads and updates both at once
-
-
-def _remember(cache: dict, key: object, value: object) -> None:
-    """Put ``key`` last in ``cache`` and forget its oldest entry past the bound."""
-    cache[key] = value
-    if len(cache) > _SHARED_RINGS:
-        del cache[next(iter(cache))]
+_SHARED_RINGS = 128  # how many signatures _BUILT remembers, least recently built first
+_BUILT: dict[tuple, tuple[dict, dict] | None] = {}  # signature -> None once built, then (table, code degrees)
+_SHARING = allocate_lock()  # RingSpec.__init__ reads and updates _BUILT at once
 
 
 def as_rational(value: Scalar) -> Fraction:
@@ -217,18 +209,16 @@ class RingSpec:
             if power * degs[g] <= top
         )
         # the reduction table (raw monomial code -> its normal form) and the
-        # code-degree cache, shared between equal rings (module docstring); a
-        # hash in _SEEN only admits, the tables stay keyed by the full signature
+        # code-degree cache, shared between equal rings (module docstring)
         key = self._signature
         with _SHARING:
-            tables = _SHARED.pop(key, None)  # put back last: least recently built first
-            if tables is None and _SEEN.pop(hash(key), False):
-                tables = {}, {}  # built again: from now on equal rings share these
-            if tables is None:
-                _remember(_SEEN, hash(key), True)
-            else:
-                _remember(_SHARED, key, tables)
-        self._table, self._code_degrees = tables or ({}, {})
+            built = key in _BUILT
+            # popped to go back last; a first or second build gets fresh tables
+            tables = _BUILT.pop(key, None) or ({}, {})
+            _BUILT[key] = tables if built else None  # shared from the second build on
+            if len(_BUILT) > _SHARED_RINGS:
+                del _BUILT[next(iter(_BUILT))]
+        self._table, self._code_degrees = tables
 
     # -- identity -----------------------------------------------------
 

@@ -144,7 +144,8 @@ class Functional(Record):
     def from_polynomial(cls, dim: int, poly: Mapping[tuple[int, ...], Fraction]) -> "Functional":
         """The functional M -> <poly(p_1, p_2, ...), [M]> for a polynomial in
         Pontryagin classes given as partition -> coefficient."""
-        return cls(dim, {I: poly.get(I, 0) for I in partitions_of(dim // 4)})
+        # partitions_of order first, then any key of another weight for the constructor to refuse
+        return cls(dim, {**dict.fromkeys(partitions_of(dim // 4), 0), **poly})
 
     def evaluate(self, vec: CharNumberVector) -> Fraction:
         if vec.dimension != self.dimension:

@@ -120,10 +120,18 @@ def _bernoulli(n: int) -> tuple[Fraction, ...]:
     return tuple(b)
 
 
+def _nonnegative(what: str, order: int) -> int:
+    if order < 0:
+        raise ValueError(f"{what} must be nonnegative, not {order}")
+    return order
+
+
 def _twist_logs(q_order: int, x2_order: int) -> list[list[Fraction]]:
     """log g(x, q) by rows: [j][N] is sum_(d|N) (-1)^(N/d) 2 d^(2j-1) / (2j)!,
     the x^(2j) q^N coefficient of sum_(N, d|N) q^N (-1)^(N/d) (2/d) cosh(dx);
     row 0 is log g(0, q)."""
+    _nonnegative("q-order", q_order)
+    _nonnegative("x^2-order", x2_order)
     def coefficient(j: int, n: int) -> Fraction:
         return sum(Fraction((-1) ** (n // d) * 2 * d ** (2 * j), d) for d in range(1, n + 1) if n % d == 0)
     return [[Fraction(0)] + [coefficient(j, n) / factorial(2 * j) for n in range(1, q_order + 1)]
@@ -167,14 +175,14 @@ class CharacteristicSeries:
     @classmethod
     def l_genus(cls, order: int) -> "CharacteristicSeries":
         # log(x/tanh x) = sum_(j>=1) 4^j (4^j - 2) B_2j t^j / (2j (2j)!)
-        b = _bernoulli(2 * order)
+        b = _bernoulli(2 * _nonnegative("x^2-order", order))
         logs = [4 ** j * (4 ** j - 2) * b[2 * j] / (2 * j * factorial(2 * j)) for j in range(1, order + 1)]
         return cls("signature", [Fraction(0)] + logs)
 
     @classmethod
     def ahat_genus(cls, order: int) -> "CharacteristicSeries":
         # log((x/2)/sinh(x/2)) = -sum_(j>=1) B_2j t^j / (2j (2j)!)
-        b = _bernoulli(2 * order)
+        b = _bernoulli(2 * _nonnegative("x^2-order", order))
         return cls("ahat", [Fraction(0)] + [-b[2 * j] / (2 * j * factorial(2 * j)) for j in range(1, order + 1)])
 
     @classmethod
@@ -347,8 +355,6 @@ def _elliptic_sequence(k: int, order: int) -> MultiplicativeSequence:
     """The universal polynomials of the elliptic series F(g(0, q)^2 t),
     F = f_ahat g / g(0, q), up to weight k, coefficients truncated at
     q^order; the weight-k table is the elliptic genus of a 4k-manifold."""
-    if order < 0:
-        raise ValueError("q-order must be nonnegative")
     return universal_k_polynomials(CharacteristicSeries.elliptic(order, k + 1), k)
 
 

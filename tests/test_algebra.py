@@ -428,19 +428,28 @@ def tagged_ring(tag, coefficient=-2, second="b"):
 
 class TestSharedTables:
     """Equal rings built again share one reduction table and code-degree
-    cache, kept under the full signature; a ring built once keeps its own."""
+    cache, kept under the full signature in ``_BUILT``; a ring built once
+    keeps its own, and its entry there holds no table."""
 
     def test_a_ring_built_once_leaves_no_table(self):
         ring = tagged_ring(next(TAGS))
         assert ring.gen(ring.generators[0]) ** 3 == ring.element({(1, 2): 4})
-        assert ring._table and ring._signature not in algebra._SHARED
-        assert all(ring._table is not table for table, _ in algebra._SHARED.values())
-        assert hash(ring._signature) in algebra._SEEN
+        assert ring._table and algebra._BUILT[ring._signature] is None
+        assert all(ring._table is not tables[0] for tables in algebra._BUILT.values() if tables)
+
+    def test_a_one_off_entry_holds_no_table(self):
+        tag = next(TAGS)
+        first = tagged_ring(tag)
+        first.gen(first.generators[0]) ** 3  # fills the private table
+        assert algebra._BUILT[first._signature] is None
+        second = tagged_ring(tag)
+        assert first._table and not second._table and not second._code_degrees
+        assert algebra._BUILT[first._signature] == (second._table, second._code_degrees)
 
     def test_equal_rings_share_from_the_third_build_on(self):
         tag = next(TAGS)
         first, second, third, fourth = (tagged_ring(tag) for _ in range(4))
-        shared = algebra._SHARED[first._signature]
+        shared = algebra._BUILT[first._signature]
         assert first._table is not second._table and first._code_degrees is not second._code_degrees
         assert second._table is third._table is fourth._table is shared[0]
         assert second._code_degrees is third._code_degrees is fourth._code_degrees is shared[1]
@@ -456,19 +465,6 @@ class TestSharedTables:
             a = rings[2].gen(rings[2].generators[0])
             assert dict((a * a).terms) == {(1, 1): F(coefficient)}
 
-    def test_a_hash_collision_shares_no_table(self, monkeypatch):
-        # every signature hashes alike, so each build admits the one after it
-        monkeypatch.setattr(algebra, "hash", lambda key: 0, raising=False)
-        tag = next(TAGS)
-        for _ in range(4):
-            x, y = tagged_ring(tag), tagged_ring(tag, coefficient=-3)
-            assert x._table is not y._table
-            for ring, other, coefficient in ((x, y, -2), (y, x, -3)):
-                assert algebra._SHARED.get(ring._signature, ({},))[0] is not other._table
-                a = ring.gen(ring.generators[0])
-                assert dict((a * a * a).terms) == {(1, 2): F(coefficient) ** 2}
-        assert algebra._SHARED[x._signature][0] is x._table and algebra._SHARED[y._signature][0] is y._table
-
     def test_the_cache_holds_at_most_the_bound(self):
         bound = algebra._SHARED_RINGS
         signatures = []
@@ -476,16 +472,27 @@ class TestSharedTables:
             tag = next(TAGS)
             signatures.append(tagged_ring(tag)._signature)
             tagged_ring(tag)
-        assert len(algebra._SHARED) <= bound and len(algebra._SEEN) <= bound
-        assert set(algebra._SHARED) == set(signatures[-bound:])
+        assert len(algebra._BUILT) == bound
+        assert set(algebra._BUILT) == set(signatures[-bound:])
+        assert all(tables is not None for tables in algebra._BUILT.values())
+
+    def test_the_bound_counts_one_off_and_shared_signatures_together(self):
+        bound = algebra._SHARED_RINGS
+        tags = [next(TAGS) for _ in range(bound)]
+        shared = [[tagged_ring(tag) for _ in range(2)][1]._signature for tag in tags]
+        one_off = [tagged_ring(next(TAGS))._signature for _ in range(bound // 2)]
+        assert len(algebra._BUILT) == bound
+        assert list(algebra._BUILT) == shared[bound // 2:] + one_off
+        assert all(algebra._BUILT[key] is None for key in one_off)
+        assert all(algebra._BUILT[key] is not None for key in shared[bound // 2:])
 
     def test_the_ring_built_least_recently_is_forgotten_first(self):
         tags = [next(TAGS) for _ in range(algebra._SHARED_RINGS + 1)]
         admitted = [[tagged_ring(tag) for _ in range(2)][1]._signature for tag in tags[:-1]]
         kept, dropped = admitted[:2]
         tagged_ring(tags[0])  # built again, kept becomes the newest
-        tagged_ring(tags[-1]), tagged_ring(tags[-1])  # one admission past the bound
-        assert kept in algebra._SHARED and dropped not in algebra._SHARED
+        tagged_ring(tags[-1]), tagged_ring(tags[-1])  # one signature past the bound
+        assert kept in algebra._BUILT and dropped not in algebra._BUILT
 
     @settings(max_examples=60, deadline=None)
     @given(rule_ring_pairs())

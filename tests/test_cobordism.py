@@ -192,6 +192,15 @@ class TestGenusFunctionals:
         with pytest.raises(ValueError):
             Functional(12, {Partition((2,)): F(1)})
 
+    def test_from_polynomial_refuses_a_term_of_another_weight(self):
+        with pytest.raises(ValueError, match="^p1 has weight 1, dimension 12 needs 3$"):
+            Functional.from_polynomial(12, {(1,): 5, (3,): 1})
+
+    def test_from_polynomial_keeps_the_partition_order(self):
+        f = Functional.from_polynomial(12, {(3,): F(-8), (2, 1): 0, (1, 1, 1): F(1, 2)})
+        assert list(f.coefficients) == [(1, 1, 1), (3,)]
+        assert f == Functional(12, {(1, 1, 1): F(1, 2), (3,): F(-8)})
+
     @pytest.mark.parametrize("dimension,error", [
         (4.0, TypeError), (F(4), TypeError), ("4", TypeError),
         (5, ValueError), (-4, ValueError), (2, ValueError),

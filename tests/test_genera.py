@@ -14,6 +14,7 @@ Oracles:
   * the dense bivariate construction of the twist character in
     ``symmetric_reference``.
 """
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -403,6 +404,25 @@ class TestTwistCharacter:
         for x2_order in range(8):
             tw = twist_character(q_order, x2_order)
             assert [s.coeffs for s in tw] == ref.twist_character_dense(q_order, x2_order), x2_order
+
+
+class TestNegativeOrders:
+    @pytest.mark.parametrize("build,args,text", [
+        (CharacteristicSeries.l_genus, (-3,), "x^2-order must be nonnegative, not -3"),
+        (CharacteristicSeries.ahat_genus, (-1,), "x^2-order must be nonnegative, not -1"),
+        (CharacteristicSeries.elliptic, (2, -1), "x^2-order must be nonnegative, not -1"),
+        (CharacteristicSeries.elliptic, (-1, 2), "q-order must be nonnegative, not -1"),
+        (twist_character, (-1, 2), "q-order must be nonnegative, not -1"),
+        (twist_character, (2, -1), "x^2-order must be nonnegative, not -1"),
+        (_elliptic_sequence, (2, -1), "q-order must be nonnegative, not -1"),
+    ], ids=["l_genus", "ahat_genus", "elliptic_x2", "elliptic_q", "twist_q", "twist_x2", "sequence_q"])
+    def test_a_negative_order_is_refused(self, build, args, text):
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            build(*args)
+
+    def test_order_zero_is_still_allowed(self):
+        assert CharacteristicSeries.l_genus(0).order == 0
+        assert CharacteristicSeries.elliptic(0, 0).order == 0
 
 
 class TestCrossCheck:

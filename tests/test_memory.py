@@ -1,9 +1,9 @@
 """Ring state stays bounded however many models are built.
 
 A ring built once keeps its own reduction table, which dies with its
-model, and leaves only its signature's hash behind; equal rings built
-again share one table, and both the hashes and the shared tables are
-kept for a bounded number of signatures.  An unbounded cache of either
+model, and leaves only its signature behind; equal rings built again
+share one table, and one registry keeps the signatures, one-off and
+shared alike, for a bounded number of them.  An unbounded cache of either
 would make memory grow with the number of models a caller builds; this
 guard builds and evaluates fresh models after a warm-up and checks that
 the allocations made in ``ellcob/algebra.py`` do not grow.  What the
