@@ -6,8 +6,8 @@ t = x^2, rationals from Bernoulli numbers (the L-genus x/tanh(x), the
 A-hat genus (x/2)/sinh(x/2)) or scalar q-series from divisor sums (the
 elliptic factor F below).  The series stores log f alone; the
 coefficients of f are derived on read.  One recurrence, :func:`_exp`,
-does every exponential: f itself, the genus on the roots route and the
-twist character.
+does every exponential: f itself, the full class of f on a model's roots
+(:meth:`CharacteristicSeries.evaluate_at`) and the twist character.
 
 The product of f over the variables t_i is exp(sum_r l_r s_r), where
 s_r = sum_i t_i^r are the power sums (Milnor-Stasheff, *Characteristic
@@ -17,13 +17,19 @@ independent ways, which share only the l_r:
 
 * roots route: the power sums are elements of the cohomology ring,
   P_r = sum m t^r over the Pontryagin roots (t, m); a negative m (a
-  virtual summand such as the (4u, -1) of HP^n) needs no inverse.  The
-  exponential is taken by weight for its nilpotent q^0 part, then in q,
-  and paired with the fundamental class.  A genus is a ring homomorphism
-  on the rational cobordism ring (Hirzebruch, *Topological Methods*, 10),
-  so on a product this is done on each prime factor's own ring and the
-  values are multiplied; a factor of dimension not divisible by 4 pairs
-  to 0;
+  virtual summand such as the (4u, -1) of HP^n) needs no inverse.  Only
+  the weight-k part of the exponential reaches the fundamental class of
+  a 4k-manifold, and it is sum_lambda c_lambda P_lambda over the
+  partitions lambda of k, c_lambda = prod_r l_r^(m_r) / m_r! for m_r
+  the multiplicity of r in lambda (Macdonald, I.2).  The monomials
+  P_lambda are paired once per model, and the rationals are dotted with
+  the c_lambda, a table cached per series and weight, so no exponential
+  is taken in the ring and the ring work does not grow with the q-order.
+  A genus is a ring homomorphism on the rational cobordism ring
+  (Hirzebruch, *Topological Methods*, 10), so on a product this is done
+  on each prime factor's own ring and the values are multiplied; a factor
+  of dimension not divisible by 4 pairs to 0, and one with no roots to 0
+  unless it is a point;
 * universal route: the power sums are symmetric functions, rewritten in
   the Pontryagin classes (:class:`MultiplicativeSequence`), and the
   result is dotted with the Pontryagin numbers, a product's read off its
@@ -69,9 +75,9 @@ from functools import lru_cache
 from math import comb, factorial
 from types import MappingProxyType
 
-from .algebra import _ZERO, GradedElement, QSeries, as_rational
+from .algebra import _ZERO, GradedElement, QSeries, Record, as_rational
 from .errors import ConsistencyError, brief
-from .manifolds import ManifoldModel, pair, pontryagin_products
+from .manifolds import ManifoldModel, _pair_monomials, pontryagin_products
 
 __all__ = [
     "CharacteristicSeries",
@@ -151,6 +157,9 @@ class CharacteristicSeries:
     from the logs on each read."""
 
     __slots__ = ("name", "logs", "one")
+    # read-only fields as a Record has, but not its equality and hash: a
+    # series is a cache key by identity
+    _fill, __setattr__, __delattr__ = Record._fill, Record.__setattr__, Record.__delattr__
 
     def __init__(self, name: str, logs: Sequence[Coefficient]) -> None:
         logs = tuple(c if isinstance(c, QSeries) else as_rational(c) for c in logs)
@@ -160,9 +169,11 @@ class CharacteristicSeries:
         for j, c in enumerate(logs):
             if _kind(c) != kind:
                 raise ValueError(f"log f coefficient {j} is {brief(repr(c))}, not {kind} like coefficient 0")
-        self.name = name
-        self.logs = logs
-        self.one = QSeries.constant(Fraction(1), logs[0].order) if isinstance(logs[0], QSeries) else Fraction(1)
+        one = QSeries.constant(Fraction(1), logs[0].order) if isinstance(logs[0], QSeries) else Fraction(1)
+        self._fill(name, logs, one)
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__
+        return type(self), (self.name, self.logs)
 
     @property
     def coeffs(self) -> tuple[Coefficient, ...]:
@@ -203,7 +214,8 @@ class CharacteristicSeries:
     def evaluate_at(self, roots: Sequence[tuple[GradedElement, int]]) -> list[GradedElement]:
         """prod f(t)^m over Pontryagin roots (t, m), t a nilpotent ring
         element: entry n is the q^n coefficient, one entry for a rational
-        series.
+        series.  The full class in every degree; the roots route pairs
+        only its top-degree part, by the power-sum monomials.
 
         The product is exp(sum_j logs[j] P_j) in the ring power sums
         P_j = sum m t^j, taken while some t^j is nonzero; the series must
@@ -362,20 +374,63 @@ def _elliptic_sequence(k: int, order: int) -> MultiplicativeSequence:
 # the two routes
 
 
+_POWER_SUM_TABLES = 64  # how many (series, weight) tables _power_sum_coefficients keeps
+
+
+@lru_cache(maxsize=_POWER_SUM_TABLES)
+def _power_sum_coefficients(series: CharacteristicSeries,
+                            k: int) -> tuple[tuple[tuple[int, ...], Coefficient], ...]:
+    """The weight-k part of exp(sum_j l_j P_j) as pairs (lambda, c_lambda)
+    over the partitions lambda of k, parts non-increasing, c_lambda =
+    prod_j l_j^(m_j) / m_j! for m_j the multiplicity of j in lambda
+    (Macdonald, *Symmetric Functions*, I.2); a part j with l_j = 0 gives
+    c_lambda = 0, and such lambda are left out.  Keyed by the series
+    object, which is read-only."""
+    if series.order < k:
+        raise ValueError(f"series {series.name} carries x^2-order {series.order}, need {k}")
+    # partitions of weight <= k into the parts seen so far, largest first
+    table = {(): series.one}
+    for j in range(k, 0, -1):
+        l_j = series.logs[j]
+        if not l_j:
+            continue
+        for lam, c in list(table.items()):
+            for mult in range(1, (k - sum(lam)) // j + 1):
+                c = c * l_j * Fraction(1, mult)
+                table[lam + (j,) * mult] = c
+    return tuple((lam, c) for lam, c in table.items() if sum(lam) == k)
+
+
+def _genus_on_roots(m: ManifoldModel, series: CharacteristicSeries) -> Coefficient:
+    """<exp(sum_j l_j P_j), [M]> in m's own ring, P_j = sum mult t^j over
+    its Pontryagin roots (t, mult): sum_lambda c_lambda <P_lambda, [M]>
+    over the partitions lambda of k on a 4k-manifold, and 0 in another
+    dimension.  A root is a degree-4 class, so P_lambda has degree
+    4 |lambda| and no other weight reaches the fundamental class; with no
+    roots only the empty partition, in dimension 0, pairs to nonzero."""
+    zero = series.logs[0]
+    if m.real_dimension % 4:
+        return zero
+    k = m.real_dimension // 4
+    table = _power_sum_coefficients(series, k)
+    sums, powers = [], [t for t, _ in m.roots]  # P_1..P_k
+    for j in range(k):
+        if j:
+            powers = [tp * t for tp, (t, _) in zip(powers, m.roots)]
+        sums.append(sum((tp * mult for tp, (_, mult) in zip(powers, m.roots)), m.ring.zero()))
+    numbers = _pair_monomials(m, sums, [lam for lam, _ in table])
+    return sum((c * n for (_, c), n in zip(table, numbers) if n), zero)
+
+
 def _roots_route(m: ManifoldModel, series: CharacteristicSeries) -> Coefficient:
-    """The genus of series on m from its Pontryagin roots, exp of the
-    ring power sums, paired with the fundamental class; on a product, the
+    """The genus of series on m from its Pontryagin roots, the power-sum
+    monomials paired with the fundamental class; on a product, the
     product of those values on its prime factors, never its own ring.  A
     zero is the shared ``_ZERO``, wherever the product made it."""
     value = None
     for factor in m.factors or (m,):
-        if not factor.roots:  # a point, whose genus is f(0) = 1
-            continue
-        paired = [pair(factor, c) for c in series.evaluate_at(factor.roots)]
-        total = QSeries(paired) if isinstance(series.one, QSeries) else paired[0]
+        total = _genus_on_roots(factor, series)
         value = total if value is None else value * total
-    if value is None:
-        return series.one
     if isinstance(value, QSeries):
         return QSeries([c or _ZERO for c in value.coeffs])
     return value or _ZERO
@@ -469,7 +524,7 @@ def elliptic_q_coefficients(m: ManifoldModel, order: int | None = None) -> list[
     if dim % 4:
         raise ValueError(f"{brief(m.name)} has dimension {dim}; the expansion needs a multiple of 4")
     k = dim // 4
-    # a copy: on the point the value is the cached series' own unit
+    # copied: the series' own list carries growth slack, and callers keep many
     return list(_cross_checked(m, "elliptic genus", _elliptic_sequence(k, k if order is None else order)).coeffs)
 
 

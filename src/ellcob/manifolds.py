@@ -241,20 +241,26 @@ def pontryagin_classes(m: ManifoldModel) -> list[GradedElement]:
 
 
 def pontryagin_products(m: ManifoldModel, partitions: Iterable[Sequence[int]]) -> list[Fraction]:
-    """<p_I, [M]> for each partition I, in order.  A product starts from
-    its first class, and products of shared prefixes are formed once.
-    Every part must lie in 1..k, k = dim/4; another is a ValueError."""
+    """<p_I, [M]> for each partition I, in order.  Every part must lie in
+    1..k, k = dim/4; another is a ValueError."""
     partitions, k = [tuple(I) for I in partitions], m.real_dimension // 4
     for I in partitions:
         if not all(0 < part <= k for part in I):
             raise ValueError(f"partition {I} has a part outside 1..{k}")
-    p = pontryagin_classes(m)
+    return _pair_monomials(m, pontryagin_classes(m), partitions)
+
+
+def _pair_monomials(m: ManifoldModel, classes: Sequence[GradedElement],
+                    partitions: Iterable[tuple[int, ...]]) -> list[Fraction]:
+    """<x_I, [M]> for each partition I, in order, where x_I is the product
+    of classes[i - 1] over the parts i of I (x_() = 1).  A product starts
+    from its first class, and products of shared prefixes are formed once."""
     prefixes: dict[tuple[int, ...], GradedElement] = {(): m.ring.one()}
 
     def monomial(parts: tuple[int, ...]) -> GradedElement:
         x = prefixes.get(parts)
         if x is None:
-            last = p[parts[-1] - 1]
+            last = classes[parts[-1] - 1]
             x = last if len(parts) == 1 else monomial(parts[:-1]) * last
             prefixes[parts] = x
         return x

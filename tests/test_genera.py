@@ -14,6 +14,8 @@ Oracles:
   * the dense bivariate construction of the twist character in
     ``symmetric_reference``.
 """
+import copy
+import pickle
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -24,7 +26,7 @@ import ellcob.cli as cli
 import ellcob.cobordism as cobordism
 import ellcob.genera as genera
 import symmetric_reference as ref
-from ellcob.algebra import QSeries
+from ellcob.algebra import QSeries, RingSpec
 from ellcob.genera import (
     CharacteristicSeries,
     MultiplicativeSequence,
@@ -46,6 +48,7 @@ from ellcob.cli import main, parse_manifold
 from ellcob.errors import ConsistencyError
 from ellcob.manifolds import (
     LineBundleSum,
+    ManifoldModel,
     build_cp,
     build_hp,
     build_point,
@@ -441,9 +444,8 @@ class TestCrossCheck:
         "elliptic": (lambda m: elliptic_q_coefficients(m, 2), "^elliptic genus pipelines disagree"),
     }
     ROUTES = {
-        # evaluate_at returns a list of q-coefficients, so each entry is
-        # doubled: a bare * 2 would repeat the list
-        "roots": (CharacteristicSeries, "evaluate_at", lambda value: [c * 2 for c in value]),
+        # the value on each prime factor, a rational or a q-series
+        "roots": (genera, "_genus_on_roots", lambda value: value * 2),
         "universal": (MultiplicativeSequence, "evaluate_top", lambda value: value * 2),
     }
     HP_MODELS = {
@@ -540,8 +542,46 @@ class TestSeriesStoresLogsOnly:
                     monkeypatch.setattr(module, name, lru_cache(maxsize=None)(value.__wrapped__))
         assert _library_values() == expected
 
+    @pytest.mark.parametrize("field", CharacteristicSeries.__slots__)
+    def test_fields_are_read_only(self, field):
+        # a cached power-sum table is keyed by the series object, so no
+        # field may change under it
+        s = CharacteristicSeries.elliptic(2, 3)
+        before = getattr(s, field)
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(s, field, before)
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(s, field)
+        assert getattr(s, field) is before
+
+    @pytest.mark.parametrize("round_trip", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_rebuild_the_series(self, round_trip):
+        s = CharacteristicSeries.elliptic(2, 3)
+        t = round_trip(s)
+        assert (t.name, t.logs, t.one) == (s.name, s.logs, s.one)
+
     def test_coeffs_is_read_only(self):
         s = CharacteristicSeries.l_genus(2)
         with pytest.raises(AttributeError):
             s.coeffs = (F(1),) * 3
         assert s.coeffs == (F(1), F(1, 3), F(-1, 45))
+
+
+def _parallelizable_s2_s2() -> ManifoldModel:
+    """S^2 x S^2 with a stably trivial tangent bundle: no Pontryagin roots."""
+    ring = RingSpec([("a", 2), ("b", 2)], 4, {"a": (2, {}), "b": (2, {})})
+    return ManifoldModel("s2xs2", 4, ring, [], (1, 1), spin=True)
+
+
+class TestModelWithoutRoots:
+    """A model with no Pontryagin roots has every Pontryagin class zero, so
+    every genus vanishes on it in positive dimension, alone or as a
+    product factor; only the point has the genus f(0) = 1."""
+
+    @pytest.mark.parametrize("build", [_parallelizable_s2_s2, lambda: product(_parallelizable_s2_s2(), build_cp(2))],
+                             ids=["alone", "times_cp2"])
+    def test_every_genus_vanishes(self, build):
+        m = build()
+        assert signature(m) == ahat(m) == twisted_ahat_tangent(m) == 0
+        assert elliptic_q_coefficients(m, 3) == [0] * 4

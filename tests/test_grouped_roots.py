@@ -1,7 +1,7 @@
-"""The roots route exponentiates the ring power sums of the roots.
+"""The roots route reads the genus off the ring power sums of the roots.
 
 A Pontryagin root t = x^2 of multiplicity m enters the roots route once,
-as m t^j in the ring power sums P_j, and the genus is
+as m t^j in the ring power sums P_j, and the genus is the pairing of
 exp(sum_j log f_j P_j), rational or q-series valued.  The oracle is the
 per-root product in ``symmetric_reference``, one factor f(t) per unit of
 multiplicity, compared by exact equality, on models whose roots repeat
@@ -13,7 +13,10 @@ equal squares, left ungrouped), and one model with no repeated root.
 ``TestPowerSums`` checks ``evaluate_at`` on whole root lists: it equals
 the q-product of its single-root values, negative multiplicities
 included, and it exponentiates up to the ring's top weight even where
-the power sums stop below it.
+the power sums stop below it.  ``TestPowerSumMonomials`` checks the
+route's own form of that pairing, the monomials P_lambda dotted with the
+weight-k coefficients of the exponential, against ``evaluate_at``, and
+that its ring work does not grow with the q-order.
 
 The last class checks that the cross-check still guards the grouped
 route: a multiplicity off by one in either direction must surface as
@@ -24,12 +27,14 @@ from hypothesis import example, given, settings, strategies as st
 
 import symmetric_reference as ref
 import ellcob.genera as genera
-from ellcob.algebra import RingSpec
+from ellcob.algebra import GradedElement, QSeries, RingSpec
 from ellcob.cli import main, parse_manifold
 from ellcob.cobordism import x12
 from ellcob.errors import ConsistencyError
 from ellcob.genera import (
+    CharacteristicSeries,
     _elliptic_sequence,
+    _genus_on_roots,
     _roots_route,
     ahat_sequence,
     elliptic_q_coefficients,
@@ -41,7 +46,9 @@ from ellcob.manifolds import (
     LineBundleSum,
     ManifoldModel,
     build_cp,
+    build_hp,
     build_proj_bundle,
+    pair,
     product,
     total_pontryagin,
 )
@@ -153,6 +160,61 @@ class TestPowerSums:
         assert ref.elliptic_by_roots(m, 2) == elliptic_q_coefficients(m, 2) == ref.elliptic_per_root(m, 2)
 
 
+def _by_exponential(m, series):
+    """The genus of series on m from the full class prod f(t)^mult,
+    ``evaluate_at`` on m's own roots, paired per q-coefficient."""
+    paired = [pair(m, c) for c in series.evaluate_at(m.roots)]
+    return QSeries(paired) if isinstance(series.one, QSeries) else paired[0]
+
+
+def _series(k):
+    """L, A-hat and the elliptic series at q-orders 0-6, carrying x^2-order k."""
+    return [CharacteristicSeries.l_genus(k), CharacteristicSeries.ahat_genus(k)] + [
+        CharacteristicSeries.elliptic(q, k) for q in range(7)
+    ]
+
+
+class TestPowerSumMonomials:
+    """The roots route pairs the monomials P_lambda of the ring power sums
+    and dots them with the weight-k coefficients of exp(sum_j l_j P_j); its
+    oracle is the full exponential ``evaluate_at`` in the ring."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(MODELS, st.builds(build_hp, st.integers(1, 4))))
+    @example(NO_REPEATED_ROOT)
+    @example(build_hp(3))
+    @example(parse_manifold("prod(hp:1,cp:2)")[0])
+    @example(build_cp(3))
+    @example(build_proj_bundle(LineBundleSum(2, (1, 0))))
+    def test_equals_the_paired_exponential(self, m):
+        # dimensions 4k + 2 (cp:3, pb:2:[1,0]) pair to 0 both ways
+        for series in _series(m.real_dimension // 4 + 1):
+            value = _genus_on_roots(m, series)
+            assert value == _by_exponential(m, series), series
+            if m.real_dimension % 4:
+                assert not value
+
+    def test_series_shorter_than_the_weight(self):
+        with pytest.raises(ValueError, match="^series signature carries x\\^2-order 1, need 2$"):
+            _genus_on_roots(build_cp(4), CharacteristicSeries.l_genus(1))
+        assert _genus_on_roots(build_cp(4), CharacteristicSeries.l_genus(2)) == 1
+
+    def test_ring_multiplies_do_not_grow_with_the_q_order(self, monkeypatch):
+        m = parse_manifold("pb:5:[1,-2,0,3]")[0]
+        original, counts = GradedElement.__mul__, []
+
+        def counted(self, other):
+            counts[-1] += 1
+            return original(self, other)
+
+        monkeypatch.setattr(GradedElement, "__mul__", counted)
+        for q_order in (2, 32):
+            series = CharacteristicSeries.elliptic(q_order, m.real_dimension // 4 + 1)
+            counts.append(0)
+            _roots_route(m, series)
+        assert counts[0] == counts[1] > 0
+
+
 # CP^2-bundle over CP^2, complex roots b, b, b, a + b, a, a.  Every genus
 # of the X12 family vanishes, whatever the multiplicities, so it cannot
 # show a skew.
@@ -168,12 +230,13 @@ def skewed_groups(request, monkeypatch):
     """The roots route sees the first root's multiplicity (b^2, 3) off by
     one; the universal route reads the model's roots unchanged."""
     first = _guarded().roots[0][0]
-    original = genera.CharacteristicSeries.evaluate_at
+    original = genera._genus_on_roots
 
-    def skewed(self, roots):
-        return original(self, [(t, mult + request.param if t == first else mult) for t, mult in roots])
+    def skewed(m, series):
+        roots = [(t, mult + request.param if t == first else mult) for t, mult in m.roots]
+        return original(ManifoldModel(m.name, m.real_dimension, m.ring, roots, m.pairing_exponents, m.spin), series)
 
-    monkeypatch.setattr(genera.CharacteristicSeries, "evaluate_at", skewed)
+    monkeypatch.setattr(genera, "_genus_on_roots", skewed)
 
 
 @pytest.mark.usefixtures("skewed_groups")
