@@ -5,15 +5,16 @@ Every scalar this package hands out is a ``fractions.Fraction``; nothing
 here rounds, ever.  The central object is :class:`GradedElement`, a sparse
 polynomial in named even-degree generators kept in normal form with
 respect to single-head-generator rewrite rules (``a**r -> lower order``)
-and truncated above the ring's top dimension.  :class:`QSeries`
-carries truncated power series in q with rational coefficients.
+and truncated above the ring's top dimension.  A :class:`QSeries`, a
+power series in q truncated at q^N, is an element of Q[q]/(q^(N+1)).
 :class:`RationalMatrix` does exact rank and solve.
 :func:`interpolate_polynomial` fits n points by Newton's divided
 differences in O(n^2) operations, with no elimination.  A fit through
 one point more than a degree bound checks the bound: it holds exactly
 when the top coefficient is zero.
 
-Ring arithmetic runs on integers.
+Ring arithmetic runs on integers, and it is the only arithmetic on
+q-series: q has degree 2 and that ring truncates above degree 2N.
 
 * Monomial codes.  A ring of top degree D gives generator i of degree
   d_i the base b_i = 2 D // d_i + 1 and the place value
@@ -49,9 +50,9 @@ safe to share between threads.
 from __future__ import annotations
 
 from _thread import allocate_lock
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import gcd, lcm, prod
 from operator import index, mul
 from types import MappingProxyType
@@ -540,17 +541,23 @@ def _canonical(ring: RingSpec, den: int, acc: dict[int, Scalar]) -> GradedElemen
 # q-series
 
 
+@lru_cache(maxsize=64)  # one ring per order, room for the q-orders 0..32 the CLI allows, so series share it
+def _q_ring(order: int) -> RingSpec:  # Q[q]/(q^(order+1)): q has degree 2, and the truncation kills q^(order+1)
+    return RingSpec([("q", 2)], 2 * order)
+
+
 class QSeries:
-    """Power series in q truncated at a fixed order, rational coefficients;
-    index i holds the coefficient of q**i, so ``order == len(coeffs)-1``."""
+    """Power series in q truncated at a fixed order, rational coefficients:
+    an element of the ring Q[q]/(q^(order+1)), whose arithmetic it uses;
+    index i of ``coeffs`` holds the coefficient of q**i, so ``order == len(coeffs)-1``."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("element",)
 
-    def __init__(self, coeffs: Sequence[Scalar]) -> None:
+    def __init__(self, coeffs: Iterable[Scalar]) -> None:
         coeffs = [as_rational(c) for c in coeffs]
         if not coeffs:
             raise ValueError("a series needs at least the q^0 coefficient")
-        self.coeffs = coeffs
+        self.element = _q_ring(len(coeffs) - 1).element({(i,): c for i, c in enumerate(coeffs)})
 
     @classmethod
     def constant(cls, value: Scalar, order: int) -> "QSeries":
@@ -558,49 +565,50 @@ class QSeries:
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return self.element.ring.truncation_dimension // 2
+
+    @property
+    def coeffs(self) -> list[Fraction]:  # built on each read, as GradedElement.terms is
+        num, den = self.element.num, self.element.den
+        return [Fraction(num[i], den) if i in num else _ZERO for i in range(self.order + 1)]
+
+    def _at(self, order: int) -> GradedElement:  # truncated at q^order <= q^self.order
+        return self.element if order == self.order else QSeries(self.coeffs[: order + 1]).element
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return bool(self.element)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, QSeries) and self.coeffs == other.coeffs
+        return isinstance(other, QSeries) and self.element == other.element
 
     def __add__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        return QSeries([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
+        return _series(self._at(n) + other._at(n))
 
     def __sub__(self, other: "QSeries") -> "QSeries":
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return QSeries([self.coeffs[i] - other.coeffs[i] for i in range(n + 1)])
+        return self + -other if isinstance(other, QSeries) else NotImplemented
 
     def __neg__(self) -> "QSeries":
-        return QSeries([-c for c in self.coeffs])
+        return _series(-self.element)
 
     def __mul__(self, other: QSeries | Scalar) -> "QSeries":
-        if isinstance(other, (int, Fraction)):
-            return QSeries([c * other for c in self.coeffs])
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        out = [_ZERO] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return QSeries(out)
+        if isinstance(other, QSeries):
+            n = min(self.order, other.order)
+            return _series(self._at(n) * other._at(n))
+        return _series(self.element * other) if isinstance(other, (int, Fraction)) else NotImplemented
 
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"QSeries({self.coeffs!r})"
+
+
+def _series(x: GradedElement) -> QSeries:
+    s = object.__new__(QSeries)
+    s.element = x
+    return s
 
 
 # ---------------------------------------------------------------------------

@@ -431,9 +431,7 @@ def _roots_route(m: ManifoldModel, series: CharacteristicSeries) -> Coefficient:
     for factor in m.factors or (m,):
         total = _genus_on_roots(factor, series)
         value = total if value is None else value * total
-    if isinstance(value, QSeries):
-        return QSeries([c or _ZERO for c in value.coeffs])
-    return value or _ZERO
+    return value if isinstance(value, QSeries) else value or _ZERO
 
 
 def _universal_route(m: ManifoldModel, seq: MultiplicativeSequence) -> Coefficient:
@@ -508,8 +506,8 @@ def elliptic_polynomials(k: int, order: int) -> tuple[Mapping[tuple[int, ...], F
     """The q-coefficients 0..order of q^(k/2) * phi as polynomials in the
     Pontryagin classes of a 4k-manifold, one partition table per power of q:
     the weight-k universal polynomial of the elliptic series, split by q."""
-    top = _elliptic_sequence(k, order).weights[k].items()
-    return tuple(MappingProxyType({lam: s.coeffs[n] for lam, s in top if s.coeffs[n]}) for n in range(order + 1))
+    top = [(lam, s.coeffs) for lam, s in _elliptic_sequence(k, order).weights[k].items()]  # each read builds a list
+    return tuple(MappingProxyType({lam: c[n] for lam, c in top if c[n]}) for n in range(order + 1))
 
 
 def elliptic_q_coefficients(m: ManifoldModel, order: int | None = None) -> list[Fraction]:
@@ -524,8 +522,7 @@ def elliptic_q_coefficients(m: ManifoldModel, order: int | None = None) -> list[
     if dim % 4:
         raise ValueError(f"{brief(m.name)} has dimension {dim}; the expansion needs a multiple of 4")
     k = dim // 4
-    # copied: the series' own list carries growth slack, and callers keep many
-    return list(_cross_checked(m, "elliptic genus", _elliptic_sequence(k, k if order is None else order)).coeffs)
+    return _cross_checked(m, "elliptic genus", _elliptic_sequence(k, k if order is None else order)).coeffs
 
 
 # ---------------------------------------------------------------------------

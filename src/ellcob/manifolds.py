@@ -101,6 +101,9 @@ class ManifoldModel:
         self._fill(name, real_dimension, ring, tuple(roots), tuple(pairing_exponents), bool(spin),
                    curvature_certificate, tuple(factors))
 
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
     def __repr__(self) -> str:
         return f"ManifoldModel({self.name}, dim={self.real_dimension})"
 

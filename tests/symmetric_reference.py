@@ -269,9 +269,10 @@ def elliptic_by_roots(m, order):
 def genus_on_own_ring(m, series):
     """The genus of series on m from the exp of the power sums of m's own
     Pontryagin roots, paired in m's own ring: on a product, its embedded
-    roots and the product ring's rules and pairing monomial."""
+    roots and the product ring's rules and pairing monomial.  With no roots
+    every Pontryagin class is zero, so only a point has a nonzero genus."""
     if not m.roots:
-        return series.one
+        return series.one if m.real_dimension == 0 else series.logs[0]  # logs[0]: the zero of the series' kind
     total = [pair(m, c) for c in series.evaluate_at(m.roots)]
     return QSeries(total) if isinstance(series.one, QSeries) else total[0]
 

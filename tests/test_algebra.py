@@ -613,6 +613,88 @@ class TestQSeries:
         with pytest.raises(TypeError):
             ring.gen("x") * QSeries([F(1), F(2)])
 
+    def test_floats_are_refused(self):
+        with pytest.raises(TypeError, match="exact rational expected, got float"):
+            QSeries([F(1), 0.5])
+        with pytest.raises(TypeError):
+            QSeries([F(1), F(2)]) * 0.5
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(QSeries([F(1)]))
+
+
+def schoolbook_product(a: list, b: list) -> list:
+    """The truncated Cauchy product over Fractions, to the shorter order."""
+    n = min(len(a), len(b))
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), F(0)) for k in range(n)]
+
+
+coefficient_lists = st.lists(
+    st.one_of(st.just(F(0)), st.fractions(min_value=-40, max_value=40, max_denominator=12)), min_size=1, max_size=9)
+
+
+class TestQSeriesAgainstSchoolbook:
+    """The ring-backed series against the coefficient-list arithmetic
+    written out here: sums, differences and products truncate to the
+    shorter order, and every coefficient read is a Fraction."""
+
+    @staticmethod
+    def check(series: QSeries, expected: list) -> None:
+        assert series.order == len(expected) - 1
+        assert series.coeffs == expected
+        assert all(type(c) is Fraction for c in series.coeffs)
+        assert all(c is algebra._ZERO for c in series.coeffs if not c)  # zeros share one object
+        assert series == QSeries(expected) and bool(series) == any(expected)
+
+    @settings(max_examples=120, deadline=None)
+    @given(coefficient_lists, coefficient_lists)
+    def test_binary_operations(self, a, b):
+        s, t = QSeries(a), QSeries(b)
+        n = min(len(a), len(b))
+        self.check(s * t, schoolbook_product(a, b))
+        self.check(s + t, [x + y for x, y in zip(a[:n], b[:n])])
+        self.check(s - t, [x - y for x, y in zip(a[:n], b[:n])])
+        assert s * t == t * s and s + t == t + s
+
+    @settings(max_examples=80, deadline=None)
+    @given(coefficient_lists, st.one_of(st.integers(-30, 30), st.fractions(max_denominator=9)))
+    def test_negation_and_scalars(self, a, c):
+        s = QSeries(a)
+        self.check(-s, [-x for x in a])
+        self.check(s * c, [x * c for x in a])
+        self.check(c * s, [x * c for x in a])
+
+    def test_order_zero(self):
+        s = QSeries([F(3, 2)])
+        self.check(s * s, [F(9, 4)])
+        self.check(s * QSeries([F(1), F(5), F(7)]), [F(3, 2)])
+        self.check(s - s, [F(0)])
+
+    def test_zero_series(self):
+        zero, s = QSeries([0, 0, 0]), QSeries([F(1, 3), F(-2), F(5)])
+        assert not zero and zero.coeffs == [F(0)] * 3
+        self.check(zero * s, [F(0)] * 3)
+        self.check(zero + s, s.coeffs)
+        self.check(s * 0, [F(0)] * 3)
+
+    def test_generator_input(self):
+        s = QSeries(F(k, k + 1) for k in range(5))
+        self.check(s, [F(k, k + 1) for k in range(5)])
+        assert QSeries.constant(2, 4) == QSeries(iter([2, 0, 0, 0, 0]))
+
+    def test_equality_across_orders_is_false(self):
+        assert QSeries([F(1), F(0)]) != QSeries([F(1), F(0), F(0)])
+        assert QSeries([F(0)]) != QSeries([F(0), F(0)])
+        assert QSeries([F(1), F(2)]) != [F(1), F(2)]
+
+    def test_mixed_orders_truncate_to_the_shorter(self):
+        long, short = QSeries([F(1), F(1), F(1), F(1)]), QSeries([F(2), F(3)])
+        for value in (long * short, short * long, long + short, short - long):
+            assert value.order == 1
+        self.check(long * short, [F(2), F(5)])
+        self.check(long - short, [F(-1), F(-2)])
+
 
 
 class TestRationalMatrix:

@@ -585,3 +585,17 @@ class TestModelWithoutRoots:
         m = build()
         assert signature(m) == ahat(m) == twisted_ahat_tangent(m) == 0
         assert elliptic_q_coefficients(m, 3) == [0] * 4
+
+    @pytest.mark.parametrize("series", [CharacteristicSeries.l_genus(2), CharacteristicSeries.elliptic(3, 2)],
+                             ids=["L", "elliptic"])
+    @pytest.mark.parametrize("build", [_parallelizable_s2_s2, lambda: product(_parallelizable_s2_s2(), build_cp(2))],
+                             ids=["alone", "times_cp2"])
+    def test_oracle_agrees_with_the_roots_route(self, build, series):
+        m = build()
+        value = _roots_route(m, series)
+        assert ref.genus_on_own_ring(m, series) == value == series.logs[0]
+        assert not value
+
+    def test_oracle_gives_the_point_its_unit(self):
+        series = CharacteristicSeries.elliptic(3, 2)
+        assert ref.genus_on_own_ring(build_point(), series) == _roots_route(build_point(), series) == series.one

@@ -204,7 +204,8 @@ class TestPowerSumMonomials:
         original, counts = GradedElement.__mul__, []
 
         def counted(self, other):
-            counts[-1] += 1
+            if self.ring == m.ring:  # a q-series product runs in a ring of its own
+                counts[-1] += 1
             return original(self, other)
 
         monkeypatch.setattr(GradedElement, "__mul__", counted)

@@ -6,6 +6,8 @@ Oracles: hand-expanded Pontryagin classes from the root description
 projective space recomputed here with independent list arithmetic, and
 classical spin criteria.
 """
+import copy
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -17,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from ellcob.algebra import RingSpec
 from ellcob.cobordism import Partition, basis_manifolds, x12
+from ellcob.genera import elliptic_q_coefficients, signature
 from ellcob.manifolds import (
     LineBundleSum,
     ManifoldModel,
@@ -300,6 +303,40 @@ class TestModelValidation:
         # integral floats too: the builders read n and base_dim before building the ring
         with pytest.raises(TypeError):
             build()
+
+
+class TestModelCopies:
+    """Copy and pickle rebuild a model through its constructor, so the
+    read-only fields are set once, as on a model built by hand."""
+
+    @pytest.mark.parametrize("round_trip", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+                             ids=["copy", "deepcopy", "pickle"])
+    @pytest.mark.parametrize("build", [lambda: build_cp(2), lambda: build_hp(2), lambda: product(x12(2), build_hp(1))],
+                             ids=["cp2", "hp2", "x12_times_hp1"])
+    def test_round_trip_keeps_every_genus(self, build, round_trip):
+        m = build()
+        t = round_trip(m)
+        assert type(t) is ManifoldModel and t is not m
+        assert (t.name, t.real_dimension, t.pairing_exponents, t.spin, t.curvature_certificate) == (
+            m.name, m.real_dimension, m.pairing_exponents, m.spin, m.curvature_certificate)
+        assert t.ring == m.ring and len(t.factors) == len(m.factors)
+        assert signature(t) == signature(m)
+        assert elliptic_q_coefficients(t, 4) == elliptic_q_coefficients(m, 4)
+        with pytest.raises(AttributeError):
+            t.name = "renamed"
+
+    @pytest.mark.parametrize("round_trip", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+                             ids=["deepcopy", "pickle"])
+    def test_deep_round_trip_builds_its_own_ring(self, round_trip):
+        m = product(x12(2), build_hp(1))
+        t = round_trip(m)
+        assert t.ring == m.ring and t.ring is not m.ring
+        assert all(r.ring is t.ring for r, _ in t.roots)  # the roots stay in the copy's ring
+
+    def test_shallow_copy_shares_the_fields(self):
+        m = build_cp(2)
+        t = copy.copy(m)
+        assert t.ring is m.ring and t.roots is m.roots
 
 
 class TestPontryaginProducts:
