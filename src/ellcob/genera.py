@@ -6,8 +6,11 @@ t = x^2, rationals from Bernoulli numbers (the L-genus x/tanh(x), the
 A-hat genus (x/2)/sinh(x/2)) or scalar q-series from divisor sums (the
 elliptic factor F below).  The series stores log f alone; the
 coefficients of f are derived on read.  One recurrence, :func:`_exp`,
-does every exponential: f itself, the full class of f on a model's roots
-(:meth:`CharacteristicSeries.evaluate_at`) and the twist character.
+exponentiates a series in t: f itself, the full class of f on a model's
+roots (:meth:`CharacteristicSeries.evaluate_at`) and the twist
+character.  The two routes below exponentiate in other bases: the roots
+route by the closed form for c_lambda, the universal route by the
+recurrence on the weight parts E_w in the partition basis.
 
 The product of f over the variables t_i is exp(sum_r l_r s_r), where
 s_r = sum_i t_i^r are the power sums (Milnor-Stasheff, *Characteristic
@@ -311,16 +314,21 @@ def _symmetric_expansion(one: Coefficient, logs: Sequence[Coefficient], max_weig
 
 class MultiplicativeSequence:
     """K_0, K_1, ..., K_max for a characteristic series: K_j is a
-    polynomial in p_1..p_j stored as partition -> coefficient."""
+    polynomial in p_1..p_j stored as partition -> coefficient.  The
+    fields and tables are read-only, as the cached sequences are shared."""
 
     __slots__ = ("name", "max_weight", "weights", "source")
+    # read-only fields as a Record has, but not its equality and hash, as
+    # for a CharacteristicSeries
+    _fill, __setattr__, __delattr__ = Record._fill, Record.__setattr__, Record.__delattr__
 
     def __init__(self, weights: Mapping[int, Mapping[tuple[int, ...], Coefficient]],
                  source: CharacteristicSeries) -> None:
-        self.name = source.name
-        self.max_weight = len(weights) - 1
-        self.weights = weights
-        self.source = source
+        tables = MappingProxyType({w: MappingProxyType(dict(table)) for w, table in weights.items()})
+        self._fill(source.name, len(weights) - 1, tables, source)
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__
+        return type(self), ({w: dict(table) for w, table in self.weights.items()}, self.source)
 
     def polynomial(self, weight: int) -> dict[tuple[int, ...], Coefficient]:
         if not 0 <= weight <= self.max_weight:
@@ -463,11 +471,17 @@ def evaluate_genus(m: ManifoldModel, seq: MultiplicativeSequence) -> Fraction:
 
     The value is computed through both routes and they must agree exactly.
     """
+    return _genus(m, seq)
+
+
+def _genus(m: ManifoldModel, seq: MultiplicativeSequence) -> Fraction:
+    """evaluate_genus, called from each public genus function, so the
+    warning points at that function's caller."""
     dim = m.real_dimension
     if dim % 4:
         warnings.warn(
             f"{brief(m.name)} has dimension {dim}, not divisible by 4; genus is 0 by convention",
-            stacklevel=2,
+            stacklevel=3,
         )
         return Fraction(0)
     k = dim // 4
@@ -477,11 +491,11 @@ def evaluate_genus(m: ManifoldModel, seq: MultiplicativeSequence) -> Fraction:
 
 
 def signature(m: ManifoldModel) -> Fraction:
-    return evaluate_genus(m, l_sequence(m.real_dimension // 4))
+    return _genus(m, l_sequence(m.real_dimension // 4))
 
 
 def ahat(m: ManifoldModel) -> Fraction:
-    return evaluate_genus(m, ahat_sequence(m.real_dimension // 4))
+    return _genus(m, ahat_sequence(m.real_dimension // 4))
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ a virtual summand.
 
 The list is stable: trivial summands are not listed, as they add nothing
 to the Pontryagin class and every genus series has constant term 1.  A
-product's ring is the tensor product of its factors' rings and its
-Pontryagin roots concatenate theirs; it also records its prime factors,
-nested products flattened, so that a genus can be read off them.
+product records its prime factors, nested products flattened; its ring
+is the tensor product of theirs, so it does not depend on nesting, and
+its Pontryagin roots concatenate theirs.  A genus can be read off them.
 Models are immutable: the constructor sets each attribute once.  Build
 functions are pure.
 """
@@ -30,6 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from itertools import accumulate
 from operator import index
 
 from .algebra import GradedElement, Record, RingSpec
@@ -189,35 +190,31 @@ def _embed(element: GradedElement, target: RingSpec, offset: int) -> GradedEleme
 
 
 def product(m1: ManifoldModel, m2: ManifoldModel) -> ManifoldModel:
-    """Cartesian product.  Generators are renamed with factor suffixes,
-    so repeated factors never collide; the Pontryagin roots concatenate,
-    and so do the prime factors, a prime model standing for itself."""
-    gens = [(f"{n}1", d) for n, d in zip(m1.ring.generators, m1.ring.degrees)]
-    gens += [(f"{n}2", d) for n, d in zip(m2.ring.generators, m2.ring.degrees)]
-    dim = m1.real_dimension + m2.real_dimension
-    n1 = m1.ring.ngens
+    """Cartesian product, its ring built from the prime factors of both
+    sides (a prime model stands for itself), so it does not depend on
+    nesting.  Generator g of the i-th factor is g_i, unique because the
+    text after its last underscore is i; rules, Pontryagin roots, pairing
+    monomials and prime factors concatenate."""
+    factors = (m1.factors or (m1,)) + (m2.factors or (m2,))
+    offsets = list(accumulate((f.ring.ngens for f in factors), initial=0))
+    gens: list[tuple[str, int]] = []
     rules: dict[str, tuple[int, dict[tuple[int, ...], Fraction]]] = {}
-    for g, (power, rhs) in m1.ring.rules.items():
-        rules[f"{m1.ring.generators[g]}1"] = (
-            power,
-            {exps + (0,) * m2.ring.ngens: c for exps, c in rhs.items()},
-        )
-    for g, (power, rhs) in m2.ring.rules.items():
-        rules[f"{m2.ring.generators[g]}2"] = (
-            power,
-            {(0,) * n1 + exps: c for exps, c in rhs.items()},
-        )
+    for i, (f, offset) in enumerate(zip(factors, offsets), 1):
+        names = [f"{g}_{i}" for g in f.ring.generators]
+        gens += zip(names, f.ring.degrees)
+        left, right = (0,) * offset, (0,) * (offsets[-1] - offset - f.ring.ngens)
+        for g, (power, rhs) in f.ring.rules.items():
+            rules[names[g]] = (power, {left + exps + right: c for exps, c in rhs.items()})
+    dim = m1.real_dimension + m2.real_dimension
     ring = RingSpec(gens, dim, rules)
-    pairing = m1.pairing_exponents + m2.pairing_exponents
-    roots = [(_embed(t, ring, 0), mult) for t, mult in m1.roots]
-    roots += [(_embed(t, ring, n1), mult) for t, mult in m2.roots]
+    roots = [(_embed(t, ring, offset), mult) for f, offset in zip(factors, offsets) for t, mult in f.roots]
+    pairing = sum((f.pairing_exponents for f in factors), ())
     cert = None
     if m1.curvature_certificate and m2.curvature_certificate:
         cert = f"product: {m1.curvature_certificate} x {m2.curvature_certificate}"
     return ManifoldModel(
         f"prod({m1.name},{m2.name})", dim, ring, roots, pairing,
-        spin=m1.spin and m2.spin, curvature_certificate=cert,
-        factors=(m1.factors or (m1,)) + (m2.factors or (m2,)),
+        spin=m1.spin and m2.spin, curvature_certificate=cert, factors=factors,
     )
 
 

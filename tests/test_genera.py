@@ -53,6 +53,7 @@ from ellcob.manifolds import (
     build_hp,
     build_point,
     build_proj_bundle,
+    pontryagin_products,
     product,
 )
 
@@ -308,6 +309,15 @@ class TestClassicalGenusValues:
             assert signature(m) == F(0)
         message = str(record[0].message)
         assert m.name not in message and message.startswith("'pb:1:[1000") and len(message) < 160
+
+    @pytest.mark.parametrize("call", [signature, ahat, lambda m: evaluate_genus(m, l_sequence(0))],
+                             ids=["signature", "ahat", "evaluate_genus"])
+    def test_warning_points_at_the_caller(self, call):
+        # under the default filter a warning shows once per location, so one
+        # inside the library would show once per process
+        with pytest.warns(UserWarning) as record:
+            call(build_cp(1))
+        assert record[0].filename == __file__
 
     def test_signature_multiplicative(self):
         pairs = [
@@ -566,6 +576,56 @@ class TestSeriesStoresLogsOnly:
         with pytest.raises(AttributeError):
             s.coeffs = (F(1),) * 3
         assert s.coeffs == (F(1), F(1, 3), F(-1, 45))
+
+
+class TestCachedSequencesAreReadOnly:
+    """l_sequence, ahat_sequence and _elliptic_sequence are cached, so every
+    caller shares one sequence: an edit to its fields or tables would
+    change every later genus and functional read from it."""
+
+    SEQUENCES = {"L": lambda: l_sequence(3), "ahat": lambda: ahat_sequence(3),
+                 "elliptic": lambda: _elliptic_sequence(3, 2)}
+
+    @pytest.mark.parametrize("field", MultiplicativeSequence.__slots__)
+    def test_fields_are_read_only(self, field):
+        seq = l_sequence(3)
+        before = getattr(seq, field)
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(seq, field, before)
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(seq, field)
+        assert getattr(seq, field) is before
+
+    @pytest.mark.parametrize("sequence", SEQUENCES)
+    def test_tables_are_read_only(self, sequence):
+        seq = self.SEQUENCES[sequence]()
+        partition, coeff = next(iter(seq.weights[3].items()))
+        with pytest.raises(TypeError):
+            seq.weights[3] = {}
+        with pytest.raises(TypeError):
+            seq.weights[3][partition] = coeff + 1
+        with pytest.raises(TypeError):
+            del seq.weights[3][partition]
+        assert seq.weights[3][partition] == coeff
+
+    def test_sign_functional_is_unchanged(self):
+        before = cli.parse_functional("sign", 12)
+        table = l_sequence(3).weights[3]
+        with pytest.raises(TypeError):
+            table[(3,)] = table[(3,)] + 1
+        assert cli.parse_functional("sign", 12) == before
+        assert before.coefficients[(3,)] == F(62, 945)
+
+    @pytest.mark.parametrize("round_trip", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+                             ids=["copy", "deepcopy", "pickle"])
+    @pytest.mark.parametrize("sequence", SEQUENCES)
+    def test_copies_evaluate_alike(self, sequence, round_trip):
+        seq = self.SEQUENCES[sequence]()
+        copied = round_trip(seq)
+        assert (copied.name, copied.max_weight, copied.weights) == (seq.name, seq.max_weight, seq.weights)
+        for m in (build_hp(3), bundle_12(2), product(build_cp(2), build_hp(2))):
+            numbers = dict(zip(seq.weights[3], pontryagin_products(m, seq.weights[3])))
+            assert copied.evaluate_top(numbers, 3) == seq.evaluate_top(numbers, 3), m.name
 
 
 def _parallelizable_s2_s2() -> ManifoldModel:

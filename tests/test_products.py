@@ -20,8 +20,9 @@ import pytest
 import ellcob.manifolds as manifolds
 import symmetric_reference as ref
 from ellcob import algebra
-from ellcob.algebra import QSeries
+from ellcob.algebra import QSeries, RingSpec
 from ellcob.cli import main, parse_manifold
+from ellcob.cobordism import pontryagin_numbers
 from ellcob.errors import ConsistencyError
 from ellcob.genera import (
     CharacteristicSeries,
@@ -32,8 +33,18 @@ from ellcob.genera import (
     elliptic_q_coefficients,
     l_sequence,
     signature,
+    twisted_ahat_tangent,
 )
-from ellcob.manifolds import LineBundleSum, ManifoldModel, build_cp, build_hp, build_point, build_proj_bundle, product
+from ellcob.manifolds import (
+    LineBundleSum,
+    ManifoldModel,
+    build_cp,
+    build_hp,
+    build_point,
+    build_proj_bundle,
+    pair,
+    product,
+)
 
 
 class TestFactors:
@@ -183,6 +194,55 @@ def test_odd_complex_dimension_factors(text, genus):
     m, _ = parse_manifold(text)
     series = SERIES[genus](m.real_dimension // 4)
     assert _roots_route(m, series) == ref.genus_on_own_ring(m, series)
+
+
+def _random_prime(rng: random.Random):
+    kind = rng.choice(("cp", "hp", "pb"))
+    if kind == "cp":
+        return build_cp(rng.randint(1, 3))
+    if kind == "hp":
+        return build_hp(rng.randint(1, 2))
+    rank = rng.randint(2, 3)
+    return build_proj_bundle(LineBundleSum(rng.randint(1, 2), tuple(rng.randint(-2, 2) for _ in range(rank))))
+
+
+def _random_triple(seed: int):
+    """Three prime cp, hp or pb models of total dimension 4k <= 20."""
+    rng = random.Random(f"nesting-{seed}")
+    while True:
+        triple = [_random_prime(rng) for _ in range(3)]
+        dim = sum(f.real_dimension for f in triple)
+        if dim % 4 == 0 and dim <= 20:
+            return triple
+
+
+class TestNesting:
+    """A product's ring is built from its prime factors, so both nestings
+    of a triple give one ring and every number and genus agrees."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_both_nestings_agree(self, seed):
+        a, b, c = _random_triple(seed)
+        left, right = product(product(a, b), c), product(a, product(b, c))
+        assert left.ring == right.ring
+        assert left.factors == right.factors == (a, b, c)
+        assert pontryagin_numbers(left) == pontryagin_numbers(right)
+        for genus in (signature, ahat, twisted_ahat_tangent, lambda m: elliptic_q_coefficients(m, 4)):
+            assert genus(left) == genus(right), (left.name, genus)
+
+    def test_eleven_factors_keep_distinct_generator_names(self):
+        # with plain digit suffixes the first factor's b1 and the eleventh's b would both be b11
+        ring = RingSpec([("b1", 2)], 2, {"b1": (2, {})})
+        b1 = ring.gen("b1")
+        m = ManifoldModel("hand-built cp:1", 2, ring, ((b1 * b1, 2),), (1,), spin=True)
+        for _ in range(10):
+            m = product(m, build_cp(1))
+        assert m.ring.generators[0] == "b1_1" and m.ring.generators[-1] == "b_11"
+        assert len(set(m.ring.generators)) == m.ring.ngens == len(m.factors) == 11
+        top = m.ring.one()
+        for g in m.ring.generators:
+            top = top * m.ring.gen(g)
+        assert pair(m, top) == 1
 
 
 def test_products_with_a_point():
