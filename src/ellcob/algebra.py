@@ -35,12 +35,12 @@ q-series: q has degree 2 and that ring truncates above degree 2N.
   product sums codes pairwise and the constructor codes its terms; both
   then read every raw code's normal form from the table.
 * Shared tables.  A table depends only on the ring's signature, so equal
-  rings built again share one.  A ring whose signature is new keeps its
-  own table, which dies with it, and leaves only its signature behind;
-  from its second build on, equal rings read and fill one table kept
-  under that signature.  One registry holds the 128 signatures built
-  last, one-off and shared together, so memory stays bounded however
-  many models a caller builds.
+  rings built again share one; it is the only memo a ring keeps.  A ring
+  whose signature is new keeps its own table, which dies with it, and
+  leaves only its signature behind; from its second build on, equal rings
+  read and fill one table kept under that signature.  One registry holds
+  the 128 signatures built last, one-off and shared together, so memory
+  stays bounded however many models a caller builds.
 
 Elements, series and matrices are immutable and all operations are pure.
 Table entries are filled idempotently (an entry depends only on its
@@ -104,7 +104,7 @@ class Record:
 
 
 _SHARED_RINGS = 128  # how many signatures _BUILT remembers, least recently built first
-_BUILT: dict[tuple, tuple[dict, dict] | None] = {}  # signature -> None once built, then (table, code degrees)
+_BUILT: dict[tuple, dict | None] = {}  # signature -> None once built, then the shared reduction table
 _SHARING = allocate_lock()  # RingSpec.__init__ reads and updates _BUILT at once
 
 
@@ -132,7 +132,7 @@ class RingSpec:
     """
 
     __slots__ = ("generators", "degrees", "truncation_dimension", "rules", "_index", "_signature",
-                 "_bases", "_places", "_integral", "_steps", "_table", "_code_degrees")
+                 "_bases", "_places", "_integral", "_steps", "_table")
 
     def __init__(
         self,
@@ -209,17 +209,20 @@ class RingSpec:
             for g, (power, rhs) in rules.items()
             if power * degs[g] <= top
         )
-        # the reduction table (raw monomial code -> its normal form) and the
-        # code-degree cache, shared between equal rings (module docstring)
+        # the reduction table (raw monomial code -> its normal form), shared
+        # between equal rings (module docstring)
         key = self._signature
         with _SHARING:
             built = key in _BUILT
-            # popped to go back last; a first or second build gets fresh tables
-            tables = _BUILT.pop(key, None) or ({}, {})
-            _BUILT[key] = tables if built else None  # shared from the second build on
+            # popped to go back last; a first or second build gets a fresh
+            # table (a shared one may be empty, so None is tested, not truth)
+            table = _BUILT.pop(key, None)
+            if table is None:
+                table = {}
+            _BUILT[key] = table if built else None  # shared from the second build on
             if len(_BUILT) > _SHARED_RINGS:
                 del _BUILT[next(iter(_BUILT))]
-        self._table, self._code_degrees = tables
+        self._table = table
 
     # -- identity -----------------------------------------------------
 
@@ -262,13 +265,6 @@ class RingSpec:
             code, e = divmod(code, base)
             out.append(e)
         return tuple(out)
-
-    def code_degree(self, code: int) -> int:
-        """The degree of a monomial code, decoded once per code and ring."""
-        degree = self._code_degrees.get(code)
-        if degree is None:
-            degree = self._code_degrees[code] = self.degree_of(self.exponents(code))
-        return degree
 
     # -- reduction ----------------------------------------------------
 
@@ -394,9 +390,13 @@ class GradedElement:
     def constant(self) -> Fraction:
         return self.coefficient((0,) * self.ring.ngens)
 
-    def homogeneous_part(self, d: int) -> "GradedElement":
-        ring, degree = self.ring, self.ring.code_degree
-        return _canonical(ring, self.den, {c: n for c, n in self.num.items() if degree(c) == d})
+    def homogeneous_parts(self) -> dict[int, "GradedElement"]:
+        """The nonzero homogeneous parts, degree -> part, split in one pass
+        that decodes each monomial's degree once."""
+        ring, split = self.ring, {}
+        for c, n in self.num.items():
+            split.setdefault(ring.degree_of(ring.exponents(c)), {})[c] = n
+        return {d: _canonical(ring, self.den, num) for d, num in split.items()}
 
     # -- arithmetic -----------------------------------------------------
 
@@ -561,6 +561,8 @@ class QSeries:
 
     @classmethod
     def constant(cls, value: Scalar, order: int) -> "QSeries":
+        if order < 0:
+            raise ValueError(f"q-order must be nonnegative, not {order}")
         return cls([value] + [_ZERO] * order)
 
     @property

@@ -26,6 +26,7 @@ from .cobordism import (
     distinct_cobordism_types,
     elliptic_span,
     family_polynomial,
+    family_values,
     partitions_of,
     pontryagin_numbers,
     signed_sum,
@@ -492,7 +493,8 @@ def _cmd_scan(args: argparse.Namespace) -> dict | list[list[str]]:
     a, b = _parse_range(args.range)
     # each member built once: the range values and the fit share it, for this request only
     fam = FamilySpec(fam.name, fam.dimension, lru_cache(maxsize=None)(fam.builder), fam.substitution, fam.max_degree)
-    values = [(c, f.evaluate(pontryagin_numbers(fam.build(c)))) for c in range(a, b + 1)]
+    params = range(a, b + 1)
+    values = list(zip(params, family_values(fam, f, params)))
     poly = family_polynomial(fam, f)
     for c, value in values:
         fitted = sum(coeff * c ** i for i, coeff in enumerate(poly))

@@ -38,6 +38,7 @@ __all__ = [
     "elliptic_span",
     "span_membership",
     "FamilySpec",
+    "family_values",
     "family_polynomial",
     "VerdictResult",
     "unbounded_verdict",
@@ -287,20 +288,25 @@ class FamilySpec(Record):
         return m
 
 
+def family_values(fam: FamilySpec, f: Functional, params: Iterable[int]) -> list[Fraction]:
+    """f(fam(c)) for each c in params, in order, each member pairing only
+    the Pontryagin numbers f reads."""
+    if f.dimension != fam.dimension:
+        raise ValueError(f"family {fam.name} lives in dimension {fam.dimension}, functional in {f.dimension}")
+    partitions, coefficients = list(f.coefficients), f.coefficients.values()
+    return [sum(map(mul, coefficients, pontryagin_products(fam.build(c), partitions)), Fraction(0))
+            for c in params]
+
+
 def family_polynomial(fam: FamilySpec, f: Functional) -> list[Fraction]:
     """Coefficients (ascending degree) of the polynomial c -> f(fam(c)).
 
-    Exact interpolation through max_degree+2 samples, each pairing only
-    the Pontryagin numbers f reads; a nonzero top coefficient means the
-    family is not polynomial of the declared degree and is an internal failure.
+    Exact interpolation through max_degree+2 samples; a nonzero top
+    coefficient means the family is not polynomial of the declared degree
+    and is an internal failure.
     """
-    if f.dimension != fam.dimension:
-        raise ValueError(f"family {fam.name} lives in dimension {fam.dimension}, functional in {f.dimension}")
-    partitions, points = list(f.coefficients), []
-    for c in range(1, fam.max_degree + 3):
-        numbers = pontryagin_products(fam.build(c), partitions)
-        points.append((c, sum(map(mul, f.coefficients.values(), numbers), Fraction(0))))
-    coeffs = interpolate_polynomial(points)
+    samples = range(1, fam.max_degree + 3)
+    coeffs = interpolate_polynomial(list(zip(samples, family_values(fam, f, samples))))
     if coeffs[-1]:
         raise ConsistencyError(
             f"family {fam.name} is not polynomial of degree <= {fam.max_degree} under {f.coefficients}"

@@ -235,9 +235,8 @@ def total_pontryagin(m: ManifoldModel) -> GradedElement:
 
 def pontryagin_classes(m: ManifoldModel) -> list[GradedElement]:
     """[p_1, ..., p_k] with k = dim/4 (empty when dim < 4)."""
-    k = m.real_dimension // 4
-    total = total_pontryagin(m)
-    return [total.homogeneous_part(4 * i) for i in range(1, k + 1)]
+    parts, zero = total_pontryagin(m).homogeneous_parts(), m.ring.zero()
+    return [parts.get(4 * i, zero) for i in range(1, m.real_dimension // 4 + 1)]
 
 
 def pontryagin_products(m: ManifoldModel, partitions: Iterable[Sequence[int]]) -> list[Fraction]:

@@ -19,6 +19,9 @@ powers and no logarithm; they are the oracle for the roots route in
 q-series of ring elements are plain coefficient lists multiplied by
 ``series_product`` here, not library series.  They have no inverse, so
 a model with a virtual root (m < 0, as on HP^n) is rejected.
+``pontryagin_classes_by_degree`` takes one: it expands (1 + t)^m as
+sum_j C(m, j) t^j with the generalized binomial and multiplies the roots
+degree by degree, so it reads neither ring powers nor a homogeneous split.
 ``elliptic_by_roots`` runs the library's roots route alone, scaled like
 the public elliptic values.  ``genus_on_own_ring`` runs the library's
 ``evaluate_at`` on a model's own roots, a product's embedded ones
@@ -33,7 +36,7 @@ repeated products and a long-division inverse, not from the library.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from math import factorial, prod
 
 from ellcob.algebra import QSeries
 from ellcob.errors import ConsistencyError
@@ -203,6 +206,23 @@ def total_pontryagin_per_root(m):
     for t in _pontryagin_roots(m):
         total = total * (m.ring.one() + t)
     return total
+
+
+def pontryagin_classes_by_degree(m):
+    """[p_1, ..., p_k] of m, k = dim/4.  Each root t, of degree 4, gives
+    the degree-4j pieces C(mult, j) t^j of (1 + t)^mult, the generalized
+    binomial C(m, j) = m (m - 1) ... (m - j + 1) / j! inverting a virtual
+    root with no series; the list of degree pieces of the total class is
+    multiplied by each root's list, degree by degree."""
+    k, ring = m.real_dimension // 4, m.ring
+    classes = [ring.one()] + [ring.zero()] * k
+    for t, mult in m.roots:
+        powers = [ring.one()]
+        for _ in range(k):
+            powers.append(powers[-1] * t)
+        factor = [powers[j] * Fraction(prod(range(mult - j + 1, mult + 1)), factorial(j)) for j in range(k + 1)]
+        classes = [sum((classes[d - j] * factor[j] for j in range(d + 1)), ring.zero()) for d in range(k + 1)]
+    return classes[1:]
 
 
 def genus_per_root(m, series):

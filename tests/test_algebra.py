@@ -427,15 +427,15 @@ def tagged_ring(tag, coefficient=-2, second="b"):
 
 
 class TestSharedTables:
-    """Equal rings built again share one reduction table and code-degree
-    cache, kept under the full signature in ``_BUILT``; a ring built once
-    keeps its own, and its entry there holds no table."""
+    """Equal rings built again share one reduction table, kept under the
+    full signature in ``_BUILT``; a ring built once keeps its own, and its
+    entry there holds no table."""
 
     def test_a_ring_built_once_leaves_no_table(self):
         ring = tagged_ring(next(TAGS))
         assert ring.gen(ring.generators[0]) ** 3 == ring.element({(1, 2): 4})
         assert ring._table and algebra._BUILT[ring._signature] is None
-        assert all(ring._table is not tables[0] for tables in algebra._BUILT.values() if tables)
+        assert all(ring._table is not table for table in algebra._BUILT.values())
 
     def test_a_one_off_entry_holds_no_table(self):
         tag = next(TAGS)
@@ -443,16 +443,15 @@ class TestSharedTables:
         first.gen(first.generators[0]) ** 3  # fills the private table
         assert algebra._BUILT[first._signature] is None
         second = tagged_ring(tag)
-        assert first._table and not second._table and not second._code_degrees
-        assert algebra._BUILT[first._signature] == (second._table, second._code_degrees)
+        assert first._table and not second._table
+        assert algebra._BUILT[first._signature] is second._table
 
     def test_equal_rings_share_from_the_third_build_on(self):
         tag = next(TAGS)
         first, second, third, fourth = (tagged_ring(tag) for _ in range(4))
         shared = algebra._BUILT[first._signature]
-        assert first._table is not second._table and first._code_degrees is not second._code_degrees
-        assert second._table is third._table is fourth._table is shared[0]
-        assert second._code_degrees is third._code_degrees is fourth._code_degrees is shared[1]
+        assert first._table is not second._table
+        assert second._table is third._table is fourth._table is shared
 
     def test_rings_differing_in_a_coefficient_or_a_name_never_share(self):
         tag = next(TAGS)
@@ -551,11 +550,20 @@ class TestHomogeneousParts:
         ring = small_ring()
         a, b = ring.gen("a"), ring.gen("b")
         x = (ring.one() + a + b) ** 2
-        pieces = [x.homogeneous_part(d) for d in range(0, 10, 2)]
-        total = pieces[0]
-        for piece in pieces[1:]:
-            total = total + piece
-        assert total.terms == x.terms
+        pieces = x.homogeneous_parts()
+        assert sorted(pieces) == [0, 2, 4]
+        assert sum(pieces.values(), ring.zero()).terms == x.terms
+
+    @settings(max_examples=80, deadline=None)
+    @given(rule_rings(), st.data())
+    def test_parts_are_homogeneous_and_sum_back(self, ring, data):
+        x = GradedElement(ring, raw_terms(data.draw, ring))
+        parts = x.homogeneous_parts()
+        for d, part in parts.items():
+            assert_canonical(part)
+            assert part and all(ring.degree_of(exps) == d for exps in part.terms)
+        assert sum(parts.values(), ring.zero()) == x
+        assert ring.zero().homogeneous_parts() == {}
 
     def test_coefficient_lookup(self):
         ring = small_ring()
@@ -597,6 +605,11 @@ class TestQSeries:
         s = QSeries([F(0), F(3), F(0), F(0), F(0)])
         assert (2 * s).coeffs[1] == F(6)
         assert (s * F(1, 3)).coeffs[1] == F(1)
+
+    def test_constant_refuses_a_negative_order(self):
+        with pytest.raises(ValueError, match="q-order must be nonnegative, not -1"):
+            QSeries.constant(1, -1)
+        assert QSeries.constant(1, 0) == QSeries([F(1)])
 
     def test_zero_coefficients_keep_their_kind(self):
         scalar = QSeries([F(0), F(1)]) * QSeries([F(0), F(1)])
@@ -886,7 +899,6 @@ class TestIntegerKernel:
         exps = tuple(data.draw(st.integers(0, b - 1)) for b in ring._bases)
         code = ring.code(exps)
         assert ring.exponents(code) == exps
-        assert ring.code_degree(code) == ring.degree_of(exps)
 
     def test_codes_of_normal_monomials_add(self):
         ring = build_proj_bundle(LineBundleSum(3, (1, -2, 0))).ring

@@ -29,6 +29,7 @@ from ellcob.cobordism import (
     distinct_cobordism_types,
     elliptic_span,
     family_polynomial,
+    family_values,
     genus_as_functional,
     partitions_of,
     pontryagin_numbers,
@@ -479,6 +480,17 @@ class TestFamilyPolynomialRoutes:
         for f in functionals:
             assert family_polynomial(fam, f) == vandermonde_family_polynomial(fam, f, vectors), f.to_expression()
         assert family_polynomial(fam, functionals[-1]) == [F(0)]
+
+    @pytest.mark.parametrize("name", STANDARD_FAMILIES)
+    def test_values_match_the_full_vectors(self, name):
+        # the values scan prints, off the fit's samples too, against f on every Pontryagin number
+        fam = standard_family(name)
+        params = range(-3, 4)
+        vectors = [pontryagin_numbers(fam.build(c)) for c in params]
+        for f in seeded_functionals(fam.dimension, 1) + [Functional(fam.dimension, {})]:
+            assert family_values(fam, f, params) == [f.evaluate(v) for v in vectors], f.to_expression()
+        with pytest.raises(ValueError, match=f"lives in dimension {fam.dimension}, functional in 8"):
+            family_values(fam, Functional(8, {}), params)
 
     def test_only_the_last_sample_deviating_fails(self):
         # -8c^3 at c = 1..4 and anything else at c = 5: the degree-3 fit is

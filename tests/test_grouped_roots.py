@@ -9,6 +9,10 @@ in many patterns: projective bundles with twisting degrees in
 {-1, 0, 1}, complex projective spaces (every root equal), products with
 X12, explicit complex root lists in a small ring (x and -x give two
 equal squares, left ungrouped), and one model with no repeated root.
+``pontryagin_classes`` is checked the same way against binomial
+expansions multiplied degree by degree, on those models, on HP^1..HP^8
+and CP^1..CP^16, and on products with an HP factor, whose root (4u, -1)
+is virtual.
 
 ``TestPowerSums`` checks ``evaluate_at`` on whole root lists: it equals
 the q-product of its single-root values, negative multiplicities
@@ -49,6 +53,7 @@ from ellcob.manifolds import (
     build_hp,
     build_proj_bundle,
     pair,
+    pontryagin_classes,
     product,
     total_pontryagin,
 )
@@ -84,6 +89,14 @@ MODELS = st.one_of(
     st.builds(_explicit, st.lists(st.sampled_from(_ROOT_CHOICES), min_size=1, max_size=6)),
 )
 
+# products with an HP factor, on either side, carry its virtual root (4u, -1)
+HP_PRODUCTS = st.builds(
+    lambda hp, other, first: product(hp, other) if first else product(other, hp),
+    st.builds(build_hp, st.integers(1, 3)),
+    st.one_of(_bundles(2, 3), st.builds(build_cp, st.integers(1, 4)), st.builds(build_hp, st.integers(1, 2))),
+    st.booleans(),
+)
+
 
 class TestGroups:
     def test_multiplicities_count_every_root(self):
@@ -104,6 +117,18 @@ class TestAgainstPerRootProducts:
     @example(ALL_ROOTS_EQUAL)
     def test_total_pontryagin(self, m):
         assert total_pontryagin(m) == ref.total_pontryagin_per_root(m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(MODELS, HP_PRODUCTS))
+    @example(NO_REPEATED_ROOT)
+    @example(product(build_hp(2), build_hp(1)))
+    def test_pontryagin_classes(self, m):
+        assert pontryagin_classes(m) == ref.pontryagin_classes_by_degree(m)
+
+    @pytest.mark.parametrize("text", [f"hp:{n}" for n in range(1, 9)] + [f"cp:{n}" for n in range(1, 17)])
+    def test_pontryagin_classes_of_projective_spaces(self, text):
+        m = parse_manifold(text)[0]
+        assert pontryagin_classes(m) == ref.pontryagin_classes_by_degree(m)
 
     @settings(max_examples=30, deadline=None)
     @given(MODELS.filter(lambda m: m.real_dimension % 4 == 0))
