@@ -33,7 +33,11 @@ q-series: q has degree 2 and that ring truncates above degree 2N.
   step on codes from lower entries, filled the same way when missing
   (:meth:`RingSpec._reduce`, the only code that applies a rule).  A
   product sums codes pairwise and the constructor codes its terms; both
-  then read every raw code's normal form from the table.
+  then read every raw code's normal form from the table.  Pairing, the
+  third reader, sums codes as a product does but keeps only one
+  monomial's share of each entry
+  (:meth:`GradedElement.product_coefficient`), so the last product of a
+  characteristic number is never formed.
 * Shared tables.  A table depends only on the ring's signature, so equal
   rings built again share one; it is the only memo a ring keeps.  A ring
   whose signature is new keeps its own table, which dies with it, and
@@ -163,18 +167,19 @@ class RingSpec:
             if power <= 0:
                 raise ValueError(f"rewrite rule power for {name!r} must be positive")
             head_degree = power * degs[g]
-            clean: dict[tuple[int, ...], Fraction] = {}
+            clean: dict[tuple[int, ...], Scalar] = {}
             for exps, coeff in rhs.items():
                 exps = tuple(map(index, exps))
                 if len(exps) != len(names) or any(e < 0 for e in exps):
                     raise ValueError(f"malformed monomial {exps} in rule for {name!r}")
-                c = as_rational(coeff)
+                c = coeff if type(coeff) is int else as_rational(coeff)  # an int needs no Fraction
                 if not c:
                     continue
-                if self.degree_of(exps) != head_degree:
+                degree = self.degree_of(exps)
+                if degree != head_degree:
                     raise ValueError(
                         f"rewrite rule for {name}^{power} is not degree-homogeneous: "
-                        f"monomial {exps} has degree {self.degree_of(exps)}, head has {head_degree}"
+                        f"monomial {exps} has degree {degree}, head has {head_degree}"
                     )
                 if exps[g] >= power:
                     raise ValueError(
@@ -185,8 +190,8 @@ class RingSpec:
                         f"rewrite rule for {name}^{power} uses a generator listed before {name!r}, "
                         f"so reduction need not terminate"
                     )
-                clean[exps] = clean.get(exps, Fraction(0)) + c
-            rules[g] = (power, {e: c for e, c in clean.items() if c})
+                clean[exps] = clean[exps] + c if exps in clean else c
+            rules[g] = (power, {e: as_rational(c) for e, c in clean.items() if c})
         self.rules = rules
         self._signature = (
             names,
@@ -356,9 +361,10 @@ class RingSpec:
         return _element(self, c.denominator, {0: c.numerator})
 
     def gen(self, name: str) -> "GradedElement":
-        exps = [0] * self.ngens
-        exps[self._index[name]] = 1
-        return self.element({tuple(exps): 1})
+        g = self._index[name]
+        if self.degrees[g] > self.truncation_dimension:  # above 2 * top the base is 1 and the code aliases
+            return self.zero()
+        return self._normal(1, {self._places[g]: 1})
 
 
 class GradedElement:
@@ -433,19 +439,41 @@ class GradedElement:
     def __neg__(self) -> "GradedElement":
         return _element(self.ring, self.den, {c: -n for c, n in self.num.items()})
 
+    def _raw_product(self, other: "GradedElement") -> dict[int, int]:
+        """The numerators of self * other over self.den * other.den before
+        reduction: exponents of normal monomials add without carries, so
+        codes add pairwise."""
+        self._check_ring(other)
+        raw: dict[int, int] = {}
+        get = raw.get
+        pairs = other.num.items()
+        for c1, n1 in self.num.items():
+            for c2, n2 in pairs:
+                k = c1 + c2
+                raw[k] = get(k, 0) + n1 * n2
+        return raw
+
+    def product_coefficient(self, other: "GradedElement", exps: tuple[int, ...]) -> Fraction:
+        """``(self * other).coefficient(exps)`` without forming the product.
+        Normal form is linear, so each distinct raw code contributes the
+        target's share of its table entry and nothing else is kept."""
+        raw, ring = self._raw_product(other), self.ring
+        target = ring.code(tuple(exps))  # None matches no entry
+        table, total = ring._table, 0
+        for k, n in raw.items():
+            if n:
+                reduced = table.get(k)
+                if reduced is None:
+                    reduced = ring._reduce(k)
+                for c, r in reduced:
+                    if c == target:
+                        total += n * r
+                        break
+        return Fraction(total, self.den * other.den) if total else _ZERO
+
     def __mul__(self, other: GradedElement | Scalar) -> "GradedElement":
         if isinstance(other, GradedElement):
-            self._check_ring(other)
-            ring = self.ring
-            # exponents of normal monomials add without carries, so codes add
-            raw: dict[int, int] = {}
-            get = raw.get
-            pairs = other.num.items()
-            for c1, n1 in self.num.items():
-                for c2, n2 in pairs:
-                    k = c1 + c2
-                    raw[k] = get(k, 0) + n1 * n2
-            return ring._normal(self.den * other.den, raw)
+            return self.ring._normal(self.den * other.den, self._raw_product(other))
         if isinstance(other, (int, Fraction)):
             if not other:
                 return self.ring.zero()

@@ -31,7 +31,7 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import accumulate
-from operator import index
+from operator import index, mul
 
 from .algebra import GradedElement, Record, RingSpec
 
@@ -171,7 +171,7 @@ def build_proj_bundle(bundle: LineBundleSum) -> ManifoldModel:
     c1 = a * r + b * (l + 1 + sum(degrees))  # the sum of the complex roots
     name = f"pb:{l}:[{','.join(str(d) for d in degrees)}]"
     cert = f"T^2 quotient of S^{2 * l + 1} x S^{2 * r - 1}"
-    spin = all(c % 2 == 0 for c in c1.terms.values())
+    spin = c1.den == 1 and all(n % 2 == 0 for n in c1.num.values())
     return ManifoldModel(name, dim, ring, roots, (r - 1, l), spin=spin, curvature_certificate=cert)
 
 
@@ -180,13 +180,12 @@ def build_proj_bundle(bundle: LineBundleSum) -> ManifoldModel:
 
 
 def _embed(element: GradedElement, target: RingSpec, offset: int) -> GradedElement:
-    pad_left = offset
-    pad_right = target.ngens - offset - element.ring.ngens
-    terms = {
-        (0,) * pad_left + exps + (0,) * pad_right: coeff
-        for exps, coeff in element.terms.items()
-    }
-    return GradedElement(target, terms)
+    """element in target, its generator i becoming target's offset + i: each
+    code re-coded in target's place values.  target's bases are no smaller
+    than the factor's, so the exponents stay inside them."""
+    exponents, places = element.ring.exponents, target._places[offset:]
+    raw = {sum(map(mul, exponents(c), places)): n for c, n in element.num.items()}
+    return target._normal(element.den, raw)
 
 
 def product(m1: ManifoldModel, m2: ManifoldModel) -> ManifoldModel:
@@ -253,7 +252,9 @@ def _pair_monomials(m: ManifoldModel, classes: Sequence[GradedElement],
                     partitions: Iterable[tuple[int, ...]]) -> list[Fraction]:
     """<x_I, [M]> for each partition I, in order, where x_I is the product
     of classes[i - 1] over the parts i of I (x_() = 1).  A product starts
-    from its first class, and products of shared prefixes are formed once."""
+    from its first class, and products of shared prefixes are formed once;
+    the last product of a partition with two or more parts is paired
+    without forming it."""
     prefixes: dict[tuple[int, ...], GradedElement] = {(): m.ring.one()}
 
     def monomial(parts: tuple[int, ...]) -> GradedElement:
@@ -264,7 +265,10 @@ def _pair_monomials(m: ManifoldModel, classes: Sequence[GradedElement],
             prefixes[parts] = x
         return x
 
-    return [pair(m, monomial(I)) for I in partitions]
+    top = m.pairing_exponents
+    return [pair(m, monomial(I)) if len(I) < 2
+            else monomial(I[:-1]).product_coefficient(classes[I[-1] - 1], top)
+            for I in partitions]
 
 
 def pair(m: ManifoldModel, x: GradedElement) -> Fraction:

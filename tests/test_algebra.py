@@ -7,6 +7,7 @@ library uses), classical power-series identities, and sympy (test-only)
 for matrix ranks.
 """
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -28,7 +29,7 @@ from ellcob.algebra import (
 )
 from ellcob.cobordism import pontryagin_numbers
 from ellcob.genera import signature
-from ellcob.manifolds import LineBundleSum, build_proj_bundle, product as manifold_product
+from ellcob.manifolds import LineBundleSum, build_cp, build_hp, build_proj_bundle, product as manifold_product
 
 F = Fraction
 
@@ -87,6 +88,41 @@ class TestRingSpecValidation:
         # the rule for a alone uses only b, listed after a, and is fine
         ring = RingSpec([("a", 2), ("b", 2)], 8, {"a": rules["a"]})
         assert ring.gen("a") ** 2 == ring.gen("b") ** 2
+
+    def test_float_coefficient_rejected(self):
+        with pytest.raises(TypeError, match="^exact rational expected, got float$"):
+            RingSpec([("a", 2), ("b", 2)], 8, {"a": (2, {(1, 1): -2.0})})
+
+    def test_error_messages(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "rewrite rule for a^2 is not degree-homogeneous: monomial (0, 1) has degree 2, head has 4")):
+            RingSpec([("a", 2), ("b", 2)], 8, {"a": (2, {(0, 1): 1})})
+        with pytest.raises(ValueError, match=re.escape("rewrite rule for a^2 does not decrease the head exponent")):
+            RingSpec([("a", 2), ("b", 2)], 8, {"a": (2, {(2, 0): F(1, 2)})})
+
+    def test_keys_naming_one_monomial_add_up(self):
+        # a range and a tuple are different keys for the exponents (1, 2)
+        ring = RingSpec([("a", 2), ("b", 2)], 8, {"a": (3, {(1, 2): F(1, 2), range(1, 3): 1, (0, 3): -1})})
+        assert ring.rules == {0: (3, {(1, 2): F(3, 2), (0, 3): F(-1)})}
+        cancelled = RingSpec([("a", 2), ("b", 2)], 8, {"a": (3, {(1, 2): 2, range(1, 3): -2})})
+        assert cancelled.rules == {0: (3, {})}
+
+    def test_rule_values_are_fractions(self):
+        ring = RingSpec([("a", 2), ("b", 2)], 8, {"a": (3, {(1, 2): 4, (0, 3): F(1, 3)}), "b": (5, {})})
+        assert all(type(c) is Fraction for _, rhs in ring.rules.values() for c in rhs.values())
+
+    def test_int_and_fraction_rules_share_one_table(self):
+        first = f"exact{next(TAGS)}"
+        ints, fractions = ({first: (2, {(1, 1): c})} for c in (-2, F(-2)))
+        rings = [RingSpec([(first, 2), ("b", 2)], 8, rules) for rules in (ints, fractions, ints)]
+        assert rings[0] == rings[1] == rings[2]
+        assert rings[1]._table is rings[2]._table is algebra._BUILT[rings[0]._signature]
+
+    @pytest.mark.parametrize("gens, top", [([("u", 4)], 0), ([("a", 2), ("u", 8)], 2)])
+    def test_generator_above_the_top_is_zero(self, gens, top):
+        # with degree above twice the top, u's base is 1 and its code would alias another digit
+        ring = RingSpec(gens, top)
+        assert ring.gen("u") == ring.zero() and not ring.gen("u").num
 
 
 class TestNormalization:
@@ -344,6 +380,68 @@ class TestTabledProduct:
         xy = x * y
         assert GradedElement(twin, x.terms) * GradedElement(twin, y.terms) == xy
         assert xy.terms == (x * y).terms  # the filled table gives the same answer again
+
+
+# a hand-built ring whose rules have rational coefficients, so its table
+# entries are not integral: a^2 -> ab/2 - 2c/3 and b^3 -> 3bc/4
+RATIONAL_RULES = RingSpec([("a", 2), ("b", 2), ("c", 4)], 12,
+                          {"a": (2, {(1, 1, 0): F(1, 2), (0, 0, 1): F(-2, 3)}), "b": (3, {(0, 1, 1): F(3, 4)})})
+
+SMALL_PRIMES = (lambda: build_cp(1), lambda: build_cp(2), lambda: build_hp(1),
+                lambda: build_proj_bundle(LineBundleSum(1, (1, -2))), lambda: build_proj_bundle(LineBundleSum(2, (0, 1))))
+
+
+@st.composite
+def three_factor_rings(draw):
+    a, b, c = (draw(st.sampled_from(SMALL_PRIMES))() for _ in range(3))
+    return manifold_product(a, manifold_product(b, c)).ring
+
+
+@st.composite
+def product_coefficient_cases(draw):
+    """Two elements of a P(E) ring, a three-factor product ring or
+    RATIONAL_RULES, either of them sometimes zero, and exponents that fall
+    outside the bases when an exponent is drawn equal to its base."""
+    ring = draw(st.one_of(bundle_rings(), three_factor_rings(), st.just(RATIONAL_RULES)))
+    x, y = (ring.zero() if draw(st.integers(0, 4)) == 0 else GradedElement(ring, raw_terms(draw, ring))
+            for _ in range(2))
+    exps = tuple(draw(st.integers(0, base)) for base in ring._bases)
+    return x, y, exps
+
+
+class TestProductCoefficient:
+    """product_coefficient pairs two elements without forming the product;
+    normal form is linear, so it reads the product's coefficient."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(product_coefficient_cases())
+    def test_matches_the_formed_product(self, case):
+        x, y, exps = case
+        got = x.product_coefficient(y, exps)
+        assert got == (x * y).coefficient(exps)
+        assert type(got) is Fraction
+
+    def test_rational_rules_and_denominators(self):
+        ring = RATIONAL_RULES
+        x = ring.element({(1, 0, 0): F(1, 3), (0, 1, 0): F(5, 2)})
+        y = ring.element({(1, 2, 1): F(2, 7), (2, 1, 1): 1, (0, 3, 1): F(-1, 5)})
+        assert x.den != 1 and y.den != 1
+        for exps in product(range(4), range(4), range(3)):
+            assert x.product_coefficient(y, exps) == (x * y).coefficient(exps)
+        assert any(c.denominator != 1 for c in (x * y).terms.values())
+
+    def test_zero_and_outside_the_bases(self):
+        ring = RATIONAL_RULES
+        x = ring.element({(1, 1, 0): F(1, 3)})
+        assert x.product_coefficient(ring.zero(), (0, 2, 1)) is algebra._ZERO
+        assert ring.zero().product_coefficient(x, (0, 2, 1)) is algebra._ZERO
+        for exps in ((13, 0, 0), (0, 0, 7), (0, 2), (0, 2, 1, 0)):
+            assert x.product_coefficient(x, exps) == (x * x).coefficient(exps) == 0
+
+    def test_elements_of_different_rings_are_refused(self):
+        x = small_ring().gen("a")
+        with pytest.raises(ValueError, match="different rings"):
+            x.product_coefficient(RATIONAL_RULES.gen("a"), (1, 1))
 
 
 def random_element(rng, ring):

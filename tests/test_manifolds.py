@@ -17,7 +17,7 @@ from math import comb, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ellcob.algebra import RingSpec
+from ellcob.algebra import GradedElement, RingSpec
 from ellcob.cobordism import Partition, basis_manifolds, x12
 from ellcob.genera import elliptic_q_coefficients, signature
 from ellcob.manifolds import (
@@ -249,6 +249,24 @@ class TestProducts:
         p = pontryagin_classes(m)
         assert p[0].terms == {(1, 0): F(2), (0, 2): F(3)}
 
+    @pytest.mark.parametrize("nesting", ["right", "left"])
+    def test_embedding_recodes_every_root_of_the_eight_generator_product(self, nesting):
+        a, b, c, d = (build_proj_bundle(LineBundleSum(2, degrees))
+                      for degrees in ((1, -1, 2), (2, 1, -1), (1, 3, -2), (1, 0, 1)))
+        m = product(a, product(b, product(c, d))) if nesting == "right" else product(product(product(a, b), c), d)
+        ring, n = m.ring, m.ring.ngens
+        assert n == 8
+        embedded, offset = [], 0
+        for f in m.factors:
+            one_third = f.ring.scalar(F(1, 3))
+            for t, mult in f.roots:
+                for x in (t, t * one_third + f.ring.scalar(F(5, 2))):
+                    padded = {(0,) * offset + e + (0,) * (n - offset - f.ring.ngens): v for e, v in x.terms.items()}
+                    assert _embed(x, ring, offset) == GradedElement(ring, padded)
+                embedded.append((_embed(t, ring, offset), mult))
+            offset += f.ring.ngens
+        assert list(m.roots) == embedded
+
     def test_pairing_against_wrong_ring_rejected(self):
         m1, m2 = build_cp(2), build_cp(3)
         with pytest.raises(ValueError):
@@ -349,6 +367,27 @@ class TestPontryaginProducts:
         # p[part - 1] unchecked reads p2 for part 0 and p1 for part -1, and 3 is past the list
         with pytest.raises(ValueError, match=re.escape(f"partition {partition} has a part outside 1..2")):
             pontryagin_products(build_hp(2), [(2,), partition])
+
+
+    @pytest.mark.parametrize("m", [build_hp(3), build_proj_bundle(LineBundleSum(4, (1, 2, 3))),
+                                   product(build_hp(2), build_cp(2)), product(build_cp(2), product(build_cp(2), build_cp(2)))],
+                             ids=lambda m: m.name)
+    def test_every_partition_matches_the_formed_monomial(self, m):
+        # unsorted partitions, partitions of weight below 3 (which pair to 0)
+        # and the empty one, against the monomial formed in full and paired
+        p = pontryagin_classes(m)
+        partitions = [(1, 2), (2, 1), (3,), (1, 1, 1), (1,), (2,), (1, 1), ()]
+        formed = [pair(m, prod((p[i - 1] for i in I), start=m.ring.one())) for I in partitions]
+        assert pontryagin_products(m, partitions) == formed
+        assert formed[0] == formed[1] != 0 and formed[4:] == [0, 0, 0, 0]
+
+    def test_the_point_pairs_the_empty_partition_to_one(self):
+        assert pontryagin_products(build_point(), [()]) == [pair(build_point(), build_point().ring.one())] == [1]
+
+    @pytest.mark.parametrize("partition", [(4, 1), (2, 1, 0), (1, -1, 3)])
+    def test_a_multi_part_partition_outside_1_to_k_is_value_error(self, partition):
+        with pytest.raises(ValueError, match=re.escape(f"partition {partition} has a part outside 1..3")):
+            pontryagin_products(build_hp(3), [(1, 2), partition])
 
 
 @settings(max_examples=25, deadline=None)
