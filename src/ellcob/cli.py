@@ -16,16 +16,15 @@ import json
 import sys
 from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
-from functools import lru_cache
 
 from .cobordism import (
     FamilySpec,
     Functional,
     Partition,
+    _fitted,
     designated_families,
     distinct_cobordism_types,
     elliptic_span,
-    family_polynomial,
     family_values,
     partitions_of,
     pontryagin_numbers,
@@ -491,23 +490,23 @@ def _cmd_scan(args: argparse.Namespace) -> dict | list[list[str]]:
     fam = _family(args.family)
     f = parse_functional(args.functional, fam.dimension)
     a, b = _parse_range(args.range)
-    # each member built once: the range values and the fit share it, for this request only
-    fam = FamilySpec(fam.name, fam.dimension, lru_cache(maxsize=None)(fam.builder), fam.substitution, fam.max_degree)
-    params = range(a, b + 1)
-    values = list(zip(params, family_values(fam, f, params)))
-    poly = family_polynomial(fam, f)
-    for c, value in values:
+    params, samples = range(a, b + 1), range(1, fam.max_degree + 3)
+    members = sorted({*params, *samples})  # each computed once, for the range and the fit
+    value_of = dict(zip(members, family_values(fam, f, members)))
+    poly = _fitted(fam, f, [value_of[c] for c in samples])
+    for c in params:
         fitted = sum(coeff * c ** i for i, coeff in enumerate(poly))
-        if fitted != value:
-            raise ConsistencyError(f"family {fam.name} at c = {c} has value {value}, its polynomial gives {fitted}")
+        if fitted != value_of[c]:
+            raise ConsistencyError(
+                f"family {fam.name} at c = {c} has value {value_of[c]}, its polynomial gives {fitted}")
     if args.csv:
-        return [["c", "value"], *([str(c), str(v)] for c, v in values)]
+        return [["c", "value"], *([str(c), str(value_of[c])] for c in params)]
     return {
         "dimension": fam.dimension,
         "family": fam.name,
         "functional": _functional_payload(f),
         **_family_payload(fam, poly),
-        "values": [{"c": c, "value": str(v)} for c, v in values],
+        "values": [{"c": c, "value": str(value_of[c])} for c in params],
     }
 
 

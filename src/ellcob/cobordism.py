@@ -299,14 +299,15 @@ def family_values(fam: FamilySpec, f: Functional, params: Iterable[int]) -> list
 
 
 def family_polynomial(fam: FamilySpec, f: Functional) -> list[Fraction]:
-    """Coefficients (ascending degree) of the polynomial c -> f(fam(c)).
+    """Coefficients (ascending degree) of the polynomial c -> f(fam(c)), by exact
+    interpolation through max_degree+2 samples; a nonzero top coefficient means
+    the family is not polynomial of the declared degree and is an internal failure."""
+    return _fitted(fam, f, family_values(fam, f, range(1, fam.max_degree + 3)))
 
-    Exact interpolation through max_degree+2 samples; a nonzero top
-    coefficient means the family is not polynomial of the declared degree
-    and is an internal failure.
-    """
-    samples = range(1, fam.max_degree + 3)
-    coeffs = interpolate_polynomial(list(zip(samples, family_values(fam, f, samples))))
+
+def _fitted(fam: FamilySpec, f: Functional, values: Sequence[Fraction]) -> list[Fraction]:
+    """family_polynomial from the values f(fam(c)) at c = 1..max_degree+2."""
+    coeffs = interpolate_polynomial(list(enumerate(values, 1)))
     if coeffs[-1]:
         raise ConsistencyError(
             f"family {fam.name} is not polynomial of degree <= {fam.max_degree} under {f.coefficients}"

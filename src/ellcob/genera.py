@@ -80,7 +80,7 @@ from types import MappingProxyType
 
 from .algebra import _ZERO, GradedElement, QSeries, Record, as_rational
 from .errors import ConsistencyError, brief
-from .manifolds import ManifoldModel, _pair_monomials, pontryagin_products
+from .manifolds import ManifoldModel, _pair_monomials, pontryagin_classes
 
 __all__ = [
     "CharacteristicSeries",
@@ -443,10 +443,10 @@ def _roots_route(m: ManifoldModel, series: CharacteristicSeries) -> Coefficient:
 
 
 def _universal_route(m: ManifoldModel, seq: MultiplicativeSequence) -> Coefficient:
-    """The genus of seq.source on m from its Pontryagin numbers."""
+    """The genus of seq.source on m from its Pontryagin numbers, paired in m's own ring."""
     k = m.real_dimension // 4
     partitions = list(seq.weights[k])
-    return seq.evaluate_top(dict(zip(partitions, pontryagin_products(m, partitions))), k)
+    return seq.evaluate_top(dict(zip(partitions, _pair_monomials(m, pontryagin_classes(m), partitions))), k)
 
 
 def _cross_checked(m: ManifoldModel, what: str, seq: MultiplicativeSequence) -> Coefficient:

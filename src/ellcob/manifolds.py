@@ -19,21 +19,23 @@ a virtual summand.
 
 The list is stable: trivial summands are not listed, as they add nothing
 to the Pontryagin class and every genus series has constant term 1.  A
-product records its prime factors, nested products flattened; its ring
-is the tensor product of theirs, so it does not depend on nesting, and
-its Pontryagin roots concatenate theirs.  A genus can be read off them.
-Models are immutable: the constructor sets each attribute once.  Build
-functions are pure.
+product records its prime factors, nested products flattened, and its
+Pontryagin numbers are folded from theirs (Whitney product formula,
+Milnor-Stasheff, *Characteristic Classes*, 15).  Its ring, the tensor
+product of theirs, and its roots, which concatenate theirs, are built on
+first read.  Models are immutable: each attribute is set once.
 """
 from __future__ import annotations
 
+from _thread import allocate_lock
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from functools import lru_cache, reduce
 from itertools import accumulate
 from operator import index, mul
 
-from .algebra import GradedElement, Record, RingSpec
+from .algebra import _ZERO, GradedElement, Record, RingSpec
 
 __all__ = [
     "LineBundleSum",
@@ -74,13 +76,15 @@ class ManifoldModel:
     """Everything the genus and cobordism machinery needs about one manifold.
 
     factors is empty on a prime model and lists the prime factors of a
-    product, in order.  Attributes are read-only, and two models are equal
-    only when they are the same object."""
+    product, in order; a product's ring and roots are built from them on
+    first read.  Attributes are read-only; models are equal only when identical."""
 
-    __slots__ = ("name", "real_dimension", "ring", "roots", "pairing_exponents", "spin",
-                 "curvature_certificate", "factors")
+    # ring and roots last: a product fills the others and leaves them unset until read
+    __slots__ = ("name", "real_dimension", "pairing_exponents", "spin", "curvature_certificate", "factors",
+                 "ring", "roots")
     # read-only fields as a Record has, but not its equality and hash: the roots are unhashable
     _fill, __setattr__, __delattr__ = Record._fill, Record.__setattr__, Record.__delattr__
+    _filling = allocate_lock()  # a product's ring and roots are stored at once
 
     def __init__(
         self,
@@ -99,11 +103,24 @@ class ManifoldModel:
             raise ValueError("pairing monomial does not match the ring")
         if ring.degree_of(pairing_exponents) != real_dimension:
             raise ValueError("pairing monomial degree must equal the real dimension")
-        self._fill(name, real_dimension, ring, tuple(roots), tuple(pairing_exponents), bool(spin),
-                   curvature_certificate, tuple(factors))
+        self._fill(name, real_dimension, tuple(pairing_exponents), bool(spin), curvature_certificate,
+                   tuple(factors), ring, tuple(roots))
+
+    def __getattr__(self, name: str) -> object:  # only a product's ring and roots are ever unset
+        if name not in ("ring", "roots") or not self.factors:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        ring, roots = _product_ring(self.factors)
+        with self._filling:
+            try:  # another reader stored its build first
+                object.__getattribute__(self, "ring")
+            except AttributeError:
+                object.__setattr__(self, "roots", roots)
+                object.__setattr__(self, "ring", ring)
+        return object.__getattribute__(self, name)
 
     def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), (self.name, self.real_dimension, self.ring, self.roots, self.pairing_exponents,
+                            self.spin, self.curvature_certificate, self.factors)
 
     def __repr__(self) -> str:
         return f"ManifoldModel({self.name}, dim={self.real_dimension})"
@@ -114,8 +131,7 @@ class ManifoldModel:
 
 
 def build_point() -> ManifoldModel:
-    ring = RingSpec([], 0)
-    return ManifoldModel("pt", 0, ring, (), (), spin=True)
+    return ManifoldModel("pt", 0, RingSpec([], 0), (), (), spin=True)
 
 
 def build_cp(n: int) -> ManifoldModel:
@@ -188,13 +204,9 @@ def _embed(element: GradedElement, target: RingSpec, offset: int) -> GradedEleme
     return target._normal(element.den, raw)
 
 
-def product(m1: ManifoldModel, m2: ManifoldModel) -> ManifoldModel:
-    """Cartesian product, its ring built from the prime factors of both
-    sides (a prime model stands for itself), so it does not depend on
-    nesting.  Generator g of the i-th factor is g_i, unique because the
-    text after its last underscore is i; rules, Pontryagin roots, pairing
-    monomials and prime factors concatenate."""
-    factors = (m1.factors or (m1,)) + (m2.factors or (m2,))
+def _product_ring(factors: Sequence[ManifoldModel]) -> tuple[RingSpec, tuple]:
+    """A product's ring, in one pass over its prime factors, and their roots embedded in it.
+    Generator g of the i-th factor is g_i, unique as the text after its last underscore is i."""
     offsets = list(accumulate((f.ring.ngens for f in factors), initial=0))
     gens: list[tuple[str, int]] = []
     rules: dict[str, tuple[int, dict[tuple[int, ...], Fraction]]] = {}
@@ -204,17 +216,20 @@ def product(m1: ManifoldModel, m2: ManifoldModel) -> ManifoldModel:
         left, right = (0,) * offset, (0,) * (offsets[-1] - offset - f.ring.ngens)
         for g, (power, rhs) in f.ring.rules.items():
             rules[names[g]] = (power, {left + exps + right: c for exps, c in rhs.items()})
-    dim = m1.real_dimension + m2.real_dimension
-    ring = RingSpec(gens, dim, rules)
-    roots = [(_embed(t, ring, offset), mult) for f, offset in zip(factors, offsets) for t, mult in f.roots]
-    pairing = sum((f.pairing_exponents for f in factors), ())
-    cert = None
-    if m1.curvature_certificate and m2.curvature_certificate:
-        cert = f"product: {m1.curvature_certificate} x {m2.curvature_certificate}"
-    return ManifoldModel(
-        f"prod({m1.name},{m2.name})", dim, ring, roots, pairing,
-        spin=m1.spin and m2.spin, curvature_certificate=cert, factors=factors,
-    )
+    ring = RingSpec(gens, sum(f.real_dimension for f in factors), rules)
+    return ring, tuple((_embed(t, ring, offset), mult) for f, offset in zip(factors, offsets) for t, mult in f.roots)
+
+
+def product(m1: ManifoldModel, m2: ManifoldModel) -> ManifoldModel:
+    """Cartesian product of the prime factors of both sides (a prime model stands for itself), so
+    it does not depend on nesting.  The ring and roots are built on first read."""
+    factors = (m1.factors or (m1,)) + (m2.factors or (m2,))
+    cert = (f"product: {m1.curvature_certificate} x {m2.curvature_certificate}"
+            if m1.curvature_certificate and m2.curvature_certificate else None)
+    model = object.__new__(ManifoldModel)
+    model._fill(f"prod({m1.name},{m2.name})", m1.real_dimension + m2.real_dimension,
+                sum((f.pairing_exponents for f in factors), ()), m1.spin and m2.spin, cert, factors)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +239,8 @@ def product(m1: ManifoldModel, m2: ManifoldModel) -> ManifoldModel:
 def total_pontryagin(m: ManifoldModel) -> GradedElement:
     """1 + p_1 + p_2 + ... = the product of (1 + t)^m over the Pontryagin
     roots; for m < 0 the power inverts the unit 1 + t."""
-    one = m.ring.one()
-    total = None
-    for t, mult in m.roots:
-        factor = (one + t) ** mult
-        total = factor if total is None else total * factor
-    return one if total is None else total
+    factors = [(m.ring.one() + t) ** mult for t, mult in m.roots]
+    return reduce(mul, factors) if factors else m.ring.one()
 
 
 def pontryagin_classes(m: ManifoldModel) -> list[GradedElement]:
@@ -240,12 +251,50 @@ def pontryagin_classes(m: ManifoldModel) -> list[GradedElement]:
 
 def pontryagin_products(m: ManifoldModel, partitions: Iterable[Sequence[int]]) -> list[Fraction]:
     """<p_I, [M]> for each partition I, in order.  Every part must lie in
-    1..k, k = dim/4; another is a ValueError."""
+    1..k, k = dim/4; another is a ValueError.  A product's numbers are
+    folded from its prime factors' own, and its ring is not read."""
     partitions, k = [tuple(I) for I in partitions], m.real_dimension // 4
     for I in partitions:
         if not all(0 < part <= k for part in I):
             raise ValueError(f"partition {I} has a part outside 1..{k}")
-    return _pair_monomials(m, pontryagin_classes(m), partitions)
+    if not m.factors:
+        return _pair_monomials(m, pontryagin_classes(m), partitions)
+    if any(f.real_dimension % 4 for f in m.factors):  # its p_i vanish above p_0, its dimension is not 4j
+        return [_ZERO] * len(partitions)
+    values = _folded(m.factors, [tuple(sorted(I, reverse=True)) for I in partitions])
+    return [Fraction(v) if v else _ZERO for v in values]
+
+
+def _folded(factors: Sequence[ManifoldModel], partitions: list[tuple[int, ...]]) -> list[int | Fraction]:
+    """<p_I, [F_1 x ... x F_r]> for each non-increasing I, an int where it is one, two factors
+    at a time: <p_I, [M x N]> = sum n <p_A, [M]> <p_B, [N]> over _splits."""
+    *rest, last = factors
+    if not rest:
+        values = _pair_monomials(last, pontryagin_classes(last), partitions)
+        return [v.numerator if v.denominator == 1 else v for v in values]
+    k1, k2 = sum(f.real_dimension for f in rest) // 4, last.real_dimension // 4
+    terms = [_splits(I, k1, k2) for I in partitions]
+    left, right = ({AB[side]: None for split in terms for AB in split} for side in (0, 1))
+    left, right = dict(zip(left, _folded(rest, list(left)))), dict(zip(right, _folded((last,), list(right))))
+    return [sum(n * left[A] * right[B] for A, B, n in split) for split in terms]
+
+
+@lru_cache(maxsize=1024)  # (I, k1, k2) term tables: dimension 32 needs under 500
+def _splits(I: tuple[int, ...], k1: int, k2: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
+    """The terms (A, B, n) of p_I = sum n p_A x p_B on a 4k1- times a 4k2-manifold:
+    each part i of I splits into a + (i - a), a in 0..i, A and B collect the
+    nonzero a's and (i - a)'s, and n counts the splits giving (A, B).  Built
+    part by part; a state, the sorted a's and (i - a)'s so far, merges equal ones."""
+    states = {((), ()): 1}
+    for i in I:
+        merged = {}
+        for (A, B), n in states.items():
+            for a in range(max(0, i - k2 + sum(B)), min(i, k1 - sum(A)) + 1):
+                key = tuple(sorted(A + (a,))), tuple(sorted(B + (i - a,)))
+                merged[key] = merged.get(key, 0) + n
+        states = merged
+    return tuple((tuple(filter(None, A[::-1])), tuple(filter(None, B[::-1])), n)
+                 for (A, B), n in states.items() if sum(A) == k1 and sum(B) == k2)
 
 
 def _pair_monomials(m: ManifoldModel, classes: Sequence[GradedElement],

@@ -670,6 +670,17 @@ class TestExitCodes:
         assert run(capsys, ["scan", "--family", "Z20", "-f", "p5", "--range", "1..2"])[0] == 0
         assert sorted(built) == list(range(1, z20.max_degree + 3))
 
+    def test_scan_computes_each_member_once(self, capsys, monkeypatch):
+        # the fit's samples c = 1..max_degree+2 lie in the range here, so each is paired for both
+        import ellcob.cobordism as cobordism
+
+        paired, original = [], cobordism.pontryagin_products
+        monkeypatch.setattr(cobordism, "pontryagin_products",
+                            lambda m, partitions: paired.append(m) or original(m, partitions))
+        code, _, _ = run(capsys, ["scan", "--family", "X12xHP:5", "-f", "p1^8", "--range=0..10"])
+        samples = range(1, standard_family("X12xHP:5").max_degree + 3)
+        assert code == 0 and len(paired) == len({*range(11), *samples}) == 11
+
 
 def _exit_is_0_or_2(argv):
     """main(argv) exits 0, or 2 with exactly one 'error: ' line; every stderr

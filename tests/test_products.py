@@ -11,9 +11,19 @@ where it used to pass because both routes read the same ring.
 The oracle for the factorwise values is ``genus_on_own_ring`` in
 ``symmetric_reference``: ``evaluate_at`` on the product's own embedded
 roots, paired in the product ring.
+
+A product's Pontryagin numbers are folded from its factors' own numbers
+by the Whitney product formula, and its ring is built only when read;
+the oracle for the fold is the product ring's own pairing.
 """
+import copy
+import pickle
 import random
+import sys
+import threading
+from collections import Counter
 from fractions import Fraction
+from itertools import product as tuples
 
 import pytest
 
@@ -22,7 +32,7 @@ import symmetric_reference as ref
 from ellcob import algebra
 from ellcob.algebra import QSeries, RingSpec
 from ellcob.cli import main, parse_manifold
-from ellcob.cobordism import pontryagin_numbers
+from ellcob.cobordism import partitions_of, pontryagin_numbers, standard_family
 from ellcob.errors import ConsistencyError
 from ellcob.genera import (
     CharacteristicSeries,
@@ -38,11 +48,15 @@ from ellcob.genera import (
 from ellcob.manifolds import (
     LineBundleSum,
     ManifoldModel,
+    _pair_monomials,
+    _splits,
     build_cp,
     build_hp,
     build_point,
     build_proj_bundle,
     pair,
+    pontryagin_classes,
+    pontryagin_products,
     product,
 )
 
@@ -250,3 +264,167 @@ def test_products_with_a_point():
     for m in (product(cp, build_point()), product(build_point(), cp)):
         assert signature(m) == signature(cp) == Fraction(1)
         assert elliptic_q_coefficients(m, 3) == elliptic_q_coefficients(cp, 3)
+
+
+EIGHT_GENERATORS = "prod(pb:2:[1,-1,2],prod(pb:2:[2,1,-1],prod(pb:2:[1,3,-2],pb:2:[1,0,1])))"
+
+
+def _ring_numbers(m, partitions):
+    """The oracle: the numbers paired in the product ring itself."""
+    return _pair_monomials(m, pontryagin_classes(m), partitions)
+
+
+def _nestings(factors):
+    """The left- and the right-nested product of the factors."""
+    left, right = factors[0], factors[-1]
+    for f in factors[1:]:
+        left = product(left, f)
+    for f in reversed(factors[:-1]):
+        right = product(f, right)
+    return left, right
+
+
+def _all_partitions(k):
+    """Every partition of k, those of lower weight, and each of them unsorted."""
+    partitions = [tuple(I) for j in range(k + 1) for I in partitions_of(j)]
+    return partitions + [I[::-1] for I in partitions if I != I[::-1]]
+
+
+class TestFold:
+    """A product's numbers, folded from its factors, equal those of its ring."""
+
+    def assert_fold_is_the_ring(self, m):
+        partitions = _all_partitions(m.real_dimension // 4)
+        folded = pontryagin_products(m, partitions)
+        assert folded == _ring_numbers(m, partitions), m.name
+        assert all(v is algebra._ZERO for v in folded if not v)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_seeded_products_in_both_nestings(self, seed):
+        factors = _random_product(seed).factors
+        for m in _nestings(factors):
+            assert m.factors == factors
+            self.assert_fold_is_the_ring(m)
+
+    @pytest.mark.parametrize("text", ["prod(cp:1,cp:3)", "prod(cp:3,prod(cp:1,cp:2))", "prod(cp:1,hp:1)",
+                                      "prod(hp:1,prod(cp:3,cp:3))", "prod(cp:3,prod(hp:1,cp:1))"])
+    def test_odd_complex_dimension_factors(self, text):
+        self.assert_fold_is_the_ring(parse_manifold(text)[0])
+
+    def test_point_factors(self):
+        pt, hp = build_point(), build_hp(2)
+        for m in (product(pt, hp), product(hp, pt), product(pt, product(build_cp(2), pt)), product(pt, pt)):
+            self.assert_fold_is_the_ring(m)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_x12_times_hp(self, n):
+        self.assert_fold_is_the_ring(standard_family(f"X12xHP:{n}").build(2))
+
+    def test_eight_generator_product(self):
+        self.assert_fold_is_the_ring(parse_manifold(EIGHT_GENERATORS)[0])
+
+    def test_parts_are_still_checked(self):
+        m = product(build_hp(1), build_cp(2))
+        with pytest.raises(ValueError, match="outside 1..2"):
+            pontryagin_products(m, [(3,)])
+        with pytest.raises(ValueError, match="outside 1..2"):
+            pontryagin_products(m, [(1, 0)])
+
+
+@pytest.mark.parametrize("k1, k2", [(k1, k - k1) for k in range(9) for k1 in range(k + 1)])
+def test_split_table_is_brute_force_enumeration(k1, k2):
+    for I in partitions_of(k1 + k2):
+        expected = Counter()
+        for split in tuples(*(range(i + 1) for i in I)):
+            A = tuple(sorted((a for a in split if a), reverse=True))
+            B = tuple(sorted((i - a for i, a in zip(I, split) if i - a), reverse=True))
+            if sum(A) == k1:
+                expected[A, B] += 1
+        table = _splits(tuple(I), k1, k2)
+        assert len(table) == len(expected)
+        assert {(A, B): n for A, B, n in table} == expected
+
+
+class TestLazyProductRing:
+    """product() builds no ring: the ring and its embedded roots are built
+    together, from the factors, on first read."""
+
+    def test_numbers_do_not_read_the_product_ring(self, monkeypatch):
+        expected = pontryagin_numbers(parse_manifold("prod(hp:2,cp:2)")[0])
+        original = manifolds._embed
+        monkeypatch.setattr(manifolds, "_embed",
+                            lambda element, ring, offset: original(element, ring, offset) * (2 if offset else 1))
+        m, _ = parse_manifold("prod(hp:2,cp:2)")
+        assert pontryagin_numbers(m) == expected
+        partitions = partitions_of(3)
+        assert _ring_numbers(m, partitions) != pontryagin_products(m, partitions)
+
+    def test_parsing_and_numbers_build_only_the_primes(self, monkeypatch):
+        built = []
+        original = RingSpec.__init__
+
+        def counting(ring, *args, **kwargs):
+            original(ring, *args, **kwargs)
+            built.append(ring.ngens)
+
+        monkeypatch.setattr(RingSpec, "__init__", counting)
+        m, _ = parse_manifold(EIGHT_GENERATORS)
+        assert built == [2, 2, 2, 2]
+        pontryagin_numbers(m)
+        assert built == [2, 2, 2, 2]
+        assert m.ring.ngens == 8 and built == [2, 2, 2, 2, 8]
+
+    def test_ring_and_roots_come_from_one_build(self):
+        m = product(build_cp(2), build_hp(1))
+        roots = m.roots  # read before the ring
+        assert m.roots is roots and all(t.ring is m.ring for t, _ in roots)
+
+    def test_threads_see_one_build(self):
+        # each product is fresh, so the threads race to build and store its ring and roots
+        products = [product(build_cp(2), product(build_hp(1), build_cp(2))) for _ in range(12)]
+        seen, errors = [], []
+
+        def work(worker):
+            try:
+                for m in products:
+                    if worker % 2:  # half the threads read the roots first
+                        roots, ring = m.roots, m.ring
+                    else:
+                        ring, roots = m.ring, m.roots
+                    seen.append((m, ring, roots))
+            except Exception as error:  # reported below; a thread cannot raise into the test
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(worker,)) for worker in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and len(seen) == 8 * len(products)
+        for m, ring, roots in seen:
+            assert ring is m.ring and roots is m.roots
+            assert all(t.ring is ring for t, _ in roots)
+
+    def test_unknown_attribute_raises(self):
+        for m in (build_cp(2), product(build_cp(2), build_hp(1))):
+            with pytest.raises(AttributeError, match="no attribute 'missing'"):
+                m.missing
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))])
+    def test_copy_and_pickle_an_unread_product(self, clone):
+        m, _ = parse_manifold("prod(cp:2,prod(hp:1,pb:1:[1,0]))")
+        with pytest.raises(AttributeError):  # the slot is still unset
+            object.__getattribute__(m, "ring")
+        c = clone(m)
+        assert (c.name, c.real_dimension, c.pairing_exponents, c.spin, c.curvature_certificate) == \
+            (m.name, m.real_dimension, m.pairing_exponents, m.spin, m.curvature_certificate)
+        assert [f.name for f in c.factors] == [f.name for f in m.factors]
+        assert c.ring == m.ring
+        assert pontryagin_numbers(c) == pontryagin_numbers(m)
+        assert signature(c) == signature(m)
