@@ -21,11 +21,10 @@ from .cobordism import (
     FamilySpec,
     Functional,
     Partition,
-    _fitted,
     designated_families,
     distinct_cobordism_types,
     elliptic_span,
-    family_values,
+    family_fit,
     partitions_of,
     pontryagin_numbers,
     signed_sum,
@@ -490,23 +489,16 @@ def _cmd_scan(args: argparse.Namespace) -> dict | list[list[str]]:
     fam = _family(args.family)
     f = parse_functional(args.functional, fam.dimension)
     a, b = _parse_range(args.range)
-    params, samples = range(a, b + 1), range(1, fam.max_degree + 3)
-    members = sorted({*params, *samples})  # each computed once, for the range and the fit
-    value_of = dict(zip(members, family_values(fam, f, members)))
-    poly = _fitted(fam, f, [value_of[c] for c in samples])
-    for c in params:
-        fitted = sum(coeff * c ** i for i, coeff in enumerate(poly))
-        if fitted != value_of[c]:
-            raise ConsistencyError(
-                f"family {fam.name} at c = {c} has value {value_of[c]}, its polynomial gives {fitted}")
+    params = range(a, b + 1)
+    values, poly = family_fit(fam, f, params)
     if args.csv:
-        return [["c", "value"], *([str(c), str(value_of[c])] for c in params)]
+        return [["c", "value"], *([str(c), str(v)] for c, v in zip(params, values))]
     return {
         "dimension": fam.dimension,
         "family": fam.name,
         "functional": _functional_payload(f),
         **_family_payload(fam, poly),
-        "values": [{"c": c, "value": str(value_of[c])} for c in params],
+        "values": [{"c": c, "value": str(v)} for c, v in zip(params, values)],
     }
 
 

@@ -40,6 +40,7 @@ __all__ = [
     "FamilySpec",
     "family_values",
     "family_polynomial",
+    "family_fit",
     "VerdictResult",
     "unbounded_verdict",
     "DistinctnessResult",
@@ -299,22 +300,32 @@ def family_values(fam: FamilySpec, f: Functional, params: Iterable[int]) -> list
 
 
 def family_polynomial(fam: FamilySpec, f: Functional) -> list[Fraction]:
-    """Coefficients (ascending degree) of the polynomial c -> f(fam(c)), by exact
-    interpolation through max_degree+2 samples; a nonzero top coefficient means
-    the family is not polynomial of the declared degree and is an internal failure."""
-    return _fitted(fam, f, family_values(fam, f, range(1, fam.max_degree + 3)))
+    """Coefficients (ascending degree) of the polynomial c -> f(fam(c)).
+
+    Exact interpolation through max_degree+2 samples; a nonzero top
+    coefficient means the family is not polynomial of the declared degree
+    and is an internal failure.
+    """
+    return family_fit(fam, f, ())[1]
 
 
-def _fitted(fam: FamilySpec, f: Functional, values: Sequence[Fraction]) -> list[Fraction]:
-    """family_polynomial from the values f(fam(c)) at c = 1..max_degree+2."""
-    coeffs = interpolate_polynomial(list(enumerate(values, 1)))
+def family_fit(fam: FamilySpec, f: Functional, params: Iterable[int]) -> tuple[list[Fraction], list[Fraction]]:
+    """(family_values(fam, f, params), family_polynomial(fam, f)), each value checked, each member computed once."""
+    params, samples = list(params), range(1, fam.max_degree + 3)
+    members = sorted({*params, *samples})
+    value_of = dict(zip(members, family_values(fam, f, members)))
+    coeffs = interpolate_polynomial([(c, value_of[c]) for c in samples])
     if coeffs[-1]:
         raise ConsistencyError(
             f"family {fam.name} is not polynomial of degree <= {fam.max_degree} under {f.coefficients}"
         )
     while len(coeffs) > 1 and not coeffs[-1]:
         coeffs.pop()
-    return coeffs
+    for c in params:
+        if (fitted := sum(coeff * c ** i for i, coeff in enumerate(coeffs))) != value_of[c]:
+            raise ConsistencyError(
+                f"family {fam.name} at c = {c} has value {value_of[c]}, its polynomial gives {fitted}")
+    return [value_of[c] for c in params], coeffs
 
 
 class VerdictResult(Record):

@@ -31,7 +31,7 @@ from _thread import allocate_lock
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import accumulate
 from operator import index, mul
 
@@ -75,9 +75,8 @@ class LineBundleSum(Record):
 class ManifoldModel:
     """Everything the genus and cobordism machinery needs about one manifold.
 
-    factors is empty on a prime model and lists the prime factors of a
-    product, in order; a product's ring and roots are built from them on
-    first read.  Attributes are read-only; models are equal only when identical."""
+    factors is empty on a prime model and lists a product's prime factors, in order, from which
+    its ring and roots are built on first read.  Attributes are read-only; models are equal only when identical."""
 
     # ring and roots last: a product fills the others and leaves them unset until read
     __slots__ = ("name", "real_dimension", "pairing_exponents", "spin", "curvature_certificate", "factors",
@@ -131,7 +130,8 @@ class ManifoldModel:
 
 
 def build_point() -> ManifoldModel:
-    return ManifoldModel("pt", 0, RingSpec([], 0), (), (), spin=True)
+    ring = RingSpec([], 0)
+    return ManifoldModel("pt", 0, ring, (), (), spin=True)
 
 
 def build_cp(n: int) -> ManifoldModel:
@@ -239,8 +239,12 @@ def product(m1: ManifoldModel, m2: ManifoldModel) -> ManifoldModel:
 def total_pontryagin(m: ManifoldModel) -> GradedElement:
     """1 + p_1 + p_2 + ... = the product of (1 + t)^m over the Pontryagin
     roots; for m < 0 the power inverts the unit 1 + t."""
-    factors = [(m.ring.one() + t) ** mult for t, mult in m.roots]
-    return reduce(mul, factors) if factors else m.ring.one()
+    one = m.ring.one()
+    total = None
+    for t, mult in m.roots:
+        factor = (one + t) ** mult
+        total = factor if total is None else total * factor
+    return one if total is None else total
 
 
 def pontryagin_classes(m: ManifoldModel) -> list[GradedElement]:
@@ -251,17 +255,12 @@ def pontryagin_classes(m: ManifoldModel) -> list[GradedElement]:
 
 def pontryagin_products(m: ManifoldModel, partitions: Iterable[Sequence[int]]) -> list[Fraction]:
     """<p_I, [M]> for each partition I, in order.  Every part must lie in
-    1..k, k = dim/4; another is a ValueError.  A product's numbers are
-    folded from its prime factors' own, and its ring is not read."""
+    1..k, k = dim/4; another is a ValueError.  A product's are folded from its prime factors' own."""
     partitions, k = [tuple(I) for I in partitions], m.real_dimension // 4
     for I in partitions:
         if not all(0 < part <= k for part in I):
             raise ValueError(f"partition {I} has a part outside 1..{k}")
-    if not m.factors:
-        return _pair_monomials(m, pontryagin_classes(m), partitions)
-    if any(f.real_dimension % 4 for f in m.factors):  # its p_i vanish above p_0, its dimension is not 4j
-        return [_ZERO] * len(partitions)
-    values = _folded(m.factors, [tuple(sorted(I, reverse=True)) for I in partitions])
+    values = _folded(m.factors or (m,), [tuple(sorted(I, reverse=True)) for I in partitions])
     return [Fraction(v) if v else _ZERO for v in values]
 
 
@@ -270,8 +269,7 @@ def _folded(factors: Sequence[ManifoldModel], partitions: list[tuple[int, ...]])
     at a time: <p_I, [M x N]> = sum n <p_A, [M]> <p_B, [N]> over _splits."""
     *rest, last = factors
     if not rest:
-        values = _pair_monomials(last, pontryagin_classes(last), partitions)
-        return [v.numerator if v.denominator == 1 else v for v in values]
+        return [int(v) if v.denominator == 1 else v for v in _pair_monomials(last, pontryagin_classes(last), partitions)]
     k1, k2 = sum(f.real_dimension for f in rest) // 4, last.real_dimension // 4
     terms = [_splits(I, k1, k2) for I in partitions]
     left, right = ({AB[side]: None for split in terms for AB in split} for side in (0, 1))
@@ -281,10 +279,9 @@ def _folded(factors: Sequence[ManifoldModel], partitions: list[tuple[int, ...]])
 
 @lru_cache(maxsize=1024)  # (I, k1, k2) term tables: dimension 32 needs under 500
 def _splits(I: tuple[int, ...], k1: int, k2: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
-    """The terms (A, B, n) of p_I = sum n p_A x p_B on a 4k1- times a 4k2-manifold:
-    each part i of I splits into a + (i - a), a in 0..i, A and B collect the
-    nonzero a's and (i - a)'s, and n counts the splits giving (A, B).  Built
-    part by part; a state, the sorted a's and (i - a)'s so far, merges equal ones."""
+    """The terms (A, B, n) of p_I = sum n p_A x p_B on a 4k1- times a 4k2-manifold: each part i
+    of I splits into a + (i - a), a in 0..i, A and B collect the nonzero a's and (i - a)'s, and n
+    counts the splits giving (A, B).  Built part by part, equal states (sorted a's, (i - a)'s) merged."""
     states = {((), ()): 1}
     for i in I:
         merged = {}
