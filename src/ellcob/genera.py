@@ -35,14 +35,15 @@ independent ways, which share only the l_r:
   unless it is a point;
 * universal route: the power sums are symmetric functions, rewritten in
   the Pontryagin classes (:class:`MultiplicativeSequence`), and the
-  result is dotted with the Pontryagin numbers, a product's read off its
-  own ring.
+  result is dotted with the Pontryagin numbers from
+  :func:`pontryagin_products`: a prime's paired in its own ring, a
+  product's folded from its factors' by the Whitney product formula.
 
 Both routes run on every model and must agree exactly; a mismatch
-raises :class:`ConsistencyError`.  On a product the check therefore also
-compares the product ring, its rules, roots and pairing monomial, with
-its factors.  With rational coefficients the value is a rational, with
-q-series coefficients a q-series of rationals.
+raises :class:`ConsistencyError`.  On a product the check therefore
+compares the fold with the product of the factors' roots-route values.
+With rational coefficients the value is a rational, with q-series
+coefficients a q-series of rationals.
 
 The universal polynomials are computed in the partition basis
 (Macdonald, *Symmetric Functions*, I.2).  The weight parts E_w of
@@ -80,7 +81,7 @@ from types import MappingProxyType
 
 from .algebra import _ZERO, GradedElement, QSeries, Record, as_rational
 from .errors import ConsistencyError, brief
-from .manifolds import ManifoldModel, _pair_monomials, pontryagin_classes
+from .manifolds import ManifoldModel, _pair_monomials, pontryagin_products
 
 __all__ = [
     "CharacteristicSeries",
@@ -443,10 +444,11 @@ def _roots_route(m: ManifoldModel, series: CharacteristicSeries) -> Coefficient:
 
 
 def _universal_route(m: ManifoldModel, seq: MultiplicativeSequence) -> Coefficient:
-    """The genus of seq.source on m from its Pontryagin numbers, paired in m's own ring."""
+    """The genus of seq.source on m from its Pontryagin numbers: a prime's paired in its own
+    ring, a product's folded from its factors' by :func:`pontryagin_products`."""
     k = m.real_dimension // 4
     partitions = list(seq.weights[k])
-    return seq.evaluate_top(dict(zip(partitions, _pair_monomials(m, pontryagin_classes(m), partitions))), k)
+    return seq.evaluate_top(dict(zip(partitions, pontryagin_products(m, partitions))), k)
 
 
 def _cross_checked(m: ManifoldModel, what: str, seq: MultiplicativeSequence) -> Coefficient:

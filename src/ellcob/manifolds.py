@@ -19,23 +19,22 @@ a virtual summand.
 
 The list is stable: trivial summands are not listed, as they add nothing
 to the Pontryagin class and every genus series has constant term 1.  A
-product records its prime factors, nested products flattened, and its
-Pontryagin numbers are folded from theirs (Whitney product formula,
-Milnor-Stasheff, *Characteristic Classes*, 15).  Its ring, the tensor
-product of theirs, and its roots, which concatenate theirs, are built on
-first read.  Models are immutable: each attribute is set once.
+product records its prime factors, nested products flattened, and is
+nothing more: it has no ring, roots or pairing monomial of its own.  Its
+Pontryagin numbers are folded from its factors' (Whitney product formula,
+Milnor-Stasheff, *Characteristic Classes*, 15).  Models are immutable:
+each attribute is set once.
 """
 from __future__ import annotations
 
-from _thread import allocate_lock
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from operator import index, mul
+from operator import index
 
 from .algebra import _ZERO, GradedElement, Record, RingSpec
+from .errors import brief
 
 __all__ = [
     "LineBundleSum",
@@ -75,22 +74,21 @@ class LineBundleSum(Record):
 class ManifoldModel:
     """Everything the genus and cobordism machinery needs about one manifold.
 
-    factors is empty on a prime model and lists a product's prime factors, in order, from which
-    its ring and roots are built on first read.  Attributes are read-only; models are equal only when identical."""
+    factors is empty on a prime model and lists a product's prime factors, in order; a product's ring
+    and roots are None and its pairing monomial is empty, as everything is read off its factors.
+    Attributes are read-only; models are equal only when identical."""
 
-    # ring and roots last: a product fills the others and leaves them unset until read
-    __slots__ = ("name", "real_dimension", "pairing_exponents", "spin", "curvature_certificate", "factors",
-                 "ring", "roots")
+    __slots__ = ("name", "real_dimension", "ring", "roots", "pairing_exponents", "spin",
+                 "curvature_certificate", "factors")
     # read-only fields as a Record has, but not its equality and hash: the roots are unhashable
     _fill, __setattr__, __delattr__ = Record._fill, Record.__setattr__, Record.__delattr__
-    _filling = allocate_lock()  # a product's ring and roots are stored at once
 
     def __init__(
         self,
         name: str,
         real_dimension: int,
-        ring: RingSpec,
-        roots: Sequence[tuple[GradedElement, int]],
+        ring: RingSpec | None,
+        roots: Sequence[tuple[GradedElement, int]] | None,
         pairing_exponents: tuple[int, ...],
         spin: bool,
         curvature_certificate: str | None = None,
@@ -98,28 +96,19 @@ class ManifoldModel:
     ) -> None:
         if real_dimension < 0 or real_dimension % 2:
             raise ValueError("models here all have even nonnegative dimension")
-        if len(pairing_exponents) != ring.ngens:
+        if factors:
+            if ring is not None or roots is not None or pairing_exponents \
+                    or real_dimension != sum(f.real_dimension for f in factors):
+                raise ValueError("a product has its factors' dimension and no ring, roots or pairing monomial")
+        elif len(pairing_exponents) != ring.ngens:
             raise ValueError("pairing monomial does not match the ring")
-        if ring.degree_of(pairing_exponents) != real_dimension:
+        elif ring.degree_of(pairing_exponents) != real_dimension:
             raise ValueError("pairing monomial degree must equal the real dimension")
-        self._fill(name, real_dimension, tuple(pairing_exponents), bool(spin), curvature_certificate,
-                   tuple(factors), ring, tuple(roots))
+        self._fill(name, real_dimension, ring, None if factors else tuple(roots), tuple(pairing_exponents),
+                   bool(spin), curvature_certificate, tuple(factors))
 
-    def __getattr__(self, name: str) -> object:  # only a product's ring and roots are ever unset
-        if name not in ("ring", "roots") or not self.factors:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        ring, roots = _product_ring(self.factors)
-        with self._filling:
-            try:  # another reader stored its build first
-                object.__getattribute__(self, "ring")
-            except AttributeError:
-                object.__setattr__(self, "roots", roots)
-                object.__setattr__(self, "ring", ring)
-        return object.__getattribute__(self, name)
-
-    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__
-        return type(self), (self.name, self.real_dimension, self.ring, self.roots, self.pairing_exponents,
-                            self.spin, self.curvature_certificate, self.factors)
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__, a product from its factors
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     def __repr__(self) -> str:
         return f"ManifoldModel({self.name}, dim={self.real_dimension})"
@@ -195,41 +184,14 @@ def build_proj_bundle(bundle: LineBundleSum) -> ManifoldModel:
 # products
 
 
-def _embed(element: GradedElement, target: RingSpec, offset: int) -> GradedElement:
-    """element in target, its generator i becoming target's offset + i: each
-    code re-coded in target's place values.  target's bases are no smaller
-    than the factor's, so the exponents stay inside them."""
-    exponents, places = element.ring.exponents, target._places[offset:]
-    raw = {sum(map(mul, exponents(c), places)): n for c, n in element.num.items()}
-    return target._normal(element.den, raw)
-
-
-def _product_ring(factors: Sequence[ManifoldModel]) -> tuple[RingSpec, tuple]:
-    """A product's ring, in one pass over its prime factors, and their roots embedded in it.
-    Generator g of the i-th factor is g_i, unique as the text after its last underscore is i."""
-    offsets = list(accumulate((f.ring.ngens for f in factors), initial=0))
-    gens: list[tuple[str, int]] = []
-    rules: dict[str, tuple[int, dict[tuple[int, ...], Fraction]]] = {}
-    for i, (f, offset) in enumerate(zip(factors, offsets), 1):
-        names = [f"{g}_{i}" for g in f.ring.generators]
-        gens += zip(names, f.ring.degrees)
-        left, right = (0,) * offset, (0,) * (offsets[-1] - offset - f.ring.ngens)
-        for g, (power, rhs) in f.ring.rules.items():
-            rules[names[g]] = (power, {left + exps + right: c for exps, c in rhs.items()})
-    ring = RingSpec(gens, sum(f.real_dimension for f in factors), rules)
-    return ring, tuple((_embed(t, ring, offset), mult) for f, offset in zip(factors, offsets) for t, mult in f.roots)
-
-
 def product(m1: ManifoldModel, m2: ManifoldModel) -> ManifoldModel:
     """Cartesian product of the prime factors of both sides (a prime model stands for itself), so
-    it does not depend on nesting.  The ring and roots are built on first read."""
+    it does not depend on nesting."""
     factors = (m1.factors or (m1,)) + (m2.factors or (m2,))
     cert = (f"product: {m1.curvature_certificate} x {m2.curvature_certificate}"
             if m1.curvature_certificate and m2.curvature_certificate else None)
-    model = object.__new__(ManifoldModel)
-    model._fill(f"prod({m1.name},{m2.name})", m1.real_dimension + m2.real_dimension,
-                sum((f.pairing_exponents for f in factors), ()), m1.spin and m2.spin, cert, factors)
-    return model
+    return ManifoldModel(f"prod({m1.name},{m2.name})", m1.real_dimension + m2.real_dimension, None, None, (),
+                         m1.spin and m2.spin, cert, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +200,8 @@ def product(m1: ManifoldModel, m2: ManifoldModel) -> ManifoldModel:
 
 def total_pontryagin(m: ManifoldModel) -> GradedElement:
     """1 + p_1 + p_2 + ... = the product of (1 + t)^m over the Pontryagin
-    roots; for m < 0 the power inverts the unit 1 + t."""
-    one = m.ring.one()
+    roots; for m < 0 the power inverts the unit 1 + t.  A product has none: a ValueError."""
+    one = _own_ring(m).one()
     total = None
     for t, mult in m.roots:
         factor = (one + t) ** mult
@@ -248,7 +210,7 @@ def total_pontryagin(m: ManifoldModel) -> GradedElement:
 
 
 def pontryagin_classes(m: ManifoldModel) -> list[GradedElement]:
-    """[p_1, ..., p_k] with k = dim/4 (empty when dim < 4)."""
+    """[p_1, ..., p_k] with k = dim/4 (empty when dim < 4).  A product has none: a ValueError."""
     parts, zero = total_pontryagin(m).homogeneous_parts(), m.ring.zero()
     return [parts.get(4 * i, zero) for i in range(1, m.real_dimension // 4 + 1)]
 
@@ -319,10 +281,18 @@ def _pair_monomials(m: ManifoldModel, classes: Sequence[GradedElement],
 
 def pair(m: ManifoldModel, x: GradedElement) -> Fraction:
     """Evaluate a class against the fundamental class: the coefficient of
-    the pairing monomial in normal form."""
-    if x.ring != m.ring:
+    the pairing monomial in normal form.  A product has none: a ValueError."""
+    if x.ring != _own_ring(m):
         raise ValueError(f"class does not live in the cohomology of {m.name}")
     return x.coefficient(m.pairing_exponents)
+
+
+def _own_ring(m: ManifoldModel) -> RingSpec:
+    """m's cohomology ring; a product has none of its own, and asking is a ValueError."""
+    if m.factors:
+        raise ValueError(f"{brief(m.name)} is a product and has no ring of its own; "
+                         f"its factors are {brief(', '.join(f.name for f in m.factors))}")
+    return m.ring
 
 
 def is_spin(m: ManifoldModel) -> bool:

@@ -23,9 +23,16 @@ a model with a virtual root (m < 0, as on HP^n) is rejected.
 sum_j C(m, j) t^j with the generalized binomial and multiplies the roots
 degree by degree, so it reads neither ring powers nor a homogeneous split.
 ``elliptic_by_roots`` runs the library's roots route alone, scaled like
-the public elliptic values.  ``genus_on_own_ring`` runs the library's
-``evaluate_at`` on a model's own roots, a product's embedded ones
-included, where the roots route reads a product's factors.
+the public elliptic values.
+
+A product model in the library has no ring: its numbers and genera are
+read off its factors.  ``product_ring`` builds the ring it would have,
+the tensor product of its factors' rings, with their roots embedded by
+``embed``, and ``ring_model`` wraps that as one prime model, the oracle
+that the fold of a product's Pontryagin numbers is compared with.
+``genus_on_own_ring`` runs the library's ``evaluate_at`` on a model's own
+ring, a product's ``ring_model`` included, where the roots route reads a
+product's factors.
 
 ``twist_character_dense`` builds g(x, q) by dense products over a grid
 of q- and x-degrees, odd powers of x included; it is the oracle for
@@ -35,13 +42,14 @@ repeated products and a long-division inverse, not from the library.
 """
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import factorial, prod
+from operator import mul
 
-from ellcob.algebra import QSeries
+from ellcob.algebra import QSeries, RingSpec
 from ellcob.errors import ConsistencyError
 from ellcob.genera import CharacteristicSeries, _elliptic_sequence, _roots_route, twist_character
-from ellcob.manifolds import pair
+from ellcob.manifolds import ManifoldModel, pair
 
 
 def _mvp_mul(p, q, kmax):
@@ -286,11 +294,50 @@ def elliptic_by_roots(m, order):
     return value.coeffs
 
 
+# ---------------------------------------------------------------------------
+# the ring of a product
+
+
+def embed(element, target, offset):
+    """element in target, its generator i becoming target's offset + i: each
+    code re-coded in target's place values.  target's bases are no smaller
+    than the factor's, so the exponents stay inside them."""
+    exponents, places = element.ring.exponents, target._places[offset:]
+    raw = {sum(map(mul, exponents(c), places)): n for c, n in element.num.items()}
+    return target._normal(element.den, raw)
+
+
+def product_ring(factors):
+    """The ring of a product of prime models, in one pass over them, and their roots embedded in it.
+    Generator g of the i-th factor is g_i, unique as the text after its last underscore is i."""
+    offsets = list(accumulate((f.ring.ngens for f in factors), initial=0))
+    gens, rules = [], {}
+    for i, (f, offset) in enumerate(zip(factors, offsets), 1):
+        names = [f"{g}_{i}" for g in f.ring.generators]
+        gens += zip(names, f.ring.degrees)
+        left, right = (0,) * offset, (0,) * (offsets[-1] - offset - f.ring.ngens)
+        for g, (power, rhs) in f.ring.rules.items():
+            rules[names[g]] = (power, {left + exps + right: c for exps, c in rhs.items()})
+    ring = RingSpec(gens, sum(f.real_dimension for f in factors), rules)
+    return ring, tuple((embed(t, ring, offset), mult) for f, offset in zip(factors, offsets) for t, mult in f.roots)
+
+
+def ring_model(m):
+    """m itself when prime; a product as one prime model on product_ring of its factors, the
+    pairing monomial the factors' concatenated."""
+    if not m.factors:
+        return m
+    ring, roots = product_ring(m.factors)
+    pairing = sum((f.pairing_exponents for f in m.factors), ())
+    return ManifoldModel(m.name, m.real_dimension, ring, roots, pairing, m.spin, m.curvature_certificate)
+
+
 def genus_on_own_ring(m, series):
     """The genus of series on m from the exp of the power sums of m's own
-    Pontryagin roots, paired in m's own ring: on a product, its embedded
-    roots and the product ring's rules and pairing monomial.  With no roots
-    every Pontryagin class is zero, so only a point has a nonzero genus."""
+    Pontryagin roots, paired in m's own ring: on a product, in its
+    ``ring_model``.  With no roots every Pontryagin class is zero, so only
+    a point has a nonzero genus."""
+    m = ring_model(m)
     if not m.roots:
         return series.one if m.real_dimension == 0 else series.logs[0]  # logs[0]: the zero of the series' kind
     total = [pair(m, c) for c in series.evaluate_at(m.roots)]

@@ -18,6 +18,7 @@ from operator import index
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import symmetric_reference as ref
 from ellcob import algebra
 from ellcob.algebra import (
     GradedElement,
@@ -394,7 +395,7 @@ SMALL_PRIMES = (lambda: build_cp(1), lambda: build_cp(2), lambda: build_hp(1),
 @st.composite
 def three_factor_rings(draw):
     a, b, c = (draw(st.sampled_from(SMALL_PRIMES))() for _ in range(3))
-    return manifold_product(a, manifold_product(b, c)).ring
+    return ref.product_ring((a, b, c))[0]
 
 
 @st.composite
@@ -455,7 +456,8 @@ def random_element(rng, ring):
 
 def dimension_limit_model(name):
     """A fresh dim-32 model: a rank-16 bundle over CP^1, a rank-2 bundle
-    over CP^15, or a product of four bundles on eight generators."""
+    over CP^15, or four bundles on the eight generators of the ring their
+    product would have."""
     if name == "rank16":
         return build_proj_bundle(LineBundleSum(1, (1, 2, 3, -1, -2, -3, 0, 1, 2, 3, -1, -2, -3, 0, 1, 2)))
     if name == "cp15":
@@ -463,7 +465,7 @@ def dimension_limit_model(name):
     model = build_proj_bundle(LineBundleSum(2, (1, 0, 1)))
     for degrees in ((1, 3, -2), (2, 1, -1), (1, -1, 2)):
         model = manifold_product(build_proj_bundle(LineBundleSum(2, degrees)), model)
-    return model
+    return ref.ring_model(model)
 
 
 class TestTableFill:

@@ -6,13 +6,14 @@ exp(sum_j log f_j P_j), rational or q-series valued.  The oracle is the
 per-root product in ``symmetric_reference``, one factor f(t) per unit of
 multiplicity, compared by exact equality, on models whose roots repeat
 in many patterns: projective bundles with twisting degrees in
-{-1, 0, 1}, complex projective spaces (every root equal), products with
-X12, explicit complex root lists in a small ring (x and -x give two
+{-1, 0, 1}, complex projective spaces (every root equal), the rings that
+products with X12 would have (``ring_model``, as a product has no ring
+of its own), explicit complex root lists in a small ring (x and -x give two
 equal squares, left ungrouped), and one model with no repeated root.
 ``pontryagin_classes`` is checked the same way against binomial
 expansions multiplied degree by degree, on those models, on HP^1..HP^8
-and CP^1..CP^16, and on products with an HP factor, whose root (4u, -1)
-is virtual.
+and CP^1..CP^16, and on the rings of products with an HP factor, whose
+root (4u, -1) is virtual.
 
 ``TestPowerSums`` checks ``evaluate_at`` on whole root lists: it equals
 the q-product of its single-root values, negative multiplicities
@@ -84,14 +85,14 @@ def _bundles(max_base, max_rank):
 MODELS = st.one_of(
     _bundles(3, 4),
     st.builds(build_cp, st.integers(1, 8)),
-    st.builds(lambda c, m: product(x12(c), m), st.integers(-2, 2),
+    st.builds(lambda c, m: ref.ring_model(product(x12(c), m)), st.integers(-2, 2),
               st.one_of(st.builds(build_cp, st.integers(1, 2)), _bundles(1, 2))),
     st.builds(_explicit, st.lists(st.sampled_from(_ROOT_CHOICES), min_size=1, max_size=6)),
 )
 
-# products with an HP factor, on either side, carry its virtual root (4u, -1)
+# the rings of products with an HP factor, on either side, carry its virtual root (4u, -1)
 HP_PRODUCTS = st.builds(
-    lambda hp, other, first: product(hp, other) if first else product(other, hp),
+    lambda hp, other, first: ref.ring_model(product(hp, other) if first else product(other, hp)),
     st.builds(build_hp, st.integers(1, 3)),
     st.one_of(_bundles(2, 3), st.builds(build_cp, st.integers(1, 4)), st.builds(build_hp, st.integers(1, 2))),
     st.booleans(),
@@ -121,7 +122,7 @@ class TestAgainstPerRootProducts:
     @settings(max_examples=40, deadline=None)
     @given(st.one_of(MODELS, HP_PRODUCTS))
     @example(NO_REPEATED_ROOT)
-    @example(product(build_hp(2), build_hp(1)))
+    @example(ref.ring_model(product(build_hp(2), build_hp(1))))
     def test_pontryagin_classes(self, m):
         assert pontryagin_classes(m) == ref.pontryagin_classes_by_degree(m)
 
@@ -155,12 +156,12 @@ class TestAgainstPerRootProducts:
 
 
 # signed root lists in Q[a, b]/(a^3, b^3), and the roots of models with
-# an HP factor, whose (4u, -1) is a virtual root
+# an HP factor, whose (4u, -1) is a virtual root, a product's in its ring_model
 SIGNED_ROOTS = st.lists(
     st.tuples(st.sampled_from(_ROOT_CHOICES), st.sampled_from((-2, -1, 1, 2))), min_size=1, max_size=5
 ).map(lambda pairs: tuple((x * x, mult) for x, mult in pairs))
 HP_ROOTS = st.sampled_from(["hp:2", "prod(hp:1,cp:2)", "prod(cp:2,hp:2)", "X12xHP:1:c=1", "prod(hp:1,hp:2)"]).map(
-    lambda text: parse_manifold(text)[0].roots
+    lambda text: ref.ring_model(parse_manifold(text)[0]).roots
 )
 
 
@@ -178,11 +179,12 @@ class TestPowerSums:
             assert series.evaluate_at(roots) == expected, series.name
 
     def test_power_sums_stopping_below_the_top_weight(self):
-        # on CP^2 x CP^2 every t^2 is zero, so P_j = 0 for j >= 2, while
-        # the top weight is 2: exp(l_1 P_1) still needs its square
+        # in the ring of CP^2 x CP^2 every t^2 is zero, so P_j = 0 for j >= 2,
+        # while the top weight is 2: exp(l_1 P_1) still needs its square
         m = product(build_cp(2), build_cp(2))
-        assert _roots_route(m, l_sequence(2).source) == signature(m) == 1
-        assert ref.elliptic_by_roots(m, 2) == elliptic_q_coefficients(m, 2) == ref.elliptic_per_root(m, 2)
+        own = ref.ring_model(m)
+        assert _roots_route(own, l_sequence(2).source) == signature(m) == 1
+        assert ref.elliptic_by_roots(own, 2) == elliptic_q_coefficients(m, 2) == ref.elliptic_per_root(own, 2)
 
 
 def _by_exponential(m, series):
@@ -208,7 +210,7 @@ class TestPowerSumMonomials:
     @given(st.one_of(MODELS, st.builds(build_hp, st.integers(1, 4))))
     @example(NO_REPEATED_ROOT)
     @example(build_hp(3))
-    @example(parse_manifold("prod(hp:1,cp:2)")[0])
+    @example(ref.ring_model(parse_manifold("prod(hp:1,cp:2)")[0]))
     @example(build_cp(3))
     @example(build_proj_bundle(LineBundleSum(2, (1, 0))))
     def test_equals_the_paired_exponential(self, m):

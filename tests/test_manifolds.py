@@ -3,8 +3,9 @@ and products.
 
 Oracles: hand-expanded Pontryagin classes from the root description
 (frozen below), classical total Pontryagin classes of quaternionic
-projective space recomputed here with independent list arithmetic, and
-classical spin criteria.
+projective space recomputed here with independent list arithmetic,
+classical spin criteria, and for a product, which has no ring, the ring
+it would have (``ring_model`` in ``symmetric_reference``).
 """
 import copy
 import pickle
@@ -17,13 +18,13 @@ from math import comb, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import symmetric_reference as ref
 from ellcob.algebra import GradedElement, RingSpec
 from ellcob.cobordism import Partition, basis_manifolds, x12
 from ellcob.genera import elliptic_q_coefficients, signature
 from ellcob.manifolds import (
     LineBundleSum,
     ManifoldModel,
-    _embed,
     build_cp,
     build_hp,
     build_point,
@@ -217,44 +218,43 @@ class TestSpin:
 class TestProducts:
     def test_cp2_squared_frozen(self):
         m = product(build_cp(2), build_cp(2))
-        p1, p2 = pontryagin_classes(m)
-        assert pair(m, p1 * p1) == F(18)
-        assert pair(m, p2) == F(9)
+        assert pontryagin_products(m, [(1, 1), (2,)]) == [F(18), F(9)]
 
     def test_product_with_point_is_identity(self):
         m = build_cp(2)
         mp = product(m, build_point())
         assert mp.real_dimension == 4
-        assert pair(mp, pontryagin_classes(mp)[0]) == pair(m, pontryagin_classes(m)[0]) == F(3)
+        assert pontryagin_products(mp, [(1,)]) == pontryagin_products(m, [(1,)]) == [F(3)]
 
     def test_product_commutes_on_numbers(self):
         a = product(build_cp(2), build_hp(1))
         b = product(build_hp(1), build_cp(2))
-        pa, pb = pontryagin_classes(a), pontryagin_classes(b)
-        assert pair(a, pa[0] * pa[0]) == pair(b, pb[0] * pb[0])
-        assert pair(a, pa[1]) == pair(b, pb[1])
+        assert pontryagin_products(a, [(1, 1), (2,)]) == pontryagin_products(b, [(1, 1), (2,)])
 
     def test_repeated_factor_names_do_not_collide(self):
-        m = product(build_cp(2), build_cp(2))
+        # in the ring the product would have, the oracle for its numbers
+        m = ref.ring_model(product(build_cp(2), build_cp(2)))
         assert len(set(m.ring.generators)) == m.ring.ngens == 2
 
     def test_hp_times_cp_is_whitney_product(self):
-        # HP^2 has a virtual Pontryagin root, CP^2 none; the concatenated
-        # roots must still give the Whitney product of the totals
+        # HP^2 has a virtual Pontryagin root, CP^2 none; with u^2 x^2 the top class, p1 = 2u + 3x^2,
+        # p2 = 7u^2 + 6u x^2 and p3 = 21 u^2 x^2 give p3 = 21, p1 p2 = 21 + 12 = 33, p1^3 = 3 * 4 * 3 = 36
         hp, cp = build_hp(2), build_cp(2)
         m = product(hp, cp)
-        whitney = _embed(total_pontryagin(hp), m.ring, 0) * _embed(total_pontryagin(cp), m.ring, 1)
-        assert total_pontryagin(m) == whitney
-        # p1 = p1(HP^2) + p1(CP^2) = 2u + 3x^2
-        p = pontryagin_classes(m)
-        assert p[0].terms == {(1, 0): F(2), (0, 2): F(3)}
+        assert pontryagin_products(m, [(3,), (2, 1), (1, 1, 1)]) == [21, 33, 36]
+        # the oracle's ring: its concatenated roots give the Whitney product of the totals
+        own = ref.ring_model(m)
+        whitney = ref.embed(total_pontryagin(hp), own.ring, 0) * ref.embed(total_pontryagin(cp), own.ring, 1)
+        assert total_pontryagin(own) == whitney
+        assert pontryagin_classes(own)[0].terms == {(1, 0): F(2), (0, 2): F(3)}
 
     @pytest.mark.parametrize("nesting", ["right", "left"])
     def test_embedding_recodes_every_root_of_the_eight_generator_product(self, nesting):
         a, b, c, d = (build_proj_bundle(LineBundleSum(2, degrees))
                       for degrees in ((1, -1, 2), (2, 1, -1), (1, 3, -2), (1, 0, 1)))
         m = product(a, product(b, product(c, d))) if nesting == "right" else product(product(product(a, b), c), d)
-        ring, n = m.ring, m.ring.ngens
+        own = ref.ring_model(m)
+        ring, n = own.ring, own.ring.ngens
         assert n == 8
         embedded, offset = [], 0
         for f in m.factors:
@@ -262,10 +262,10 @@ class TestProducts:
             for t, mult in f.roots:
                 for x in (t, t * one_third + f.ring.scalar(F(5, 2))):
                     padded = {(0,) * offset + e + (0,) * (n - offset - f.ring.ngens): v for e, v in x.terms.items()}
-                    assert _embed(x, ring, offset) == GradedElement(ring, padded)
-                embedded.append((_embed(t, ring, offset), mult))
+                    assert ref.embed(x, ring, offset) == GradedElement(ring, padded)
+                embedded.append((ref.embed(t, ring, offset), mult))
             offset += f.ring.ngens
-        assert list(m.roots) == embedded
+        assert list(own.roots) == embedded
 
     def test_pairing_against_wrong_ring_rejected(self):
         m1, m2 = build_cp(2), build_cp(3)
@@ -346,7 +346,7 @@ class TestModelCopies:
     @pytest.mark.parametrize("round_trip", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
                              ids=["deepcopy", "pickle"])
     def test_deep_round_trip_builds_its_own_ring(self, round_trip):
-        m = product(x12(2), build_hp(1))
+        m = x12(2)
         t = round_trip(m)
         assert t.ring == m.ring and t.ring is not m.ring
         assert all(r.ring is t.ring for r, _ in t.roots)  # the roots stay in the copy's ring
@@ -374,10 +374,12 @@ class TestPontryaginProducts:
                              ids=lambda m: m.name)
     def test_every_partition_matches_the_formed_monomial(self, m):
         # unsorted partitions, partitions of weight below 3 (which pair to 0)
-        # and the empty one, against the monomial formed in full and paired
-        p = pontryagin_classes(m)
+        # and the empty one, against the monomial formed in full and paired,
+        # a product's in the ring it would have
+        own = ref.ring_model(m)
+        p = pontryagin_classes(own)
         partitions = [(1, 2), (2, 1), (3,), (1, 1, 1), (1,), (2,), (1, 1), ()]
-        formed = [pair(m, prod((p[i - 1] for i in I), start=m.ring.one())) for I in partitions]
+        formed = [pair(own, prod((p[i - 1] for i in I), start=own.ring.one())) for I in partitions]
         assert pontryagin_products(m, partitions) == formed
         assert formed[0] == formed[1] != 0 and formed[4:] == [0, 0, 0, 0]
 

@@ -1,26 +1,22 @@
 """Genera of products by multiplicativity.
 
 A genus is a ring homomorphism on the rational cobordism ring, so
-phi(M x N) = phi(M) phi(N).  A product model records its prime factors,
-and the roots route multiplies their values, while the universal route
-reads the Pontryagin numbers of the product ring.  The cross-check then
-compares the product ring with its factors: a fault in the product
-construction must surface as a ConsistencyError (exit 3 on the CLI),
-where it used to pass because both routes read the same ring.
+phi(M x N) = phi(M) phi(N).  A product model records its prime factors
+and nothing more: no ring, no roots.  The roots route multiplies its
+factors' values, and the universal route reads its Pontryagin numbers,
+folded from its factors' own by the Whitney product formula.  The
+cross-check then compares the fold with the factors' roots: a fault in
+the fold must surface as a ConsistencyError (exit 3 on the CLI).
 
-The oracle for the factorwise values is ``genus_on_own_ring`` in
-``symmetric_reference``: ``evaluate_at`` on the product's own embedded
-roots, paired in the product ring.
-
-A product's Pontryagin numbers are folded from its factors' own numbers
-by the Whitney product formula, and its ring is built only when read;
-the oracle for the fold is the product ring's own pairing.
+The oracle for both is the ring the product would have, the tensor
+product of its factors' rings, built in ``symmetric_reference``
+(``ring_model``): ``genus_on_own_ring`` runs ``evaluate_at`` on its
+embedded roots, and the fold is compared with its own pairing.
 """
 import copy
 import pickle
 import random
-import sys
-import threading
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product as tuples
@@ -58,6 +54,7 @@ from ellcob.manifolds import (
     pontryagin_classes,
     pontryagin_products,
     product,
+    total_pontryagin,
 )
 
 
@@ -129,24 +126,32 @@ class TestSharedZero:
 
 
 class TestProductConstructionIsChecked:
-    """Doubling the embedded roots of the second factor of every product
-    skews the product ring only; its factors stay right."""
+    """One more split in the first term of every fold table for a partition
+    with two or more parts skews a product's numbers only; its factors'
+    roots stay right."""
 
     @pytest.fixture
-    def doubled_second_factor(self, monkeypatch):
-        original = manifolds._embed
-        monkeypatch.setattr(manifolds, "_embed",
-                            lambda element, ring, offset: original(element, ring, offset) * (2 if offset else 1))
+    def skewed_fold(self, monkeypatch):
+        original = manifolds._splits
+
+        def skewed(I, k1, k2):
+            table = original(I, k1, k2)
+            if len(I) < 2 or not table:
+                return table
+            (A, B, n), *rest = table
+            return ((A, B, n + 1), *rest)
+
+        monkeypatch.setattr(manifolds, "_splits", skewed)
 
     @pytest.mark.parametrize("text", ["prod(hp:2,cp:2)", "prod(cp:2,cp:4)"])
-    def test_library_raises(self, text, doubled_second_factor):
+    def test_library_raises(self, text, skewed_fold):
         m, _ = parse_manifold(text)
         with pytest.raises(ConsistencyError, match="^genus pipelines disagree"):
             signature(m)
         with pytest.raises(ConsistencyError, match="^elliptic genus pipelines disagree"):
             elliptic_q_coefficients(m, 2)
 
-    def test_cli_exits_3(self, capsys, doubled_second_factor):
+    def test_cli_exits_3(self, capsys, skewed_fold):
         code = main(["genus", "--manifold", "prod(hp:2,cp:2)", "--which", "sign"])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
@@ -231,32 +236,32 @@ def _random_triple(seed: int):
 
 
 class TestNesting:
-    """A product's ring is built from its prime factors, so both nestings
-    of a triple give one ring and every number and genus agrees."""
+    """A product is its prime factors, so both nestings of a triple are
+    one list of factors and every number and genus agrees."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_both_nestings_agree(self, seed):
         a, b, c = _random_triple(seed)
         left, right = product(product(a, b), c), product(a, product(b, c))
-        assert left.ring == right.ring
         assert left.factors == right.factors == (a, b, c)
         assert pontryagin_numbers(left) == pontryagin_numbers(right)
         for genus in (signature, ahat, twisted_ahat_tangent, lambda m: elliptic_q_coefficients(m, 4)):
             assert genus(left) == genus(right), (left.name, genus)
 
     def test_eleven_factors_keep_distinct_generator_names(self):
-        # with plain digit suffixes the first factor's b1 and the eleventh's b would both be b11
+        # the oracle's ring: with plain digit suffixes the first factor's b1 and the eleventh's b would both be b11
         ring = RingSpec([("b1", 2)], 2, {"b1": (2, {})})
         b1 = ring.gen("b1")
         m = ManifoldModel("hand-built cp:1", 2, ring, ((b1 * b1, 2),), (1,), spin=True)
         for _ in range(10):
             m = product(m, build_cp(1))
-        assert m.ring.generators[0] == "b1_1" and m.ring.generators[-1] == "b_11"
-        assert len(set(m.ring.generators)) == m.ring.ngens == len(m.factors) == 11
-        top = m.ring.one()
-        for g in m.ring.generators:
-            top = top * m.ring.gen(g)
-        assert pair(m, top) == 1
+        own = ref.ring_model(m)
+        assert own.ring.generators[0] == "b1_1" and own.ring.generators[-1] == "b_11"
+        assert len(set(own.ring.generators)) == own.ring.ngens == len(m.factors) == 11
+        top = own.ring.one()
+        for g in own.ring.generators:
+            top = top * own.ring.gen(g)
+        assert pair(own, top) == 1
 
 
 def test_products_with_a_point():
@@ -270,7 +275,8 @@ EIGHT_GENERATORS = "prod(pb:2:[1,-1,2],prod(pb:2:[2,1,-1],prod(pb:2:[1,3,-2],pb:
 
 
 def _ring_numbers(m, partitions):
-    """The oracle: the numbers paired in the product ring itself."""
+    """The oracle: the numbers paired in the ring the product would have."""
+    m = ref.ring_model(m)
     return _pair_monomials(m, pontryagin_classes(m), partitions)
 
 
@@ -291,7 +297,7 @@ def _all_partitions(k):
 
 
 class TestFold:
-    """A product's numbers, folded from its factors, equal those of its ring."""
+    """A product's numbers, folded from its factors, equal those of the ring it would have."""
 
     def assert_fold_is_the_ring(self, m):
         partitions = _all_partitions(m.real_dimension // 4)
@@ -345,86 +351,58 @@ def test_split_table_is_brute_force_enumeration(k1, k2):
         assert {(A, B): n for A, B, n in table} == expected
 
 
-class TestLazyProductRing:
-    """product() builds no ring: the ring and its embedded roots are built
-    together, from the factors, on first read."""
+class TestProductIsItsFactors:
+    """product() builds no ring: a product carries none and no roots, and
+    its numbers and genera are read off its prime factors."""
 
-    def test_numbers_do_not_read_the_product_ring(self, monkeypatch):
-        expected = pontryagin_numbers(parse_manifold("prod(hp:2,cp:2)")[0])
-        original = manifolds._embed
-        monkeypatch.setattr(manifolds, "_embed",
-                            lambda element, ring, offset: original(element, ring, offset) * (2 if offset else 1))
-        m, _ = parse_manifold("prod(hp:2,cp:2)")
-        assert pontryagin_numbers(m) == expected
-        partitions = partitions_of(3)
-        assert _ring_numbers(m, partitions) != pontryagin_products(m, partitions)
+    @pytest.mark.parametrize("read", [pontryagin_classes, total_pontryagin, lambda m: pair(m, build_cp(2).ring.one())],
+                             ids=["pontryagin_classes", "total_pontryagin", "pair"])
+    def test_ring_readers_refuse_a_product(self, read):
+        m = parse_manifold("prod(cp:2,prod(hp:1,pb:1:[1,0]))")[0]
+        assert m.ring is None and m.roots is None and m.pairing_exponents == ()
+        with pytest.raises(ValueError, match=re.escape("is a product and has no ring of its own; "
+                                                       "its factors are cp:2, hp:1, pb:1:[1,0]")):
+            read(m)
 
-    def test_parsing_and_numbers_build_only_the_primes(self, monkeypatch):
+    def test_a_product_is_checked_against_its_factors(self):
+        cp, hp = build_cp(2), build_hp(1)  # dimension 4 + 4
+        for dim, ring, roots, pairing in ((8, cp.ring, None, ()), (8, None, (), ()), (8, None, None, (2,)),
+                                          (10, None, None, ())):
+            with pytest.raises(ValueError, match="a product has its factors' dimension"):
+                ManifoldModel("bad", dim, ring, roots, pairing, spin=False, factors=(cp, hp))
+        assert ManifoldModel("good", 8, None, None, (), spin=False, factors=(cp, hp)).factors == (cp, hp)
+
+    def test_parsing_numbers_and_genera_build_only_the_primes(self, monkeypatch):
         built = []
         original = RingSpec.__init__
 
         def counting(ring, *args, **kwargs):
             original(ring, *args, **kwargs)
-            built.append(ring.ngens)
+            if ring.generators != ("q",):  # a q-series ring, built once per q-order
+                built.append(ring.ngens)
 
         monkeypatch.setattr(RingSpec, "__init__", counting)
         m, _ = parse_manifold(EIGHT_GENERATORS)
         assert built == [2, 2, 2, 2]
         pontryagin_numbers(m)
+        signature(m)
+        elliptic_q_coefficients(m, 32)
         assert built == [2, 2, 2, 2]
-        assert m.ring.ngens == 8 and built == [2, 2, 2, 2, 8]
-
-    def test_ring_and_roots_come_from_one_build(self):
-        m = product(build_cp(2), build_hp(1))
-        roots = m.roots  # read before the ring
-        assert m.roots is roots and all(t.ring is m.ring for t, _ in roots)
-
-    def test_threads_see_one_build(self):
-        # each product is fresh, so the threads race to build and store its ring and roots
-        products = [product(build_cp(2), product(build_hp(1), build_cp(2))) for _ in range(12)]
-        seen, errors = [], []
-
-        def work(worker):
-            try:
-                for m in products:
-                    if worker % 2:  # half the threads read the roots first
-                        roots, ring = m.roots, m.ring
-                    else:
-                        ring, roots = m.ring, m.roots
-                    seen.append((m, ring, roots))
-            except Exception as error:  # reported below; a thread cannot raise into the test
-                errors.append(error)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(worker,)) for worker in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == [] and len(seen) == 8 * len(products)
-        for m, ring, roots in seen:
-            assert ring is m.ring and roots is m.roots
-            assert all(t.ring is ring for t, _ in roots)
 
     def test_unknown_attribute_raises(self):
         for m in (build_cp(2), product(build_cp(2), build_hp(1))):
             with pytest.raises(AttributeError, match="no attribute 'missing'"):
                 m.missing
 
-    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))])
-    def test_copy_and_pickle_an_unread_product(self, clone):
-        m, _ = parse_manifold("prod(cp:2,prod(hp:1,pb:1:[1,0]))")
-        with pytest.raises(AttributeError):  # the slot is still unset
-            object.__getattribute__(m, "ring")
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copy_and_pickle_rebuild_from_the_factors(self, clone):
+        m, _ = parse_manifold(EIGHT_GENERATORS)
         c = clone(m)
-        assert (c.name, c.real_dimension, c.pairing_exponents, c.spin, c.curvature_certificate) == \
-            (m.name, m.real_dimension, m.pairing_exponents, m.spin, m.curvature_certificate)
+        assert type(c) is ManifoldModel and c is not m
+        assert (c.name, c.real_dimension, c.ring, c.roots, c.pairing_exponents, c.spin, c.curvature_certificate) == \
+            (m.name, m.real_dimension, None, None, (), m.spin, m.curvature_certificate)
         assert [f.name for f in c.factors] == [f.name for f in m.factors]
-        assert c.ring == m.ring
         assert pontryagin_numbers(c) == pontryagin_numbers(m)
-        assert signature(c) == signature(m)
+        for genus in (signature, ahat, twisted_ahat_tangent, lambda m: elliptic_q_coefficients(m, 4)):
+            assert genus(c) == genus(m)
