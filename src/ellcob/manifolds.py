@@ -97,9 +97,9 @@ class ManifoldModel:
         if real_dimension < 0 or real_dimension % 2:
             raise ValueError("models here all have even nonnegative dimension")
         if factors:
-            if ring is not None or roots is not None or pairing_exponents \
+            if ring is not None or roots is not None or pairing_exponents or any(f.factors for f in factors) \
                     or real_dimension != sum(f.real_dimension for f in factors):
-                raise ValueError("a product has its factors' dimension and no ring, roots or pairing monomial")
+                raise ValueError("a product has prime factors, their dimension and no ring, roots or pairing monomial")
         elif len(pairing_exponents) != ring.ngens:
             raise ValueError("pairing monomial does not match the ring")
         elif ring.degree_of(pairing_exponents) != real_dimension:

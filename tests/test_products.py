@@ -368,8 +368,11 @@ class TestProductIsItsFactors:
         cp, hp = build_cp(2), build_hp(1)  # dimension 4 + 4
         for dim, ring, roots, pairing in ((8, cp.ring, None, ()), (8, None, (), ()), (8, None, None, (2,)),
                                           (10, None, None, ())):
-            with pytest.raises(ValueError, match="a product has its factors' dimension"):
+            with pytest.raises(ValueError, match="a product has prime factors, their dimension"):
                 ManifoldModel("bad", dim, ring, roots, pairing, spin=False, factors=(cp, hp))
+        # product() flattens nested products; a hand-built model with a product among its factors is refused
+        with pytest.raises(ValueError, match="a product has prime factors"):
+            ManifoldModel("nested", 12, None, None, (), spin=False, factors=(cp, product(cp, hp)))
         assert ManifoldModel("good", 8, None, None, (), spin=False, factors=(cp, hp)).factors == (cp, hp)
 
     def test_parsing_numbers_and_genera_build_only_the_primes(self, monkeypatch):
