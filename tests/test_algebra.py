@@ -59,6 +59,22 @@ class TestAsRational:
         assert as_rational(True) == F(1)
 
 
+@pytest.fixture
+def rule_checks(monkeypatch):
+    """``rule_checks(build)`` runs ``build()`` and returns its ring and how many
+    rule monomials were checked meanwhile, counted as calls of
+    ``RingSpec.degree_of``: the full path checks each nonzero term's degree,
+    and a ring whose checked fields are reused checks none."""
+    def run(build):
+        calls = []
+        degree_of = RingSpec.degree_of
+        with monkeypatch.context() as patched:
+            patched.setattr(RingSpec, "degree_of", lambda ring, exps: calls.append(exps) or degree_of(ring, exps))
+            ring = build()
+        return ring, len(calls)
+    return run
+
+
 class TestRingSpecValidation:
     def test_odd_degree_rejected(self):
         with pytest.raises(ValueError):
@@ -90,9 +106,23 @@ class TestRingSpecValidation:
         ring = RingSpec([("a", 2), ("b", 2)], 8, {"a": rules["a"]})
         assert ring.gen("a") ** 2 == ring.gen("b") ** 2
 
-    def test_float_coefficient_rejected(self):
-        with pytest.raises(TypeError, match="^exact rational expected, got float$"):
-            RingSpec([("a", 2), ("b", 2)], 8, {"a": (2, {(1, 1): -2.0})})
+    @pytest.mark.parametrize("where", ["degree", "top", "power", "exponent", "coefficient"])
+    def test_float_rejected(self, where):
+        # 2.0 equals 2 and hashes alike, so the float is refused even after the
+        # int spelling was built three times and its input was indexed
+        first = f"exact{next(TAGS)}"
+        ints = {"degree": 2, "top": 8, "power": 2, "exponent": 1, "coefficient": -2}
+
+        def build(**spelled):
+            v = {**ints, **spelled}
+            return RingSpec([(first, v["degree"]), ("b", 2)], v["top"],
+                            {first: (v["power"], {(v["exponent"], 1): v["coefficient"]})})
+
+        exact = [build() for _ in range(3)]
+        assert exact[2]._table is algebra._BUILT[exact[0]._signature]
+        message = "^exact rational expected, got float$" if where == "coefficient" else "cannot be interpreted as an integer"
+        with pytest.raises(TypeError, match=message):
+            build(**{where: float(ints[where])})
 
     def test_error_messages(self):
         with pytest.raises(ValueError, match=re.escape(
@@ -112,12 +142,19 @@ class TestRingSpecValidation:
         ring = RingSpec([("a", 2), ("b", 2)], 8, {"a": (3, {(1, 2): 4, (0, 3): F(1, 3)}), "b": (5, {})})
         assert all(type(c) is Fraction for _, rhs in ring.rules.values() for c in rhs.values())
 
-    def test_int_and_fraction_rules_share_one_table(self):
+    @pytest.mark.parametrize("inexact", [{(1, 2): F(1)}, {(1, 2): True}, {(True, 2): 1}, {range(1, 3): 1}],
+                             ids=["fraction", "bool", "bool-exponent", "range-key"])
+    def test_every_spelling_of_a_rule_shares_one_table(self, inexact, rule_checks):
+        # ints in tuples are looked up by their input from their third build on;
+        # another spelling of the same rule compares equal to them but is checked
+        # in full, also after that, and shares the table all the same
         first = f"exact{next(TAGS)}"
-        ints, fractions = ({first: (2, {(1, 1): c})} for c in (-2, F(-2)))
-        rings = [RingSpec([(first, 2), ("b", 2)], 8, rules) for rules in (ints, fractions, ints)]
-        assert rings[0] == rings[1] == rings[2]
-        assert rings[1]._table is rings[2]._table is algebra._BUILT[rings[0]._signature]
+        built = [rule_checks(lambda: RingSpec([(first, 2), ("b", 2)], 8, {first: (3, rhs)}))
+                 for rhs in ({(1, 2): 1}, inexact, {(1, 2): 1}, {(1, 2): 1}, inexact)]
+        assert [checks for _, checks in built] == [1, 1, 1, 0, 1]
+        rings = [ring for ring, _ in built]
+        assert all(ring == rings[0] and ring.rules == rings[0].rules for ring in rings)
+        assert all(ring._table is algebra._BUILT[rings[0]._signature] for ring in rings[1:])
 
     @pytest.mark.parametrize("gens, top", [([("u", 4)], 0), ([("a", 2), ("u", 8)], 2)])
     def test_generator_above_the_top_is_zero(self, gens, top):
@@ -521,15 +558,24 @@ TAGS = count()
 
 
 def tagged_ring(tag, coefficient=-2, second="b"):
-    """small_ring's shape under a first generator name no other ring uses."""
+    """small_ring's shape under a first generator name no other ring uses,
+    spelled in ints, so its input is indexed once its signature is shared."""
     first = f"shared{tag}"
-    return RingSpec([(first, 2), (second, 2)], 8, {first: (2, {(1, 1): F(coefficient)})})
+    return RingSpec([(first, 2), (second, 2)], 8, {first: (2, {(1, 1): coefficient})})
+
+
+def indexed_signatures():
+    """The signatures in the exact-input index: one entry each, as its reverse map says."""
+    signatures = [fields[2] for fields in algebra._EXACT.values()]
+    assert len(set(signatures)) == len(signatures) and set(signatures) == set(algebra._EXACT_INPUT)
+    return set(signatures)
 
 
 class TestSharedTables:
     """Equal rings built again share one reduction table, kept under the
     full signature in ``_BUILT``; a ring built once keeps its own, and its
-    entry there holds no table."""
+    entry there holds no table.  A shared signature's checked fields are
+    kept in ``_EXACT`` under the exact input that built it."""
 
     def test_a_ring_built_once_leaves_no_table(self):
         ring = tagged_ring(next(TAGS))
@@ -546,12 +592,22 @@ class TestSharedTables:
         assert first._table and not second._table
         assert algebra._BUILT[first._signature] is second._table
 
-    def test_equal_rings_share_from_the_third_build_on(self):
+    def test_equal_rings_share_from_the_third_build_on(self, rule_checks):
         tag = next(TAGS)
-        first, second, third, fourth = (tagged_ring(tag) for _ in range(4))
+        (first, second, third, fourth), checks = zip(*(rule_checks(lambda: tagged_ring(tag)) for _ in range(4)))
         shared = algebra._BUILT[first._signature]
         assert first._table is not second._table
         assert second._table is third._table is fourth._table is shared
+        # from the third build of an exact input on, the checked fields are
+        # reused: no rule is checked again, and every slot equals the first's
+        assert checks == (1, 1, 0, 0)
+        for ring in (third, fourth):
+            assert all(getattr(ring, slot) == getattr(first, slot) for slot in RingSpec.__slots__ if slot != "_table")
+        # and no mutable field is shared: changing one ring's rules leaves the next build's alone
+        assert third.rules is not fourth.rules and third.rules[0][1] is not fourth.rules[0][1]
+        assert third._index is not fourth._index
+        third.rules[0][1][(0, 2)] = F(1)
+        assert tagged_ring(tag).rules == first.rules
 
     def test_rings_differing_in_a_coefficient_or_a_name_never_share(self):
         tag = next(TAGS)
@@ -566,14 +622,17 @@ class TestSharedTables:
 
     def test_the_cache_holds_at_most_the_bound(self):
         bound = algebra._SHARED_RINGS
-        signatures = []
+        signatures, indexed = [], []
         for _ in range(3 * bound):
             tag = next(TAGS)
             signatures.append(tagged_ring(tag)._signature)
             tagged_ring(tag)
+            indexed.append(len(algebra._EXACT))
         assert len(algebra._BUILT) == bound
         assert set(algebra._BUILT) == set(signatures[-bound:])
         assert all(tables is not None for tables in algebra._BUILT.values())
+        # every shared signature has one exact input, and the index never outgrows the bound
+        assert max(indexed) == bound and indexed_signatures() == set(algebra._BUILT)
 
     def test_the_bound_counts_one_off_and_shared_signatures_together(self):
         bound = algebra._SHARED_RINGS
@@ -584,14 +643,22 @@ class TestSharedTables:
         assert list(algebra._BUILT) == shared[bound // 2:] + one_off
         assert all(algebra._BUILT[key] is None for key in one_off)
         assert all(algebra._BUILT[key] is not None for key in shared[bound // 2:])
+        # a one-off signature leaves nothing in the exact-input index
+        assert indexed_signatures() == set(shared[bound // 2:])
 
-    def test_the_ring_built_least_recently_is_forgotten_first(self):
+    def test_the_ring_built_least_recently_is_forgotten_first(self, rule_checks):
         tags = [next(TAGS) for _ in range(algebra._SHARED_RINGS + 1)]
         admitted = [[tagged_ring(tag) for _ in range(2)][1]._signature for tag in tags[:-1]]
         kept, dropped = admitted[:2]
-        tagged_ring(tags[0])  # built again, kept becomes the newest
-        tagged_ring(tags[-1]), tagged_ring(tags[-1])  # one signature past the bound
+        assert {kept, dropped} <= indexed_signatures()
+        # built again, kept becomes the newest, also when its input is found in the index
+        _, checks = rule_checks(lambda: tagged_ring(tags[0]))
+        assert checks == 0 and list(algebra._BUILT)[-1] == kept
+        newest = [tagged_ring(tags[-1]), tagged_ring(tags[-1])][1]._signature  # one signature past the bound
         assert kept in algebra._BUILT and dropped not in algebra._BUILT
+        assert list(algebra._BUILT)[-2:] == [kept, newest]
+        # the index entry leaves with its signature
+        assert kept in indexed_signatures() and dropped not in indexed_signatures()
 
     @settings(max_examples=60, deadline=None)
     @given(rule_ring_pairs())
