@@ -38,28 +38,17 @@ q-series: q has degree 2 and that ring truncates above degree 2N.
   monomial's share of each entry
   (:meth:`GradedElement.product_coefficient`), so the last product of a
   characteristic number is never formed.
-* Shared tables.  A table depends only on the ring's signature, so equal
-  rings built again share one; it is the only memo a ring keeps.  A ring
-  whose signature is new keeps its own table, which dies with it, and
-  leaves only its signature behind; from its second build on, equal rings
-  read and fill one table kept under that signature.  One registry holds
-  the 128 signatures built last, one-off and shared together, so memory
-  stays bounded however many models a caller builds.  A shared signature's
-  checked fields are kept too, under the exact input that built it, so from
-  the third build of that input on the rules are neither checked nor
-  derived again.  Only an input spelled in str names and exact ints is
-  looked up: a float, bool or ``Fraction`` compares equal to the int it
-  spells and would skip the checks that refuse or convert it, so it takes
-  the full path, as every other spelling (a range of exponents, say) does.
+* One table per ring, the only memo a ring keeps.  Equal rings built
+  apart fill tables apart, so rings are shared where they are built
+  again: the model builders hand out one ring object for an input they
+  keep building (``ellcob.manifolds``), and ``_q_ring`` one per q-order.
 
 Elements, series and matrices are immutable and all operations are pure.
 Table entries are filled idempotently (an entry depends only on its
-key) and the shared tables are handed out under a lock, so everything is
-safe to share between threads.
+key), so a ring and its table are safe to share between threads.
 """
 from __future__ import annotations
 
-from _thread import allocate_lock
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -113,50 +102,6 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
 
-_SHARED_RINGS = 128  # how many signatures _BUILT remembers, least recently built first
-_BUILT: dict[tuple, dict | None] = {}  # signature -> None once built, then the shared reduction table
-_EXACT: dict[tuple, tuple] = {}  # exact input of a shared signature -> that ring's checked fields
-_EXACT_INPUT: dict[tuple, tuple] = {}  # shared signature -> its one key in _EXACT
-_SHARING = allocate_lock()  # RingSpec.__init__ reads and updates the three at once
-
-
-def _exact_input(generators: object, top: object, rewrite_rules: object) -> tuple | None:
-    """The constructor's input as a key of ``_EXACT``, or None unless it is
-    spelled in exact builtins alone: a list or tuple of (str, int) tuples, an
-    int top, and None or a dict from str to (int, dict from tuple of ints to
-    int).  A float, bool or ``Fraction`` compares equal to the int it spells,
-    and a lookup by it would skip the checks that refuse or convert it, so
-    every other spelling takes the full path."""
-    if type(top) is not int or type(generators) not in (list, tuple) or \
-            type(rewrite_rules) not in (dict, type(None)):
-        return None
-    gens = tuple(generators)
-    for pair in gens:
-        if type(pair) is not tuple or len(pair) != 2 or type(pair[0]) is not str or type(pair[1]) is not int:
-            return None
-    rules = []
-    for name, rule in (rewrite_rules or {}).items():
-        if type(name) is not str or type(rule) is not tuple or len(rule) != 2:
-            return None
-        power, rhs = rule
-        if type(power) is not int or type(rhs) is not dict:
-            return None
-        terms = tuple(rhs.items())
-        for exps, coeff in terms:
-            if type(exps) is not tuple or type(coeff) is not int:
-                return None
-            for e in exps:
-                if type(e) is not int:
-                    return None
-        rules.append((name, power, terms))
-    return gens, top, tuple(rules)
-
-
-def _copy_rules(rules: dict) -> dict:
-    """A copy of ``RingSpec.rules`` that shares no dict with it."""
-    return {g: (power, dict(rhs)) for g, (power, rhs) in rules.items()}
-
-
 def as_rational(value: Scalar) -> Fraction:
     """Coerce an exact scalar to Fraction; floats are rejected outright."""
     if isinstance(value, Fraction):
@@ -189,16 +134,6 @@ class RingSpec:
         truncation_dimension: int,
         rewrite_rules: Mapping[str, tuple[int, Mapping[tuple[int, ...], Scalar]]] | None = None,
     ) -> None:
-        exact = _exact_input(generators, truncation_dimension, rewrite_rules)
-        with _SHARING:
-            checked = _EXACT.get(exact)  # an inexact input, None, is never a key
-            if checked is not None:  # moved last, as a build moves its signature
-                table = _BUILT[checked[2]] = _BUILT.pop(checked[2])
-        if checked is not None:
-            rules, positions, self._signature, self._bases, self._places, self._integral, self._steps = checked
-            self.generators, self.degrees, self.truncation_dimension = self._signature[:3]
-            self.rules, self._index, self._table = _copy_rules(rules), dict(positions), table
-            return
         names = tuple(name for name, _ in generators)
         degs = tuple(index(d) for _, d in generators)
         top = index(truncation_dimension)
@@ -269,27 +204,7 @@ class RingSpec:
             for g, (power, rhs) in rules.items()
             if power * degs[g] <= top
         )
-        # the reduction table (raw monomial code -> its normal form), shared
-        # between equal rings, and the checked fields of a shared signature,
-        # kept under its exact input (module docstring)
-        key = self._signature
-        with _SHARING:
-            built = key in _BUILT
-            # popped to go back last; a first or second build gets a fresh
-            # table (a shared one may be empty, so None is tested, not truth)
-            table = _BUILT.pop(key, None)
-            if table is None:
-                table = {}
-            _BUILT[key] = table if built else None  # shared from the second build on
-            if built and exact is not None and key not in _EXACT_INPUT:
-                _EXACT_INPUT[key] = exact
-                _EXACT[exact] = (_copy_rules(rules), dict(self._index), key, self._bases, self._places,
-                                 self._integral, self._steps)
-            if len(_BUILT) > _SHARED_RINGS:
-                oldest = next(iter(_BUILT))
-                del _BUILT[oldest]
-                _EXACT.pop(_EXACT_INPUT.pop(oldest, None), None)  # the index entry leaves with it
-        self._table = table
+        self._table = {}  # raw monomial code -> its normal form, filled on first use; the ring's one memo
 
     # -- identity -----------------------------------------------------
 

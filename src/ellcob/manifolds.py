@@ -24,9 +24,21 @@ nothing more: it has no ring, roots or pairing monomial of its own.  Its
 Pontryagin numbers are folded from its factors' (Whitney product formula,
 Milnor-Stasheff, *Characteristic Classes*, 15).  Models are immutable:
 each attribute is set once.
+
+A family scan builds a few equal rings many times, and a ring's
+reduction table is its one memo, so the builders hand out one ring per
+input they keep building (``_ring``).  The first build of an input
+leaves only its key, and its model owns the ring; the second build's
+ring is kept, and from the third build on that ring is returned and no
+ring is built.  One registry holds the 128 inputs built last, one-off
+and kept together, least recently built forgotten first, so memory stays
+bounded however many models a caller builds; it is read and updated
+under one lock.  An input is its integers after ``index()``, so a float
+is refused as it always was.  A ring built by hand shares nothing.
 """
 from __future__ import annotations
 
+from _thread import allocate_lock
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
@@ -117,6 +129,26 @@ class ManifoldModel:
 # ---------------------------------------------------------------------------
 # builders
 
+_KEPT = 128  # how many inputs _RINGS remembers, least recently built first
+_RINGS: dict[tuple, RingSpec | None] = {}  # builder input -> None once built, then the ring its builds share
+_BUILDING = allocate_lock()  # _ring reads and updates _RINGS at once
+
+
+def _ring(generators: tuple, top: int, rules: dict) -> RingSpec:
+    """RingSpec(generators, top, rules), kept for an input built again (module docstring).  A
+    builder passes its integers after ``index()``: a float compares equal to the int it spells,
+    so a lookup by it would skip the checks that refuse it."""
+    key = (generators, top, tuple((g, p, tuple(rhs.items())) for g, (p, rhs) in rules.items()))
+    with _BUILDING:
+        built = key in _RINGS
+        ring = _RINGS.pop(key, None)  # popped to go back last
+        if ring is None:
+            ring = RingSpec(generators, top, rules)
+        _RINGS[key] = ring if built else None  # kept from the second build on
+        if len(_RINGS) > _KEPT:
+            del _RINGS[next(iter(_RINGS))]
+    return ring
+
 
 def build_point() -> ManifoldModel:
     ring = RingSpec([], 0)
@@ -128,7 +160,7 @@ def build_cp(n: int) -> ManifoldModel:
     n = index(n)
     if n < 1:
         raise ValueError("CP^n needs n >= 1")
-    ring = RingSpec([("b", 2)], 2 * n, {"b": (n + 1, {})})
+    ring = _ring((("b", 2),), 2 * n, {"b": (n + 1, {})})
     b = ring.gen("b")
     # first Chern class of the stable splitting is (n+1) b
     return ManifoldModel(
@@ -143,7 +175,7 @@ def build_hp(n: int) -> ManifoldModel:
     n = index(n)
     if n < 1:
         raise ValueError("HP^n needs n >= 1")
-    ring = RingSpec([("u", 4)], 4 * n, {"u": (n + 1, {})})
+    ring = _ring((("u", 4),), 4 * n, {"u": (n + 1, {})})
     u = ring.gen("u")
     return ManifoldModel(
         f"hp:{n}", 4 * n, ring, ((u, 2 * n + 2), (u * 4, -1)), (n,), spin=True,
@@ -170,7 +202,7 @@ def build_proj_bundle(bundle: LineBundleSum) -> ManifoldModel:
     for d in degrees:
         e = [a + d * b for a, b in zip(e + [0], [0] + e)]
     rhs = {(r - i, i): -e[i] for i in range(1, r + 1) if e[i]}
-    ring = RingSpec([("a", 2), ("b", 2)], dim, {"a": (r, rhs), "b": (l + 1, {})})
+    ring = _ring((("a", 2), ("b", 2)), dim, {"a": (r, rhs), "b": (l + 1, {})})
     a, b = ring.gen("a"), ring.gen("b")
     roots = [(b ** 2, l + 1)] + [((a + b * d) ** 2, m) for d, m in Counter(degrees).items()]
     c1 = a * r + b * (l + 1 + sum(degrees))  # the sum of the complex roots

@@ -8,10 +8,8 @@ for matrix ranks.
 """
 import random
 import re
-import sys
-import threading
 from fractions import Fraction
-from itertools import count, product
+from itertools import product
 from math import gcd, prod
 from operator import index
 
@@ -63,8 +61,7 @@ class TestAsRational:
 def rule_checks(monkeypatch):
     """``rule_checks(build)`` runs ``build()`` and returns its ring and how many
     rule monomials were checked meanwhile, counted as calls of
-    ``RingSpec.degree_of``: the full path checks each nonzero term's degree,
-    and a ring whose checked fields are reused checks none."""
+    ``RingSpec.degree_of``, which checks each nonzero term's degree."""
     def run(build):
         calls = []
         degree_of = RingSpec.degree_of
@@ -108,18 +105,15 @@ class TestRingSpecValidation:
 
     @pytest.mark.parametrize("where", ["degree", "top", "power", "exponent", "coefficient"])
     def test_float_rejected(self, where):
-        # 2.0 equals 2 and hashes alike, so the float is refused even after the
-        # int spelling was built three times and its input was indexed
-        first = f"exact{next(TAGS)}"
+        # 2.0 equals 2 and hashes alike, and is refused all the same
         ints = {"degree": 2, "top": 8, "power": 2, "exponent": 1, "coefficient": -2}
 
         def build(**spelled):
             v = {**ints, **spelled}
-            return RingSpec([(first, v["degree"]), ("b", 2)], v["top"],
-                            {first: (v["power"], {(v["exponent"], 1): v["coefficient"]})})
+            return RingSpec([("a", v["degree"]), ("b", 2)], v["top"],
+                            {"a": (v["power"], {(v["exponent"], 1): v["coefficient"]})})
 
-        exact = [build() for _ in range(3)]
-        assert exact[2]._table is algebra._BUILT[exact[0]._signature]
+        build()  # the int spelling is a ring
         message = "^exact rational expected, got float$" if where == "coefficient" else "cannot be interpreted as an integer"
         with pytest.raises(TypeError, match=message):
             build(**{where: float(ints[where])})
@@ -144,17 +138,14 @@ class TestRingSpecValidation:
 
     @pytest.mark.parametrize("inexact", [{(1, 2): F(1)}, {(1, 2): True}, {(True, 2): 1}, {range(1, 3): 1}],
                              ids=["fraction", "bool", "bool-exponent", "range-key"])
-    def test_every_spelling_of_a_rule_shares_one_table(self, inexact, rule_checks):
-        # ints in tuples are looked up by their input from their third build on;
-        # another spelling of the same rule compares equal to them but is checked
-        # in full, also after that, and shares the table all the same
-        first = f"exact{next(TAGS)}"
-        built = [rule_checks(lambda: RingSpec([(first, 2), ("b", 2)], 8, {first: (3, rhs)}))
+    def test_every_spelling_of_a_rule_gives_one_ring(self, inexact, rule_checks):
+        # another spelling of the same rule compares equal to the ints in tuples;
+        # every build checks its rule in full, however often its input was built
+        built = [rule_checks(lambda: RingSpec([("a", 2), ("b", 2)], 8, {"a": (3, rhs)}))
                  for rhs in ({(1, 2): 1}, inexact, {(1, 2): 1}, {(1, 2): 1}, inexact)]
-        assert [checks for _, checks in built] == [1, 1, 1, 0, 1]
+        assert [checks for _, checks in built] == [1, 1, 1, 1, 1]
         rings = [ring for ring, _ in built]
         assert all(ring == rings[0] and ring.rules == rings[0].rules for ring in rings)
-        assert all(ring._table is algebra._BUILT[rings[0]._signature] for ring in rings[1:])
 
     @pytest.mark.parametrize("gens, top", [([("u", 4)], 0), ([("a", 2), ("u", 8)], 2)])
     def test_generator_above_the_top_is_zero(self, gens, top):
@@ -275,9 +266,7 @@ def raw_terms(draw, ring):
 
 
 def fresh_twin(ring):
-    """A ring equal to ``ring``, built apart from it.  From the second build
-    of a signature on, equal rings share one reduction table, so the twin
-    may start with ``ring``'s entries or with an empty table of its own."""
+    """A ring equal to ``ring``, built apart from it, so with an empty table of its own."""
     return RingSpec(
         list(zip(ring.generators, ring.degrees)),
         ring.truncation_dimension,
@@ -552,164 +541,6 @@ class TestTableFill:
         for _ in range(10):
             x, y = random_element(rng, ring), random_element(rng, ring)
             assert dict((x * y).terms) == worklist_product(ring, x.terms, y.terms)
-
-
-TAGS = count()
-
-
-def tagged_ring(tag, coefficient=-2, second="b"):
-    """small_ring's shape under a first generator name no other ring uses,
-    spelled in ints, so its input is indexed once its signature is shared."""
-    first = f"shared{tag}"
-    return RingSpec([(first, 2), (second, 2)], 8, {first: (2, {(1, 1): coefficient})})
-
-
-def indexed_signatures():
-    """The signatures in the exact-input index: one entry each, as its reverse map says."""
-    signatures = [fields[2] for fields in algebra._EXACT.values()]
-    assert len(set(signatures)) == len(signatures) and set(signatures) == set(algebra._EXACT_INPUT)
-    return set(signatures)
-
-
-class TestSharedTables:
-    """Equal rings built again share one reduction table, kept under the
-    full signature in ``_BUILT``; a ring built once keeps its own, and its
-    entry there holds no table.  A shared signature's checked fields are
-    kept in ``_EXACT`` under the exact input that built it."""
-
-    def test_a_ring_built_once_leaves_no_table(self):
-        ring = tagged_ring(next(TAGS))
-        assert ring.gen(ring.generators[0]) ** 3 == ring.element({(1, 2): 4})
-        assert ring._table and algebra._BUILT[ring._signature] is None
-        assert all(ring._table is not table for table in algebra._BUILT.values())
-
-    def test_a_one_off_entry_holds_no_table(self):
-        tag = next(TAGS)
-        first = tagged_ring(tag)
-        first.gen(first.generators[0]) ** 3  # fills the private table
-        assert algebra._BUILT[first._signature] is None
-        second = tagged_ring(tag)
-        assert first._table and not second._table
-        assert algebra._BUILT[first._signature] is second._table
-
-    def test_equal_rings_share_from_the_third_build_on(self, rule_checks):
-        tag = next(TAGS)
-        (first, second, third, fourth), checks = zip(*(rule_checks(lambda: tagged_ring(tag)) for _ in range(4)))
-        shared = algebra._BUILT[first._signature]
-        assert first._table is not second._table
-        assert second._table is third._table is fourth._table is shared
-        # from the third build of an exact input on, the checked fields are
-        # reused: no rule is checked again, and every slot equals the first's
-        assert checks == (1, 1, 0, 0)
-        for ring in (third, fourth):
-            assert all(getattr(ring, slot) == getattr(first, slot) for slot in RingSpec.__slots__ if slot != "_table")
-        # and no mutable field is shared: changing one ring's rules leaves the next build's alone
-        assert third.rules is not fourth.rules and third.rules[0][1] is not fourth.rules[0][1]
-        assert third._index is not fourth._index
-        third.rules[0][1][(0, 2)] = F(1)
-        assert tagged_ring(tag).rules == first.rules
-
-    def test_rings_differing_in_a_coefficient_or_a_name_never_share(self):
-        tag = next(TAGS)
-        variants = [{}, {"coefficient": -3}, {"second": "c"}]
-        built = [[tagged_ring(tag, **variant) for _ in range(3)] for variant in variants]
-        for rings in built:
-            assert rings[1]._table is rings[2]._table
-        assert len({id(rings[2]._table) for rings in built}) == len(variants)
-        for rings, coefficient in zip(built, (-2, -3, -2)):
-            a = rings[2].gen(rings[2].generators[0])
-            assert dict((a * a).terms) == {(1, 1): F(coefficient)}
-
-    def test_the_cache_holds_at_most_the_bound(self):
-        bound = algebra._SHARED_RINGS
-        signatures, indexed = [], []
-        for _ in range(3 * bound):
-            tag = next(TAGS)
-            signatures.append(tagged_ring(tag)._signature)
-            tagged_ring(tag)
-            indexed.append(len(algebra._EXACT))
-        assert len(algebra._BUILT) == bound
-        assert set(algebra._BUILT) == set(signatures[-bound:])
-        assert all(tables is not None for tables in algebra._BUILT.values())
-        # every shared signature has one exact input, and the index never outgrows the bound
-        assert max(indexed) == bound and indexed_signatures() == set(algebra._BUILT)
-
-    def test_the_bound_counts_one_off_and_shared_signatures_together(self):
-        bound = algebra._SHARED_RINGS
-        tags = [next(TAGS) for _ in range(bound)]
-        shared = [[tagged_ring(tag) for _ in range(2)][1]._signature for tag in tags]
-        one_off = [tagged_ring(next(TAGS))._signature for _ in range(bound // 2)]
-        assert len(algebra._BUILT) == bound
-        assert list(algebra._BUILT) == shared[bound // 2:] + one_off
-        assert all(algebra._BUILT[key] is None for key in one_off)
-        assert all(algebra._BUILT[key] is not None for key in shared[bound // 2:])
-        # a one-off signature leaves nothing in the exact-input index
-        assert indexed_signatures() == set(shared[bound // 2:])
-
-    def test_the_ring_built_least_recently_is_forgotten_first(self, rule_checks):
-        tags = [next(TAGS) for _ in range(algebra._SHARED_RINGS + 1)]
-        admitted = [[tagged_ring(tag) for _ in range(2)][1]._signature for tag in tags[:-1]]
-        kept, dropped = admitted[:2]
-        assert {kept, dropped} <= indexed_signatures()
-        # built again, kept becomes the newest, also when its input is found in the index
-        _, checks = rule_checks(lambda: tagged_ring(tags[0]))
-        assert checks == 0 and list(algebra._BUILT)[-1] == kept
-        newest = [tagged_ring(tags[-1]), tagged_ring(tags[-1])][1]._signature  # one signature past the bound
-        assert kept in algebra._BUILT and dropped not in algebra._BUILT
-        assert list(algebra._BUILT)[-2:] == [kept, newest]
-        # the index entry leaves with its signature
-        assert kept in indexed_signatures() and dropped not in indexed_signatures()
-
-    @settings(max_examples=60, deadline=None)
-    @given(rule_ring_pairs())
-    def test_products_on_a_filled_shared_table_match_worklist(self, pair):
-        x, y = pair
-        first, second = fresh_twin(x.ring), fresh_twin(x.ring)
-        assert first._table is second._table
-        for code in range(prod(first._bases)):
-            if code not in first._table:
-                first._reduce(code)
-        product_on_second = GradedElement(second, x.terms) * GradedElement(second, y.terms)
-        assert dict(product_on_second.terms) == worklist_product(second, x.terms, y.terms)
-
-    def test_threads_building_equal_and_unequal_rings(self):
-        # bundles no other test builds, so their shared tables fill while the threads run
-        specs = [(2, (5, -4, 1)), (3, (4, -5, 2, 0)), (1, (6, -3)), (2, (-5, 3, 4))]
-        rng = random.Random("threads")
-        cases = []
-        for spec in specs:
-            ring = build_proj_bundle(LineBundleSum(*spec)).ring
-            x, y = ({tuple(rng.randint(0, 4) for _ in ring.generators): F(rng.randint(-5, 5), rng.randint(1, 3))
-                     for _ in range(6)} for _ in range(2))
-            expected = worklist_product(ring, worklist_normal_form(ring, x), worklist_normal_form(ring, y))
-            cases.append((spec, x, y, expected))
-        rounds, results, errors = 12, [], []
-
-        def work(worker):
-            try:
-                for r in range(rounds):
-                    spec, x, y, expected = cases[(worker + r) % len(cases)]
-                    ring = build_proj_bundle(LineBundleSum(*spec)).ring
-                    results.append(dict((GradedElement(ring, x) * GradedElement(ring, y)).terms) == expected)
-                    tag = next(TAGS)  # two builds of a new ring admit it and evict the oldest
-                    a = [tagged_ring(tag), tagged_ring(tag)][worker % 2].gen(f"shared{tag}")
-                    results.append(dict((a * a).terms) == {(1, 1): F(-2)})
-            except Exception as error:  # reported below; a thread cannot raise into the test
-                errors.append(error)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(worker,)) for worker in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
-        assert results == [True] * (2 * rounds * len(threads))
 
 
 class TestHomogeneousParts:

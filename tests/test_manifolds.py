@@ -4,21 +4,25 @@ and products.
 Oracles: hand-expanded Pontryagin classes from the root description
 (frozen below), classical total Pontryagin classes of quaternionic
 projective space recomputed here with independent list arithmetic,
-classical spin criteria, and for a product, which has no ring, the ring
-it would have (``ring_model`` in ``symmetric_reference``).
+classical spin criteria, for a product, which has no ring, the ring it
+would have (``ring_model`` in ``symmetric_reference``), and for a ring the
+builders keep, an equal ring built by hand with a cold table.
 """
 import copy
 import pickle
 import random
 import re
+import sys
+import threading
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import symmetric_reference as ref
+from ellcob import manifolds
 from ellcob.algebra import GradedElement, RingSpec
 from ellcob.cobordism import Partition, basis_manifolds, x12
 from ellcob.genera import elliptic_q_coefficients, signature
@@ -89,6 +93,171 @@ class TestBuilders:
         m = build_hp(2)
         u = m.ring.gen(m.ring.generators[0])
         assert pair(m, u * u) == F(1)
+
+
+FRESH = count(1000)  # inputs no other test builds: n of CP^n and HP^n, twists d of P(L^d + 1) over CP^1
+FRESH_BUILDS = {"cp": build_cp, "hp": build_hp, "pb": lambda d: build_proj_bundle(LineBundleSum(1, (d, 0)))}
+
+
+def fresh_bundle():
+    """P(L^d + 1) over CP^1 for a d no other build uses; its ring has the rule a^2 = -d a b."""
+    return LineBundleSum(1, (next(FRESH), 0))
+
+
+def newest():
+    """The registry's newest entry: (input, None or the ring its builds share)."""
+    return next(reversed(manifolds._RINGS.items()))
+
+
+def kept_rings():
+    return [ring for ring in manifolds._RINGS.values() if ring is not None]
+
+
+@pytest.fixture
+def inits(monkeypatch):
+    """The arguments of every RingSpec built from here on, in order."""
+    calls, init = [], RingSpec.__init__
+    monkeypatch.setattr(RingSpec, "__init__", lambda ring, *args: calls.append(args) or init(ring, *args))
+    return calls
+
+
+def cold_twin(ring):
+    """A ring equal to ``ring`` built by hand, so with a cold table of its own."""
+    return RingSpec(list(zip(ring.generators, ring.degrees)), ring.truncation_dimension,
+                    {ring.generators[g]: (p, rhs) for g, (p, rhs) in ring.rules.items()})
+
+
+class TestSharedRings:
+    """The builders hand out one ring per input they keep building: the first build of an input
+    leaves only its key in ``manifolds._RINGS``, the second build's ring is kept there, and every
+    later build returns that ring and builds none.  The registry keeps the inputs built last."""
+
+    def test_a_one_off_input_keeps_only_its_key(self):
+        bundle = fresh_bundle()
+        m = build_proj_bundle(bundle)
+        a, b = m.ring.gen("a"), m.ring.gen("b")
+        assert a * a == b * a * -bundle.degrees[0] and m.ring._table  # the model's own table is filled
+        assert newest()[1] is None
+        assert all(ring is not m.ring for ring in kept_rings())
+
+    @pytest.mark.parametrize("builder", FRESH_BUILDS)
+    def test_the_third_build_returns_the_second_builds_ring(self, builder, inits):
+        n = next(FRESH)
+        first, second, third, fourth = (FRESH_BUILDS[builder](n) for _ in range(4))
+        assert len(inits) == 2  # the first two builds; the third and fourth build no ring
+        assert first.ring == second.ring and first.ring is not second.ring
+        assert second.ring is third.ring is fourth.ring is newest()[1]
+        assert first.ring._table is not second.ring._table
+        assert third is not fourth and pair(fourth, fourth.ring.element({fourth.pairing_exponents: 1})) == 1
+
+    @pytest.mark.parametrize("build", [build_cp, build_hp, lambda n: build_proj_bundle(LineBundleSum(3, (n, 0)))],
+                             ids=["cp", "hp", "pb"])
+    def test_a_float_is_refused_after_its_int_was_built_three_times(self, build):
+        # 2.0 equals 2 and hashes alike: a lookup by it would serve the ring kept for 2
+        built = [build(2) for _ in range(3)]
+        assert built[1].ring is built[2].ring
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            build(2.0)
+
+    def test_rings_differing_in_a_twist_or_a_builder_never_share(self):
+        d = next(FRESH)
+        builds = [lambda: build_cp(d), lambda: build_hp(d), lambda: build_proj_bundle(LineBundleSum(1, (d, 0))),
+                  lambda: build_proj_bundle(LineBundleSum(1, (-d, 0))), lambda: build_proj_bundle(LineBundleSum(1, (0, d)))]
+        rings = [[build().ring for _ in range(3)][1:] for build in builds]
+        assert all(second is third for second, third in rings)
+        assert len({id(second) for second, _ in rings}) == 4
+        # P(L^d + 1) and P(1 + L^d) give the builder one ring input, so the second is its fourth build
+        assert rings[2][0] is rings[4][0] and rings[2][0] != rings[3][0]
+
+    def test_the_registry_holds_at_most_the_bound(self):
+        bound, kept = manifolds._KEPT, []
+        for _ in range(3 * bound):
+            bundle = fresh_bundle()
+            build_proj_bundle(bundle)
+            kept.append(build_proj_bundle(bundle).ring)
+        assert len(manifolds._RINGS) == bound
+        assert all(ring is last for ring, last in zip(manifolds._RINGS.values(), kept[-bound:], strict=True))
+
+    def test_the_bound_counts_one_off_and_kept_inputs_together(self):
+        bound, kept = manifolds._KEPT, []
+        for _ in range(bound):
+            bundle = fresh_bundle()
+            kept.append([build_proj_bundle(bundle) for _ in range(2)][1].ring)
+        for _ in range(bound // 2):
+            build_proj_bundle(fresh_bundle())
+        rings = list(manifolds._RINGS.values())
+        assert len(rings) == bound and rings[bound // 2:] == [None] * (bound // 2)
+        assert all(ring is last for ring, last in zip(rings[:bound // 2], kept[bound // 2:], strict=True))
+
+    def test_the_input_built_least_recently_is_forgotten_first(self, inits):
+        bound = manifolds._KEPT
+        bundles = [fresh_bundle() for _ in range(bound)]
+        kept = [[build_proj_bundle(bundle) for _ in range(2)][1].ring for bundle in bundles]
+        # built again, the oldest input becomes the newest
+        assert build_proj_bundle(bundles[0]).ring is kept[0] is newest()[1]
+        build_proj_bundle(fresh_bundle())  # one input past the bound
+        rings = list(manifolds._RINGS.values())
+        assert rings[-2:] == [kept[0], None]
+        assert any(ring is kept[0] for ring in rings) and all(ring is not kept[1] for ring in rings)
+        # a forgotten input starts again from its first build
+        built = len(inits)
+        again = build_proj_bundle(bundles[1]).ring
+        assert len(inits) == built + 1 and again == kept[1] and again is not kept[1] and newest()[1] is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.lists(st.integers(-3, 3), min_size=1, max_size=4), st.randoms(use_true_random=False))
+    def test_products_on_a_kept_ring_filled_by_earlier_models_match_a_cold_ring(self, l, degrees, rng):
+        bundle = LineBundleSum(l, tuple(degrees))
+        ring = [build_proj_bundle(bundle) for _ in range(3)][2].ring
+        for code in range(prod(ring._bases)):  # an earlier model fills every entry
+            if code not in ring._table:
+                ring._reduce(code)
+        assert build_proj_bundle(bundle).ring is ring
+        twin = cold_twin(ring)
+        x, y = ({tuple(rng.randint(0, 3) for _ in ring.generators): F(rng.randint(-5, 5), rng.randint(1, 3))
+                 for _ in range(5)} for _ in range(2))
+        on_kept = GradedElement(ring, x) * GradedElement(ring, y)
+        assert dict(on_kept.terms) == dict((GradedElement(twin, x) * GradedElement(twin, y)).terms)
+
+    def test_threads_building_equal_rings_at_once(self):
+        # inputs no other test builds, each built once here and then once by every worker, all
+        # workers on one input at a time: every worker's build returns the ring the second build kept
+        bundles = [fresh_bundle() for _ in range(16)]
+        rng = random.Random("threads")
+        cases = []
+        for bundle in bundles:
+            twin = cold_twin(build_proj_bundle(bundle).ring)
+            x, y = ({(rng.randint(0, 2), rng.randint(0, 2)): F(rng.randint(-5, 5), rng.randint(1, 3))
+                     for _ in range(4)} for _ in range(2))
+            cases.append((bundle, x, y, GradedElement(twin, x) * GradedElement(twin, y)))
+        workers, built, errors = 8, [[] for _ in bundles], []
+        together = threading.Barrier(workers, timeout=60)
+
+        def work():
+            try:
+                for i, (bundle, x, y, expected) in enumerate(cases):
+                    together.wait()
+                    ring = build_proj_bundle(bundle).ring
+                    built[i].append((ring, (GradedElement(ring, x) * GradedElement(ring, y)).terms == expected.terms))
+            except Exception as error:  # reported below; a thread cannot raise into the test
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for rings in built:
+            assert len(rings) == workers and all(ok for _, ok in rings)
+            assert all(ring is rings[0][0] for ring, _ in rings)
+            assert any(ring is rings[0][0] for ring in kept_rings())
 
 
 class TestProjBundle:

@@ -1,20 +1,21 @@
 """Ring state stays bounded however many models are built.
 
-A ring built once keeps its own reduction table, which dies with its
-model, and leaves only its signature behind; equal rings built again
-share one table, and one registry keeps the signatures, one-off and
-shared alike, for a bounded number of them.  An unbounded cache of either
+A ring built once is owned by its model and dies with it, leaving only
+its builder input behind; from the second build of an input on, the
+builders hand out one kept ring, and one registry keeps the inputs, one-off
+and kept alike, for a bounded number of them.  An unbounded cache of either
 would make memory grow with the number of models a caller builds; this
 guard builds and evaluates fresh models after a warm-up and checks that
-the allocations made in ``ellcob/algebra.py`` do not grow.  What the
-shared tables hold depends on what ran before in the same interpreter,
-so the guard must pass both alone and after the whole suite.
+the allocations made in ``ellcob/algebra.py`` (rings and their tables) and
+``ellcob/manifolds.py`` (the registry and its keys) do not grow.  What the
+kept rings hold depends on what ran before in the same interpreter, so
+the guard must pass both alone and after the whole suite.
 """
 import gc
 import random
 import tracemalloc
 
-from ellcob import algebra
+from ellcob import algebra, manifolds
 from ellcob.cobordism import pontryagin_numbers
 from ellcob.genera import signature
 from ellcob.manifolds import LineBundleSum, build_proj_bundle
@@ -45,14 +46,14 @@ def test_fresh_models_leave_no_ring_state():
     _evaluate(_specs(150, "warm-up"))
     fresh = _specs(50, "fresh")
     gc.collect()
-    only_algebra = [tracemalloc.Filter(True, algebra.__file__)]
+    ring_state = [tracemalloc.Filter(True, module.__file__) for module in (algebra, manifolds)]
     tracemalloc.start()
     try:
-        before = tracemalloc.take_snapshot().filter_traces(only_algebra)
+        before = tracemalloc.take_snapshot().filter_traces(ring_state)
         _evaluate(fresh)
         gc.collect()
-        after = tracemalloc.take_snapshot().filter_traces(only_algebra)
+        after = tracemalloc.take_snapshot().filter_traces(ring_state)
     finally:
         tracemalloc.stop()
     growth = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
-    assert growth < LIMIT, f"{growth} bytes allocated in algebra.py outlived their models"
+    assert growth < LIMIT, f"{growth} bytes allocated in algebra.py and manifolds.py outlived their models"
