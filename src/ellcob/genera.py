@@ -6,11 +6,12 @@ t = x^2, rationals from Bernoulli numbers (the L-genus x/tanh(x), the
 A-hat genus (x/2)/sinh(x/2)) or scalar q-series from divisor sums (the
 elliptic factor F below).  The series stores log f alone; the
 coefficients of f are derived on read.  One recurrence, :func:`_exp`,
-exponentiates a series in t: f itself, the full class of f on a model's
-roots (:meth:`CharacteristicSeries.evaluate_at`) and the twist
-character.  The two routes below exponentiate in other bases: the roots
-route by the closed form for c_lambda, the universal route by the
-recurrence on the weight parts E_w in the partition basis.
+exponentiates a series in t with rational or scalar q-series
+coefficients: f itself and the twist character.  The two routes below
+exponentiate in other bases: the roots route
+(:meth:`CharacteristicSeries.evaluate_at`) by the closed form for
+c_lambda, the universal route by the recurrence on the weight parts E_w
+in the partition basis.
 
 The product of f over the variables t_i is exp(sum_r l_r s_r), where
 s_r = sum_i t_i^r are the power sums (Milnor-Stasheff, *Characteristic
@@ -79,9 +80,9 @@ from functools import lru_cache
 from math import comb, factorial
 from types import MappingProxyType
 
-from .algebra import _ZERO, GradedElement, QSeries, Record, as_rational
+from .algebra import _ZERO, QSeries, Record, as_rational
 from .errors import ConsistencyError, brief
-from .manifolds import ManifoldModel, _pair_monomials, pontryagin_products
+from .manifolds import ManifoldModel, _own_ring, _pair_monomials, pontryagin_products
 
 __all__ = [
     "CharacteristicSeries",
@@ -106,8 +107,7 @@ Coefficient = Fraction | QSeries
 def _exp(first: Coefficient, logs: Sequence[Coefficient], order: int) -> list[Coefficient]:
     """Coefficients 0..order of first * exp(sum_(j>=1) logs[j] t^j), logs[j] = 0
     past the end: g_0 = first, r g_r = sum_(j=1..r) j logs[j] g_(r-j).  The
-    values are all Fractions, all scalar q-series or all elements of one
-    ring; logs[0] is not read."""
+    values are all Fractions or all scalar q-series; logs[0] is not read."""
     weighted = [(j, logs[j] * j) for j in range(1, min(order, len(logs) - 1) + 1) if logs[j]]
     out = [first]
     zero = first * 0
@@ -215,44 +215,30 @@ class CharacteristicSeries:
             logs.append(QSeries([ahat[j]] + twist[j][1:]) * scale)
         return cls("elliptic", logs)
 
-    def evaluate_at(self, roots: Sequence[tuple[GradedElement, int]]) -> list[GradedElement]:
-        """prod f(t)^m over Pontryagin roots (t, m), t a nilpotent ring
-        element: entry n is the q^n coefficient, one entry for a rational
-        series.  The full class in every degree; the roots route pairs
-        only its top-degree part, by the power-sum monomials.
-
-        The product is exp(sum_j logs[j] P_j) in the ring power sums
-        P_j = sum m t^j, taken while some t^j is nonzero; the series must
-        carry every such j.  The q^0 part of the exponent is nilpotent and
-        is exponentiated by weight up to the ring's top weight (the P_j can
-        stop below it), the rest in q."""
-        if not roots:
-            raise ValueError("evaluate_at needs at least one root, whose ring it works in")
-        ring = roots[0][0].ring
-        mults = [m for _, m in roots]
-        sums = [ring.zero()]  # stands for P_0, which logs[0] = 0 never reads
-        powers = [t for t, _ in roots]
-        while any(powers):
-            sums.append(_combine(mults, powers))
-            powers = [tp * t for tp, (t, _) in zip(powers, roots)]
-        if len(sums) - 1 > self.order:
-            raise ValueError(f"series {self.name} carries x^2-order {self.order}, need {len(sums) - 1}")
-        # rows[n]: the q^n coefficients of the logs
-        rows = list(zip(*(c.coeffs for c in self.logs))) if isinstance(self.logs[0], QSeries) else [self.logs]
-        parts = _exp(ring.one(), [c * p for c, p in zip(rows[0], sums)], ring.truncation_dimension // 4)
-        return _exp(sum(parts[1:], parts[0]), [None] + [_combine(row, sums) for row in rows[1:]], len(rows) - 1)
+    def evaluate_at(self, m: ManifoldModel) -> Coefficient:
+        """<exp(sum_j l_j P_j), [M]> in m's own ring, P_j = sum mult t^j over
+        its Pontryagin roots (t, mult): sum_lambda c_lambda <P_lambda, [M]>
+        over the partitions lambda of k on a 4k-manifold, and 0 in another
+        dimension.  A root is a degree-4 class, so P_lambda has degree
+        4 |lambda| and no other weight reaches the fundamental class; with no
+        roots only the empty partition, in dimension 0, pairs to nonzero.
+        A product has no ring of its own, a ValueError: the roots route
+        multiplies its factors' values."""
+        ring, zero = _own_ring(m), self.logs[0]
+        if m.real_dimension % 4:
+            return zero
+        k = m.real_dimension // 4
+        table = _power_sum_coefficients(self, k)
+        sums, powers = [], [t for t, _ in m.roots]  # P_1..P_k
+        for j in range(k):
+            if j:
+                powers = [tp * t for tp, (t, _) in zip(powers, m.roots)]
+            sums.append(sum((tp * mult for tp, (_, mult) in zip(powers, m.roots)), ring.zero()))
+        numbers = _pair_monomials(m, sums, [lam for lam, _ in table])
+        return sum((c * n for (_, c), n in zip(table, numbers) if n), zero)
 
     def __repr__(self) -> str:
         return f"CharacteristicSeries({self.name}, order={self.order})"
-
-
-def _combine(coeffs: Sequence[Fraction], powers: Sequence[GradedElement]) -> GradedElement:
-    """sum_j coeffs[j] powers[j] over the nonzero coefficients."""
-    acc = powers[0].ring.zero()
-    for c, tp in zip(coeffs, powers):
-        if c:
-            acc = acc + tp * c
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -410,27 +396,6 @@ def _power_sum_coefficients(series: CharacteristicSeries,
     return tuple((lam, c) for lam, c in table.items() if sum(lam) == k)
 
 
-def _genus_on_roots(m: ManifoldModel, series: CharacteristicSeries) -> Coefficient:
-    """<exp(sum_j l_j P_j), [M]> in m's own ring, P_j = sum mult t^j over
-    its Pontryagin roots (t, mult): sum_lambda c_lambda <P_lambda, [M]>
-    over the partitions lambda of k on a 4k-manifold, and 0 in another
-    dimension.  A root is a degree-4 class, so P_lambda has degree
-    4 |lambda| and no other weight reaches the fundamental class; with no
-    roots only the empty partition, in dimension 0, pairs to nonzero."""
-    zero = series.logs[0]
-    if m.real_dimension % 4:
-        return zero
-    k = m.real_dimension // 4
-    table = _power_sum_coefficients(series, k)
-    sums, powers = [], [t for t, _ in m.roots]  # P_1..P_k
-    for j in range(k):
-        if j:
-            powers = [tp * t for tp, (t, _) in zip(powers, m.roots)]
-        sums.append(sum((tp * mult for tp, (_, mult) in zip(powers, m.roots)), m.ring.zero()))
-    numbers = _pair_monomials(m, sums, [lam for lam, _ in table])
-    return sum((c * n for (_, c), n in zip(table, numbers) if n), zero)
-
-
 def _roots_route(m: ManifoldModel, series: CharacteristicSeries) -> Coefficient:
     """The genus of series on m from its Pontryagin roots, the power-sum
     monomials paired with the fundamental class; on a product, the
@@ -438,7 +403,7 @@ def _roots_route(m: ManifoldModel, series: CharacteristicSeries) -> Coefficient:
     zero is the shared ``_ZERO``, wherever the product made it."""
     value = None
     for factor in m.factors or (m,):
-        total = _genus_on_roots(factor, series)
+        total = series.evaluate_at(factor)
         value = total if value is None else value * total
     return value if isinstance(value, QSeries) else value or _ZERO
 

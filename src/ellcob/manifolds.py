@@ -74,9 +74,10 @@ class LineBundleSum(Record):
         base_dim = index(base_dim)
         if base_dim < 1:
             raise ValueError("base projective space must have positive dimension")
+        degrees = tuple(map(index, degrees))
         if not degrees:
             raise ValueError("the bundle needs at least one summand")
-        self._fill(base_dim, tuple(map(index, degrees)))
+        self._fill(base_dim, degrees)
 
     @property
     def rank(self) -> int:
@@ -112,6 +113,8 @@ class ManifoldModel:
             if ring is not None or roots is not None or pairing_exponents or any(f.factors for f in factors) \
                     or real_dimension != sum(f.real_dimension for f in factors):
                 raise ValueError("a product has prime factors, their dimension and no ring, roots or pairing monomial")
+        elif ring is None or roots is None:
+            raise ValueError("a prime model has a ring and roots")
         elif len(pairing_exponents) != ring.ngens:
             raise ValueError("pairing monomial does not match the ring")
         elif ring.degree_of(pairing_exponents) != real_dimension:

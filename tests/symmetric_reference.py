@@ -30,9 +30,12 @@ read off its factors.  ``product_ring`` builds the ring it would have,
 the tensor product of its factors' rings, with their roots embedded by
 ``embed``, and ``ring_model`` wraps that as one prime model, the oracle
 that the fold of a product's Pontryagin numbers is compared with.
-``genus_on_own_ring`` runs the library's ``evaluate_at`` on a model's own
+``full_class`` is the full class prod f(t)^m of a series on a list of
+roots, in every degree, exponentiated in the ring by the library's
+``_exp`` recurrence (plain sums and products, so ring elements serve as
+well as rationals).  ``genus_on_own_ring`` pairs it on a model's own
 ring, a product's ``ring_model`` included, where the roots route reads a
-product's factors.
+product's factors and pairs only the power-sum monomials of top degree.
 
 ``twist_character_dense`` builds g(x, q) by dense products over a grid
 of q- and x-degrees, odd powers of x included; it is the oracle for
@@ -48,7 +51,7 @@ from operator import mul
 
 from ellcob.algebra import QSeries, RingSpec
 from ellcob.errors import ConsistencyError
-from ellcob.genera import CharacteristicSeries, _elliptic_sequence, _roots_route, twist_character
+from ellcob.genera import CharacteristicSeries, _elliptic_sequence, _exp, _roots_route, twist_character
 from ellcob.manifolds import ManifoldModel, pair
 
 
@@ -332,6 +335,43 @@ def ring_model(m):
     return ManifoldModel(m.name, m.real_dimension, ring, roots, pairing, m.spin, m.curvature_certificate)
 
 
+def full_class(series, roots):
+    """prod f(t)^m over Pontryagin roots (t, m), t a nilpotent ring
+    element: entry n is the q^n coefficient, one entry for a rational
+    series.  The full class in every degree; the roots route pairs
+    only its top-degree part, by the power-sum monomials.
+
+    The product is exp(sum_j logs[j] P_j) in the ring power sums
+    P_j = sum m t^j, taken while some t^j is nonzero; the series must
+    carry every such j.  The q^0 part of the exponent is nilpotent and
+    is exponentiated by weight up to the ring's top weight (the P_j can
+    stop below it), the rest in q."""
+    if not roots:
+        raise ValueError("full_class needs at least one root, whose ring it works in")
+    ring = roots[0][0].ring
+    mults = [m for _, m in roots]
+    sums = [ring.zero()]  # stands for P_0, which logs[0] = 0 never reads
+    powers = [t for t, _ in roots]
+    while any(powers):
+        sums.append(_combine(mults, powers))
+        powers = [tp * t for tp, (t, _) in zip(powers, roots)]
+    if len(sums) - 1 > series.order:
+        raise ValueError(f"series {series.name} carries x^2-order {series.order}, need {len(sums) - 1}")
+    # rows[n]: the q^n coefficients of the logs
+    rows = list(zip(*(c.coeffs for c in series.logs))) if isinstance(series.logs[0], QSeries) else [series.logs]
+    parts = _exp(ring.one(), [c * p for c, p in zip(rows[0], sums)], ring.truncation_dimension // 4)
+    return _exp(sum(parts[1:], parts[0]), [None] + [_combine(row, sums) for row in rows[1:]], len(rows) - 1)
+
+
+def _combine(coeffs, powers):
+    """sum_j coeffs[j] powers[j] over the nonzero coefficients."""
+    acc = powers[0].ring.zero()
+    for c, tp in zip(coeffs, powers):
+        if c:
+            acc = acc + tp * c
+    return acc
+
+
 def genus_on_own_ring(m, series):
     """The genus of series on m from the exp of the power sums of m's own
     Pontryagin roots, paired in m's own ring: on a product, in its
@@ -340,7 +380,7 @@ def genus_on_own_ring(m, series):
     m = ring_model(m)
     if not m.roots:
         return series.one if m.real_dimension == 0 else series.logs[0]  # logs[0]: the zero of the series' kind
-    total = [pair(m, c) for c in series.evaluate_at(m.roots)]
+    total = [pair(m, c) for c in full_class(series, m.roots)]
     return QSeries(total) if isinstance(series.one, QSeries) else total[0]
 
 

@@ -599,11 +599,11 @@ class TestExitCodes:
         assert err == f"error: cp:{n} has dimension {2 * n}; the genus {which} needs a multiple of 4\n"
 
     def test_elliptic_pipeline_disagreement_is_3(self, capsys, monkeypatch):
-        from ellcob import genera
+        from ellcob.genera import CharacteristicSeries
 
         # every q-coefficient doubled; every X12 genus vanishes, so the model is CP^2
-        original = genera._genus_on_roots
-        monkeypatch.setattr(genera, "_genus_on_roots", lambda m, series: original(m, series) * 2)
+        original = CharacteristicSeries.evaluate_at
+        monkeypatch.setattr(CharacteristicSeries, "evaluate_at", lambda series, m: original(series, m) * 2)
         code, out, err = run(capsys, ["elliptic", "--manifold", "cp:2"])
         assert code == 3 and out == ""
         assert "internal consistency failure: elliptic genus pipelines disagree" in err

@@ -15,12 +15,13 @@ expansions multiplied degree by degree, on those models, on HP^1..HP^8
 and CP^1..CP^16, and on the rings of products with an HP factor, whose
 root (4u, -1) is virtual.
 
-``TestPowerSums`` checks ``evaluate_at`` on whole root lists: it equals
-the q-product of its single-root values, negative multiplicities
-included, and it exponentiates up to the ring's top weight even where
-the power sums stop below it.  ``TestPowerSumMonomials`` checks the
-route's own form of that pairing, the monomials P_lambda dotted with the
-weight-k coefficients of the exponential, against ``evaluate_at``, and
+``TestPowerSums`` checks the oracle's full class (``full_class``) on
+whole root lists: it equals the q-product of its single-root values,
+negative multiplicities included, and it exponentiates up to the ring's
+top weight even where the power sums stop below it.
+``TestPowerSumMonomials`` checks the route's own form of that pairing,
+``CharacteristicSeries.evaluate_at``, the monomials P_lambda dotted with
+the weight-k coefficients of the exponential, against ``full_class``, and
 that its ring work does not grow with the q-order.
 
 The last class checks that the cross-check still guards the grouped
@@ -31,7 +32,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import symmetric_reference as ref
-import ellcob.genera as genera
 from ellcob.algebra import GradedElement, QSeries, RingSpec
 from ellcob.cli import main, parse_manifold
 from ellcob.cobordism import x12
@@ -39,7 +39,6 @@ from ellcob.errors import ConsistencyError
 from ellcob.genera import (
     CharacteristicSeries,
     _elliptic_sequence,
-    _genus_on_roots,
     _roots_route,
     ahat_sequence,
     elliptic_q_coefficients,
@@ -173,10 +172,10 @@ class TestPowerSums:
     def test_root_list_is_the_product_of_single_roots(self, roots):
         top = roots[0][0].ring.truncation_dimension // 4
         for series in (l_sequence(top).source, ahat_sequence(top).source, _elliptic_sequence(top, 2).source):
-            expected = series.evaluate_at(roots[:1])
+            expected = ref.full_class(series, roots[:1])
             for root in roots[1:]:
-                expected = ref.series_product(expected, series.evaluate_at([root]))
-            assert series.evaluate_at(roots) == expected, series.name
+                expected = ref.series_product(expected, ref.full_class(series, [root]))
+            assert ref.full_class(series, roots) == expected, series.name
 
     def test_power_sums_stopping_below_the_top_weight(self):
         # in the ring of CP^2 x CP^2 every t^2 is zero, so P_j = 0 for j >= 2,
@@ -189,8 +188,8 @@ class TestPowerSums:
 
 def _by_exponential(m, series):
     """The genus of series on m from the full class prod f(t)^mult,
-    ``evaluate_at`` on m's own roots, paired per q-coefficient."""
-    paired = [pair(m, c) for c in series.evaluate_at(m.roots)]
+    ``full_class`` on m's own roots, paired per q-coefficient."""
+    paired = [pair(m, c) for c in ref.full_class(series, m.roots)]
     return QSeries(paired) if isinstance(series.one, QSeries) else paired[0]
 
 
@@ -204,7 +203,7 @@ def _series(k):
 class TestPowerSumMonomials:
     """The roots route pairs the monomials P_lambda of the ring power sums
     and dots them with the weight-k coefficients of exp(sum_j l_j P_j); its
-    oracle is the full exponential ``evaluate_at`` in the ring."""
+    oracle is the full exponential ``full_class`` in the ring."""
 
     @settings(max_examples=30, deadline=None)
     @given(st.one_of(MODELS, st.builds(build_hp, st.integers(1, 4))))
@@ -216,15 +215,20 @@ class TestPowerSumMonomials:
     def test_equals_the_paired_exponential(self, m):
         # dimensions 4k + 2 (cp:3, pb:2:[1,0]) pair to 0 both ways
         for series in _series(m.real_dimension // 4 + 1):
-            value = _genus_on_roots(m, series)
+            value = series.evaluate_at(m)
             assert value == _by_exponential(m, series), series
             if m.real_dimension % 4:
                 assert not value
 
     def test_series_shorter_than_the_weight(self):
         with pytest.raises(ValueError, match="^series signature carries x\\^2-order 1, need 2$"):
-            _genus_on_roots(build_cp(4), CharacteristicSeries.l_genus(1))
-        assert _genus_on_roots(build_cp(4), CharacteristicSeries.l_genus(2)) == 1
+            CharacteristicSeries.l_genus(1).evaluate_at(build_cp(4))
+        assert CharacteristicSeries.l_genus(2).evaluate_at(build_cp(4)) == 1
+
+    def test_a_product_is_refused(self):
+        # a product has no ring or roots: the roots route multiplies its factors' values
+        with pytest.raises(ValueError, match="is a product and has no ring of its own"):
+            CharacteristicSeries.l_genus(2).evaluate_at(product(build_cp(2), build_cp(2)))
 
     def test_ring_multiplies_do_not_grow_with_the_q_order(self, monkeypatch):
         m = parse_manifold("pb:5:[1,-2,0,3]")[0]
@@ -258,13 +262,13 @@ def skewed_groups(request, monkeypatch):
     """The roots route sees the first root's multiplicity (b^2, 3) off by
     one; the universal route reads the model's roots unchanged."""
     first = _guarded().roots[0][0]
-    original = genera._genus_on_roots
+    original = CharacteristicSeries.evaluate_at
 
-    def skewed(m, series):
+    def skewed(series, m):
         roots = [(t, mult + request.param if t == first else mult) for t, mult in m.roots]
-        return original(ManifoldModel(m.name, m.real_dimension, m.ring, roots, m.pairing_exponents, m.spin), series)
+        return original(series, ManifoldModel(m.name, m.real_dimension, m.ring, roots, m.pairing_exponents, m.spin))
 
-    monkeypatch.setattr(genera, "_genus_on_roots", skewed)
+    monkeypatch.setattr(CharacteristicSeries, "evaluate_at", skewed)
 
 
 @pytest.mark.usefixtures("skewed_groups")

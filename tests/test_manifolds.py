@@ -267,6 +267,12 @@ class TestProjBundle:
         with pytest.raises(ValueError):
             LineBundleSum(2, ())
 
+    def test_empty_iterator_of_degrees_is_refused(self):
+        # emptiness is read off the tuple: an iterator is truthy before it is consumed
+        with pytest.raises(ValueError, match="^the bundle needs at least one summand$"):
+            LineBundleSum(2, (d for d in ()))
+        assert LineBundleSum(2, (d for d in (1, 0))).degrees == (1, 0)
+
     def test_dimension_and_name(self):
         m = build_proj_bundle(LineBundleSum(3, (2, 0, 0, 0)))
         assert m.real_dimension == 12
@@ -460,6 +466,13 @@ class TestModelValidation:
         ring = build_cp(2).ring
         with pytest.raises(ValueError):
             ManifoldModel("bad", 3, ring, (), (2,), spin=False)
+
+    @pytest.mark.parametrize("ring,roots", [(None, ()), ("cp2", None)], ids=["no_ring", "no_roots"])
+    def test_prime_without_ring_or_roots_is_value_error(self, ring, roots):
+        # refused like a product of the wrong shape, not by an AttributeError or TypeError on None
+        ring = build_cp(2).ring if ring == "cp2" else ring
+        with pytest.raises(ValueError, match="^a prime model has a ring and roots$"):
+            ManifoldModel("bad", 4, ring, roots, (2,), spin=False)
 
     @pytest.mark.parametrize("value", [0.5, Fraction(5, 2), "7"], ids=["float", "fraction", "str"])
     @pytest.mark.parametrize("build", [

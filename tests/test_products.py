@@ -10,7 +10,7 @@ the fold must surface as a ConsistencyError (exit 3 on the CLI).
 
 The oracle for both is the ring the product would have, the tensor
 product of its factors' rings, built in ``symmetric_reference``
-(``ring_model``): ``genus_on_own_ring`` runs ``evaluate_at`` on its
+(``ring_model``): ``genus_on_own_ring`` runs ``full_class`` on its
 embedded roots, and the fold is compared with its own pairing.
 """
 import copy

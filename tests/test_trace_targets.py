@@ -3,7 +3,8 @@
 ``bench/tracer.py`` wraps functions by module and attribute name.  A
 rename in the library would otherwise only surface when someone runs
 ``bench/run.py --trace 1``; these tests load the tracer read-only and
-fail as soon as a target stops resolving.
+fail as soon as a target stops resolving, or as soon as a genus stops
+passing through the layer that times one of its two routes.
 """
 import importlib
 import sys
@@ -11,6 +12,9 @@ import types
 from pathlib import Path
 
 import pytest
+
+from ellcob.genera import ahat, elliptic_q_coefficients, signature
+from ellcob.manifolds import build_cp, build_hp, product
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -40,6 +44,31 @@ def test_every_cache_is_an_lru_cache(tracer):
     for prefix, names in tracer.CACHES.items():
         for name in names:
             assert hasattr(getattr(genera, name), "cache_info"), f"{prefix}: {name}"
+
+
+GENERA = {
+    "signature": signature,
+    "ahat": ahat,
+    "elliptic_q_coefficients": lambda m: elliptic_q_coefficients(m, 2),
+}
+
+
+@pytest.mark.parametrize("genus", GENERA)
+@pytest.mark.parametrize("build", [lambda: build_cp(2), lambda: product(build_cp(2), build_hp(1))],
+                         ids=["prime", "product"])
+def test_each_route_layer_counts_its_calls(tracer, genus, build):
+    # the roots route evaluates once per prime factor and the universal route once per model,
+    # so neither layer reads 0 while both routes run
+    m = build()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        GENERA[genus](m)
+    finally:
+        t.uninstall()
+    calls = t.layer_metrics()
+    assert calls["genera.roots_eval.calls"] == len(m.factors or (m,))
+    assert calls["genera.universal_eval.calls"] == 1
 
 
 def test_install_and_uninstall_restore_every_target(tracer):
