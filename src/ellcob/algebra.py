@@ -3,11 +3,10 @@ the base class of the immutable records.
 
 Every scalar this package hands out is a ``fractions.Fraction``; nothing
 here rounds, ever.  The central object is :class:`GradedElement`, a sparse
-polynomial in named even-degree generators kept in normal form with
-respect to single-head-generator rewrite rules (``a**r -> lower order``)
-and truncated above the ring's top dimension.  A :class:`QSeries`, a
-power series in q truncated at q^N, is an element of Q[q]/(q^(N+1)).
-:class:`RationalMatrix` does exact rank and solve.
+polynomial in named even-degree generators modulo monomial relations
+(``g**p = 0``), truncated above the ring's top dimension.  A
+:class:`QSeries`, a power series in q truncated at q^N, is an element of
+Q[q]/(q^(N+1)).  :class:`RationalMatrix` does exact rank and solve.
 :func:`interpolate_polynomial` fits n points by Newton's divided
 differences in O(n^2) operations, with no elimination.  A fit through
 one point more than a degree bound checks the bound: it holds exactly
@@ -28,24 +27,18 @@ q-series: q has degree 2 and that ring truncates above degree 2N.
   ``num``.  Sums, scalar multiples and products stay in ints and divide
   out one gcd per result; ``terms`` (exponent tuple -> Fraction) is a
   read-only view built on demand.
-* One rewrite engine.  A ring's reduction table maps a raw monomial code
-  to its normal form.  An entry is filled on first use by one rewrite
-  step on codes from lower entries, filled the same way when missing
-  (:meth:`RingSpec._reduce`, the only code that applies a rule).  A
-  product sums codes pairwise and the constructor codes its terms; both
-  then read every raw code's normal form from the table.  Pairing, the
-  third reader, sums codes as a product does but keeps only one
-  monomial's share of each entry
+* Normal form is a filter.  Every relation is monomial, so a monomial is
+  either zero (above the top, or a generator at its relation's power) or
+  its own normal form.  A product sums codes pairwise and drops the
+  codes its ring kills; the ring memoizes that verdict per code, its one
+  memo.  Pairing sums codes as a product does and dots the raw
+  numerators with a weight element
   (:meth:`GradedElement.product_coefficient`), so the last product of a
   characteristic number is never formed.
-* One table per ring, the only memo a ring keeps.  Equal rings built
-  apart fill tables apart, so rings are shared where they are built
-  again: the model builders hand out one ring object for an input they
-  keep building (``ellcob.manifolds``), and ``_q_ring`` one per q-order.
 
 Elements, series and matrices are immutable and all operations are pure.
-Table entries are filled idempotently (an entry depends only on its
-key), so a ring and its table are safe to share between threads.
+A ring's memo is filled idempotently (an entry depends only on its key),
+so a ring is safe to share between threads.
 """
 from __future__ import annotations
 
@@ -115,18 +108,16 @@ class RingSpec:
     """A truncated graded-commutative polynomial ring over the rationals.
 
     Generators all sit in even degree, so the ring is honestly
-    commutative and monomials are plain exponent tuples.  Rewrite rules
-    have the single-head-generator shape ``g**power = rhs`` where every
-    monomial of ``rhs`` has the same degree as ``g**power``, a strictly
-    smaller exponent of ``g`` and exponent 0 in every generator listed
-    before ``g``, which the constructor checks.  Each rewrite then
-    lowers the exponent vector lexicographically, so reduction
-    terminates, and the result is independent of rewrite order.
-    Elements of degree above ``truncation_dimension`` are zero.
+    commutative and monomials are plain exponent tuples.  The relations
+    are monomial, ``g**power = 0``, given as ``{name: (power, {})}``: a
+    relation with a nonempty right-hand side is a ValueError.  A monomial
+    is zero when it has degree above ``truncation_dimension`` or a
+    generator at or above its power; every other monomial is its own
+    normal form.
     """
 
-    __slots__ = ("generators", "degrees", "truncation_dimension", "rules", "_index", "_signature",
-                 "_bases", "_places", "_integral", "_steps", "_table")
+    __slots__ = ("generators", "degrees", "truncation_dimension", "_index", "_powers", "_signature",
+                 "_bases", "_places", "_kept")
 
     def __init__(
         self,
@@ -148,63 +139,25 @@ class RingSpec:
         self.degrees = degs
         self.truncation_dimension = top
         self._index = {name: i for i, name in enumerate(names)}
-        rules: dict[int, tuple[int, dict[tuple[int, ...], Fraction]]] = {}
+        powers = {}
         for name, (power, rhs) in (rewrite_rules or {}).items():
             if name not in self._index:
-                raise ValueError(f"rewrite rule for unknown generator {name!r}")
-            g = self._index[name]
+                raise ValueError(f"relation for unknown generator {name!r}")
             power = index(power)
             if power <= 0:
-                raise ValueError(f"rewrite rule power for {name!r} must be positive")
-            head_degree = power * degs[g]
-            clean: dict[tuple[int, ...], Scalar] = {}
-            for exps, coeff in rhs.items():
-                exps = tuple(map(index, exps))
-                if len(exps) != len(names) or any(e < 0 for e in exps):
-                    raise ValueError(f"malformed monomial {exps} in rule for {name!r}")
-                c = coeff if type(coeff) is int else as_rational(coeff)  # an int needs no Fraction
-                if not c:
-                    continue
-                degree = self.degree_of(exps)
-                if degree != head_degree:
-                    raise ValueError(
-                        f"rewrite rule for {name}^{power} is not degree-homogeneous: "
-                        f"monomial {exps} has degree {degree}, head has {head_degree}"
-                    )
-                if exps[g] >= power:
-                    raise ValueError(
-                        f"rewrite rule for {name}^{power} does not decrease the head exponent"
-                    )
-                if any(exps[:g]):
-                    raise ValueError(
-                        f"rewrite rule for {name}^{power} uses a generator listed before {name!r}, "
-                        f"so reduction need not terminate"
-                    )
-                clean[exps] = clean[exps] + c if exps in clean else c
-            rules[g] = (power, {e: as_rational(c) for e, c in clean.items() if c})
-        self.rules = rules
-        self._signature = (
-            names,
-            degs,
-            top,
-            tuple(sorted((g, p, tuple((e, c.numerator, c.denominator) for e, c in sorted(rhs.items())))
-                         for g, (p, rhs) in rules.items())),
-        )  # ints and strs only, so hashing and comparing it runs no Python code
+                raise ValueError(f"relation power for {name!r} must be positive")
+            if rhs:
+                raise ValueError(f"relation for {name}^{power} must be {name}^{power} = 0, with no right-hand side")
+            g = self._index[name]
+            if power * degs[g] <= top:  # a power above the top is zero already
+                powers[g] = power
+        self._powers = tuple(sorted(powers.items()))  # (g, power) for each relation g**power = 0 below the top
+        self._signature = (names, degs, top, self._powers)  # ints and strs only, so hashing runs no Python code
         # a normal monomial has e_i <= top // deg_i, a product of two at most
         # twice that, so every such exponent is one digit below its base
         self._bases = tuple(2 * top // d + 1 for d in degs)
         self._places = tuple(prod(self._bases[:i]) for i in range(len(degs)))
-        self._integral = all(c.denominator == 1 for _, rhs in rules.values() for c in rhs.values())
-        # each rule once on codes, (g, power, power * place_g, rhs pairs); a
-        # head above the top fires on no monomial of degree <= top, and its
-        # right-hand side may hold exponents outside the bases
-        self._steps = tuple(
-            (g, power, power * self._places[g],
-             tuple((self.code(e), c.numerator if c.denominator == 1 else c) for e, c in rhs.items()))
-            for g, (power, rhs) in rules.items()
-            if power * degs[g] <= top
-        )
-        self._table = {}  # raw monomial code -> its normal form, filled on first use; the ring's one memo
+        self._kept = {}  # monomial code -> whether it is nonzero, filled on first use; the ring's one memo
 
     # -- identity -----------------------------------------------------
 
@@ -254,8 +207,8 @@ class RingSpec:
         """The canonical ``(den, num)`` of an arbitrary term dict.
 
         Monomials above the truncation dimension are dropped; the rest
-        are coded, put over one common denominator and reduced through
-        the table like the raw monomials of a product.
+        are coded, put over one common denominator and filtered like the
+        raw monomials of a product.
         """
         top, places = self.truncation_dimension, self._places
         coded: dict[int, Scalar] = {}
@@ -271,54 +224,21 @@ class RingSpec:
         x = self._normal(den, {k: c.numerator * (den // c.denominator) for k, c in coded.items()})
         return x.den, x.num
 
-    def _reduce(self, code: int) -> tuple[tuple[int, Scalar], ...]:
-        """Tabled normal form of one monomial: ``(code, int or Fraction)`` pairs.
-
-        One rewrite step on codes: a monomial above the top is zero, one
-        no head rule applies to is its own normal form, and otherwise the
-        first applicable rule g**power = sum c_r r gives sum c_r *
-        table[code - power * place_g + code(r)].  Those monomials have the
-        same degree, at most the top, so their exponents stay inside the
-        bases, and they are lex-smaller, so the recursion filling any
-        missing one ends.
-        """
-        exps = self.exponents(code)
-        if self.degree_of(exps) > self.truncation_dimension:
-            reduced: tuple = ()
-        else:
-            for g, power, step, rhs in self._steps:
-                if exps[g] >= power:
-                    table, base = self._table, code - step
-                    acc: dict[int, Scalar] = {}
-                    get = acc.get
-                    for rcode, rc in rhs:
-                        lower = table.get(base + rcode)
-                        if lower is None:
-                            lower = self._reduce(base + rcode)
-                        for c, v in lower:
-                            acc[c] = get(c, 0) + rc * v
-                    reduced = tuple((c, v) for c, v in acc.items() if v)
-                    break
-            else:
-                reduced = ((code, 1),)
-        self._table[code] = reduced
-        return reduced
-
     def _normal(self, den: int, raw: dict[int, int]) -> "GradedElement":
         """The element raw / den, raw mapping codes with exponents inside
-        the bases to ints.  Normal form is linear, so each raw monomial is
-        replaced by its table entry."""
-        table = self._table
-        acc: dict[int, Scalar] = {}
-        get = acc.get
+        the bases to ints: a monomial is dropped when its degree is above
+        the top or a generator reaches its relation's power."""
+        memo, num = self._kept, {}
         for k, n in raw.items():
             if n:
-                reduced = table.get(k)
-                if reduced is None:
-                    reduced = self._reduce(k)
-                for c, r in reduced:
-                    acc[c] = get(c, 0) + n * r
-        return _canonical(self, den, acc)
+                kept = memo.get(k)
+                if kept is None:
+                    exps = self.exponents(k)
+                    kept = memo[k] = (self.degree_of(exps) <= self.truncation_dimension
+                                      and all(exps[g] < p for g, p in self._powers))
+                if kept:
+                    num[k] = n
+        return _canonical(self, den, num)
 
     # -- element constructors ------------------------------------------
 
@@ -406,7 +326,7 @@ class GradedElement:
             num = {c: n * m1 for c, n in self.num.items()}
             for c, n in other.num.items():
                 num[c] = num.get(c, 0) + n * m2
-        return _canonical(self.ring, den, num)
+        return _canonical(self.ring, den, {c: n for c, n in num.items() if n})
 
     def __sub__(self, other: "GradedElement") -> "GradedElement":
         if not isinstance(other, GradedElement):
@@ -430,23 +350,14 @@ class GradedElement:
                 raw[k] = get(k, 0) + n1 * n2
         return raw
 
-    def product_coefficient(self, other: "GradedElement", exps: tuple[int, ...]) -> Fraction:
-        """``(self * other).coefficient(exps)`` without forming the product.
-        Normal form is linear, so each distinct raw code contributes the
-        target's share of its table entry and nothing else is kept."""
-        raw, ring = self._raw_product(other), self.ring
-        target = ring.code(tuple(exps))  # None matches no entry
-        table, total = ring._table, 0
-        for k, n in raw.items():
-            if n:
-                reduced = table.get(k)
-                if reduced is None:
-                    reduced = ring._reduce(k)
-                for c, r in reduced:
-                    if c == target:
-                        total += n * r
-                        break
-        return Fraction(total, self.den * other.den) if total else _ZERO
+    def product_coefficient(self, other: "GradedElement", weights: "GradedElement") -> Fraction:
+        """sum_e w_e (self * other)_e over the monomials e of ``weights``, w_e
+        their coefficients, without forming the product: one dot of the raw
+        product with the weights.  A monomial of ``weights`` is normal, and
+        the raw product's coefficient of a normal monomial is the product's."""
+        raw = self._raw_product(other)
+        self._check_ring(weights)
+        return _dot(raw, self.den * other.den, weights)
 
     def __mul__(self, other: GradedElement | Scalar) -> "GradedElement":
         if isinstance(other, GradedElement):
@@ -519,17 +430,18 @@ def _element(ring: RingSpec, den: int, num: dict[int, int]) -> GradedElement:
     return x
 
 
-def _canonical(ring: RingSpec, den: int, acc: dict[int, Scalar]) -> GradedElement:
-    """The element acc / den: zeros dropped, Fraction entries (only from a
-    ring with rational rules) cleared into den, and the common gcd of den
-    and the numerators divided out."""
-    num = {c: n for c, n in acc.items() if n}
+def _dot(num: dict[int, int], den: int, weights: GradedElement) -> Fraction:
+    """sum_c w_c num[c] / den over the codes c of weights, w_c their values."""
+    get = num.get
+    total = sum(w * get(c, 0) for c, w in weights.num.items())
+    return Fraction(total, den * weights.den) if total else _ZERO
+
+
+def _canonical(ring: RingSpec, den: int, num: dict[int, int]) -> GradedElement:
+    """The element num / den, num free of zeros: the common gcd of den and
+    the numerators divided out."""
     if not num:
         return ring.zero()
-    if not ring._integral:
-        d = reduce(lcm, (n.denominator for n in num.values()), 1)
-        num = {c: n.numerator * (d // n.denominator) for c, n in num.items()}
-        den *= d
     if den != 1:
         g = den
         for n in num.values():

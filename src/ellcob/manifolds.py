@@ -1,7 +1,7 @@
 """Cohomology models of the manifolds the calculator knows how to build.
 
 A manifold model is a truncated cohomology ring, a tangent description,
-and the pairing monomial that evaluates a top-degree class against the
+and the integral that evaluates a top-degree class against the
 fundamental class.  The tangent description is one tuple of Pontryagin
 roots ``(t, m)``: t is a degree-4 class and m a nonzero integer, and the
 total Pontryagin class is the product of (1 + t)^m.  A negative m marks
@@ -17,35 +17,32 @@ a virtual summand.
   off p(HP^n) = (1+u)^(2n+2) (1+4u)^(-1) (Borel-Hirzebruch, Amer. J.
   Math. 80, 1958).
 
+Every ring is polynomial modulo monomial relations and a truncation, and
+the integral, a linear functional on the top degree, is the ring element
+whose coefficients are its weights.  P(E) reads its integrals off the
+Segre classes of E, int a^(r-1+j) b^(l-j) = (-1)^j h_j(d) with h_j the
+complete homogeneous symmetric polynomials of the twists (Fulton,
+*Intersection Theory*, 3.1; Bott-Tu, 20), so its ring needs no relation
+for a.  A ring thus depends only on its model's shape, and the builders
+share one ring per shape through a bounded cache.
+
 The list is stable: trivial summands are not listed, as they add nothing
 to the Pontryagin class and every genus series has constant term 1.  A
 product records its prime factors, nested products flattened, and is
-nothing more: it has no ring, roots or pairing monomial of its own.  Its
+nothing more: it has no ring, roots or integral of its own.  Its
 Pontryagin numbers are folded from its factors' (Whitney product formula,
 Milnor-Stasheff, *Characteristic Classes*, 15).  Models are immutable:
 each attribute is set once.
-
-A family scan builds a few equal rings many times, and a ring's
-reduction table is its one memo, so the builders hand out one ring per
-input they keep building (``_ring``).  The first build of an input
-leaves only its key, and its model owns the ring; the second build's
-ring is kept, and from the third build on that ring is returned and no
-ring is built.  One registry holds the 128 inputs built last, one-off
-and kept together, least recently built forgotten first, so memory stays
-bounded however many models a caller builds; it is read and updated
-under one lock.  An input is its integers after ``index()``, so a float
-is refused as it always was.  A ring built by hand shares nothing.
 """
 from __future__ import annotations
 
-from _thread import allocate_lock
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from operator import index
 
-from .algebra import _ZERO, GradedElement, Record, RingSpec
+from .algebra import _ZERO, GradedElement, Record, RingSpec, _dot, _element
 from .errors import brief
 
 __all__ = [
@@ -87,11 +84,12 @@ class LineBundleSum(Record):
 class ManifoldModel:
     """Everything the genus and cobordism machinery needs about one manifold.
 
-    factors is empty on a prime model and lists a product's prime factors, in order; a product's ring
-    and roots are None and its pairing monomial is empty, as everything is read off its factors.
+    The integral is a top-degree element of the ring: a class pairs to the dot of its coefficients
+    with the integral's.  factors is empty on a prime model and lists a product's prime factors, in
+    order; a product's ring, roots and integral are None, as everything is read off its factors.
     Attributes are read-only; models are equal only when identical."""
 
-    __slots__ = ("name", "real_dimension", "ring", "roots", "pairing_exponents", "spin",
+    __slots__ = ("name", "real_dimension", "ring", "roots", "integral", "spin",
                  "curvature_certificate", "factors")
     # read-only fields as a Record has, but not its equality and hash: the roots are unhashable
     _fill, __setattr__, __delattr__ = Record._fill, Record.__setattr__, Record.__delattr__
@@ -102,7 +100,7 @@ class ManifoldModel:
         real_dimension: int,
         ring: RingSpec | None,
         roots: Sequence[tuple[GradedElement, int]] | None,
-        pairing_exponents: tuple[int, ...],
+        integral: GradedElement | None,
         spin: bool,
         curvature_certificate: str | None = None,
         factors: Sequence[ManifoldModel] = (),
@@ -110,16 +108,16 @@ class ManifoldModel:
         if real_dimension < 0 or real_dimension % 2:
             raise ValueError("models here all have even nonnegative dimension")
         if factors:
-            if ring is not None or roots is not None or pairing_exponents or any(f.factors for f in factors) \
+            if ring is not None or roots is not None or integral is not None or any(f.factors for f in factors) \
                     or real_dimension != sum(f.real_dimension for f in factors):
-                raise ValueError("a product has prime factors, their dimension and no ring, roots or pairing monomial")
+                raise ValueError("a product has prime factors, their dimension and no ring, roots or integral")
         elif ring is None or roots is None:
             raise ValueError("a prime model has a ring and roots")
-        elif len(pairing_exponents) != ring.ngens:
-            raise ValueError("pairing monomial does not match the ring")
-        elif ring.degree_of(pairing_exponents) != real_dimension:
-            raise ValueError("pairing monomial degree must equal the real dimension")
-        self._fill(name, real_dimension, ring, None if factors else tuple(roots), tuple(pairing_exponents),
+        elif not isinstance(integral, GradedElement) or integral.ring != ring:
+            raise ValueError("the integral is not an element of the ring")
+        elif not integral or any(ring.degree_of(ring.exponents(c)) != real_dimension for c in integral.num):
+            raise ValueError("the integral must be nonzero and of degree the real dimension")
+        self._fill(name, real_dimension, ring, None if factors else tuple(roots), integral,
                    bool(spin), curvature_certificate, tuple(factors))
 
     def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__, a product from its factors
@@ -132,87 +130,75 @@ class ManifoldModel:
 # ---------------------------------------------------------------------------
 # builders
 
-_KEPT = 128  # how many inputs _RINGS remembers, least recently built first
-_RINGS: dict[tuple, RingSpec | None] = {}  # builder input -> None once built, then the ring its builds share
-_BUILDING = allocate_lock()  # _ring reads and updates _RINGS at once
 
-
-def _ring(generators: tuple, top: int, rules: dict) -> RingSpec:
-    """RingSpec(generators, top, rules), kept for an input built again (module docstring).  A
-    builder passes its integers after ``index()``: a float compares equal to the int it spells,
-    so a lookup by it would skip the checks that refuse it."""
-    key = (generators, top, tuple((g, p, tuple(rhs.items())) for g, (p, rhs) in rules.items()))
-    with _BUILDING:
-        built = key in _RINGS
-        ring = _RINGS.pop(key, None)  # popped to go back last
-        if ring is None:
-            ring = RingSpec(generators, top, rules)
-        _RINGS[key] = ring if built else None  # kept from the second build on
-        if len(_RINGS) > _KEPT:
-            del _RINGS[next(iter(_RINGS))]
-    return ring
+@lru_cache(maxsize=256)  # one ring per shape: the point, CP^n, HP^n and P(E) of dimension <= 32 are 161
+def _shape_ring(generators: tuple, top: int, powers: tuple = ()) -> RingSpec:
+    """RingSpec(generators, top) with g**p = 0 for (g, p) in powers, shared by every model of one
+    shape.  A builder passes its integers after ``index()``: a float equals the int it spells."""
+    return RingSpec(generators, top, {g: (p, {}) for g, p in powers})
 
 
 def build_point() -> ManifoldModel:
-    ring = RingSpec([], 0)
-    return ManifoldModel("pt", 0, ring, (), (), spin=True)
+    ring = _shape_ring((), 0)
+    return ManifoldModel("pt", 0, ring, (), ring.one(), spin=True)
 
 
 def build_cp(n: int) -> ManifoldModel:
-    """Complex projective space CP^n: ring Q[b]/(b^(n+1)), Pontryagin root b^2 of multiplicity n+1."""
+    """Complex projective space CP^n: ring Q[b] truncated at 2n, Pontryagin root b^2 of multiplicity
+    n+1, and int b^n = 1."""
     n = index(n)
     if n < 1:
         raise ValueError("CP^n needs n >= 1")
-    ring = _ring((("b", 2),), 2 * n, {"b": (n + 1, {})})
+    ring = _shape_ring((("b", 2),), 2 * n)
     b = ring.gen("b")
     # first Chern class of the stable splitting is (n+1) b
     return ManifoldModel(
-        f"cp:{n}", 2 * n, ring, ((b * b, n + 1),), (n,), spin=(n % 2 == 1),
+        f"cp:{n}", 2 * n, ring, ((b * b, n + 1),), ring.element({(n,): 1}), spin=(n % 2 == 1),
         curvature_certificate="symmetric space metric",
     )
 
 
 def build_hp(n: int) -> ManifoldModel:
-    """Quaternionic projective space HP^n: ring Q[u]/(u^(n+1)), Pontryagin
-    roots u of multiplicity 2n+2 and 4u of multiplicity -1."""
+    """Quaternionic projective space HP^n: ring Q[u] truncated at 4n, Pontryagin
+    roots u of multiplicity 2n+2 and 4u of multiplicity -1, and int u^n = 1."""
     n = index(n)
     if n < 1:
         raise ValueError("HP^n needs n >= 1")
-    ring = _ring((("u", 4),), 4 * n, {"u": (n + 1, {})})
+    ring = _shape_ring((("u", 4),), 4 * n)
     u = ring.gen("u")
     return ManifoldModel(
-        f"hp:{n}", 4 * n, ring, ((u, 2 * n + 2), (u * 4, -1)), (n,), spin=True,
+        f"hp:{n}", 4 * n, ring, ((u, 2 * n + 2), (u * 4, -1)), ring.element({(n,): 1}), spin=True,
         curvature_certificate="symmetric space metric",
     )
 
 
 def build_proj_bundle(bundle: LineBundleSum) -> ManifoldModel:
-    """Projectivization P(E) of a sum of line bundles E over CP^l.
+    """Projectivization P(E) of a sum of r line bundles E over CP^l.
 
     With a the first Chern class of the tautological quotient line
     bundle and b the base hyperplane class, the cohomology ring is
-    generated by a, b subject to b^(l+1) = 0 and the defining relation
-    a^r = -sum_{i>=1} e_i(d) a^(r-i) b^i, where the e_i are the
-    elementary symmetric functions of the twisting degrees d.  The
-    stable complex tangent roots are (l+1) copies of b from the base
-    plus a + d_i b from the bundle along the fibres; their squares are
-    the Pontryagin roots, one per distinct d.  For r >= 2 the roots
-    a + d b are distinct, and for r = 1 the ring rewrites a to -d b.
+    Q[a, b]/(b^(l+1), a^r + sum_{i>=1} e_i(d) a^(r-i) b^i), the e_i the
+    elementary symmetric functions of the twisting degrees d.  The model
+    keeps Q[a, b]/(b^(l+1)) truncated at 2(l+r-1); its integral kills the
+    second relation.  The stable complex tangent roots are (l+1) copies
+    of b plus a + d_i b; their squares are the Pontryagin roots, one per
+    distinct d.  For r = 1 the integral reads a as -d b: P(L^d) is CP^l.
     """
     l, degrees, r = bundle.base_dim, bundle.degrees, bundle.rank
     dim = 2 * (l + r - 1)
-    e = [1]  # coefficients of prod (1 + d x), so e[i] = e_i(d)
+    h = [1] + [0] * l  # coefficients of prod 1 / (1 - d x), so h[j] = h_j(d)
     for d in degrees:
-        e = [a + d * b for a, b in zip(e + [0], [0] + e)]
-    rhs = {(r - i, i): -e[i] for i in range(1, r + 1) if e[i]}
-    ring = _ring((("a", 2), ("b", 2)), dim, {"a": (r, rhs), "b": (l + 1, {})})
+        for j in range(1, l + 1):
+            h[j] += d * h[j - 1]
+    ring = _shape_ring((("a", 2), ("b", 2)), dim, (("b", l + 1),))
     a, b = ring.gen("a"), ring.gen("b")
     roots = [(b ** 2, l + 1)] + [((a + b * d) ** 2, m) for d, m in Counter(degrees).items()]
-    c1 = a * r + b * (l + 1 + sum(degrees))  # the sum of the complex roots
+    integral = _element(ring, 1, {ring.code((r - 1 + j, l - j)): (-1) ** j * h[j] for j in range(l + 1) if h[j]})
     name = f"pb:{l}:[{','.join(str(d) for d in degrees)}]"
     cert = f"T^2 quotient of S^{2 * l + 1} x S^{2 * r - 1}"
-    spin = c1.den == 1 and all(n % 2 == 0 for n in c1.num.values())
-    return ManifoldModel(name, dim, ring, roots, (r - 1, l), spin=spin, curvature_certificate=cert)
+    # c1 = r a + (l+1+sum d) b, the sum of the complex roots; for r = 1, a = -d b makes it (l+1) b
+    spin = l % 2 == 1 if r == 1 else r % 2 == 0 and (l + 1 + sum(degrees)) % 2 == 0
+    return ManifoldModel(name, dim, ring, roots, integral, spin=spin, curvature_certificate=cert)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +211,7 @@ def product(m1: ManifoldModel, m2: ManifoldModel) -> ManifoldModel:
     factors = (m1.factors or (m1,)) + (m2.factors or (m2,))
     cert = (f"product: {m1.curvature_certificate} x {m2.curvature_certificate}"
             if m1.curvature_certificate and m2.curvature_certificate else None)
-    return ManifoldModel(f"prod({m1.name},{m2.name})", m1.real_dimension + m2.real_dimension, None, None, (),
+    return ManifoldModel(f"prod({m1.name},{m2.name})", m1.real_dimension + m2.real_dimension, None, None, None,
                          m1.spin and m2.spin, cert, factors)
 
 
@@ -308,18 +294,18 @@ def _pair_monomials(m: ManifoldModel, classes: Sequence[GradedElement],
             prefixes[parts] = x
         return x
 
-    top = m.pairing_exponents
     return [pair(m, monomial(I)) if len(I) < 2
-            else monomial(I[:-1]).product_coefficient(classes[I[-1] - 1], top)
+            else monomial(I[:-1]).product_coefficient(classes[I[-1] - 1], m.integral)
             for I in partitions]
 
 
 def pair(m: ManifoldModel, x: GradedElement) -> Fraction:
-    """Evaluate a class against the fundamental class: the coefficient of
-    the pairing monomial in normal form.  A product has none: a ValueError."""
-    if x.ring != _own_ring(m):
+    """Evaluate a class against the fundamental class: the dot of its
+    coefficients with the integral's.  A product has none: a ValueError."""
+    ring = _own_ring(m)
+    if x.ring != ring:
         raise ValueError(f"class does not live in the cohomology of {m.name}")
-    return x.coefficient(m.pairing_exponents)
+    return _dot(x.num, x.den, m.integral)
 
 
 def _own_ring(m: ManifoldModel) -> RingSpec:

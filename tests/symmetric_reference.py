@@ -28,8 +28,9 @@ the public elliptic values.
 A product model in the library has no ring: its numbers and genera are
 read off its factors.  ``product_ring`` builds the ring it would have,
 the tensor product of its factors' rings, with their roots embedded by
-``embed``, and ``ring_model`` wraps that as one prime model, the oracle
-that the fold of a product's Pontryagin numbers is compared with.
+``embed``, and ``ring_model`` wraps that as one prime model integrating
+by the product of its factors' integrals, the oracle that the fold of a
+product's Pontryagin numbers is compared with.
 ``full_class`` is the full class prod f(t)^m of a series on a list of
 roots, in every degree, exponentiated in the ring by the library's
 ``_exp`` recurrence (plain sums and products, so ring elements serve as
@@ -312,27 +313,31 @@ def embed(element, target, offset):
 
 def product_ring(factors):
     """The ring of a product of prime models, in one pass over them, and their roots embedded in it.
-    Generator g of the i-th factor is g_i, unique as the text after its last underscore is i."""
+    Generator g of the i-th factor is g_i, unique as the text after its last underscore is i.  It
+    keeps each factor's relations, and a power of a generator above its factor's top is zero too."""
     offsets = list(accumulate((f.ring.ngens for f in factors), initial=0))
-    gens, rules = [], {}
-    for i, (f, offset) in enumerate(zip(factors, offsets), 1):
+    gens, relations = [], {}
+    for i, f in enumerate(factors, 1):
         names = [f"{g}_{i}" for g in f.ring.generators]
         gens += zip(names, f.ring.degrees)
-        left, right = (0,) * offset, (0,) * (offsets[-1] - offset - f.ring.ngens)
-        for g, (power, rhs) in f.ring.rules.items():
-            rules[names[g]] = (power, {left + exps + right: c for exps, c in rhs.items()})
-    ring = RingSpec(gens, sum(f.real_dimension for f in factors), rules)
+        powers = dict(f.ring._powers)
+        for g, (name, d) in enumerate(zip(names, f.ring.degrees)):
+            relations[name] = (powers.get(g, f.ring.truncation_dimension // d + 1), {})
+    ring = RingSpec(gens, sum(f.real_dimension for f in factors), relations)
     return ring, tuple((embed(t, ring, offset), mult) for f, offset in zip(factors, offsets) for t, mult in f.roots)
 
 
 def ring_model(m):
-    """m itself when prime; a product as one prime model on product_ring of its factors, the
-    pairing monomial the factors' concatenated."""
+    """m itself when prime; a product as one prime model on product_ring of its factors, its
+    integral the product of the factors' integrals."""
     if not m.factors:
         return m
     ring, roots = product_ring(m.factors)
-    pairing = sum((f.pairing_exponents for f in m.factors), ())
-    return ManifoldModel(m.name, m.real_dimension, ring, roots, pairing, m.spin, m.curvature_certificate)
+    weights = {(): 1}
+    for f in m.factors:
+        weights = {e + fe: w * fw for e, w in weights.items() for fe, fw in f.integral.terms.items()}
+    return ManifoldModel(m.name, m.real_dimension, ring, roots, ring.element(weights), m.spin,
+                         m.curvature_certificate)
 
 
 def full_class(series, roots):

@@ -75,7 +75,7 @@ class TestCharacteristicSeries:
         s = CharacteristicSeries.ahat_genus(3)
         assert list(s.coeffs[:4]) == [F(1), F(-1, 24), F(7, 5760), F(-31, 967680)]
 
-    def test_evaluate_at_ring_element(self):
+    def test_full_class_ring_element(self):
         m = build_cp(2)
         x = m.ring.gen(m.ring.generators[0])
         s = CharacteristicSeries.l_genus(2)
@@ -83,7 +83,7 @@ class TestCharacteristicSeries:
         value, = ref.full_class(s, [(x * x, 1)])
         assert value.terms == {(0,): F(1), (2,): F(1, 3)}
 
-    def test_evaluate_at_negative_multiplicity(self):
+    def test_full_class_negative_multiplicity(self):
         # f(4u)^(-1) on HP^3, u^4 = 0: the inverse series at order 3
         u = build_hp(3).ring.gen("u")
         s = CharacteristicSeries.l_genus(5)
@@ -631,7 +631,7 @@ class TestCachedSequencesAreReadOnly:
 def _parallelizable_s2_s2() -> ManifoldModel:
     """S^2 x S^2 with a stably trivial tangent bundle: no Pontryagin roots."""
     ring = RingSpec([("a", 2), ("b", 2)], 4, {"a": (2, {}), "b": (2, {})})
-    return ManifoldModel("s2xs2", 4, ring, [], (1, 1), spin=True)
+    return ManifoldModel("s2xs2", 4, ring, [], ring.element({(1, 1): 1}), spin=True)
 
 
 class TestModelWithoutRoots:

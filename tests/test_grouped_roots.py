@@ -66,7 +66,7 @@ _ROOT_CHOICES = (_A, _B, _A + _B, _A - _B, _A * 2, -_B)
 def _explicit(roots) -> ManifoldModel:
     """A dim-8 model on Q[a, b]/(a^3, b^3) with the given complex roots,
     one Pontryagin root each, repeated squares left ungrouped."""
-    return ManifoldModel("explicit", 8, _AB, [(x * x, 1) for x in roots], (2, 2), spin=False)
+    return ManifoldModel("explicit", 8, _AB, [(x * x, 1) for x in roots], _AB.element({(2, 2): 1}), spin=False)
 
 
 NO_REPEATED_ROOT = _explicit([_A, _B, _A + _B, _A - _B])
@@ -266,7 +266,7 @@ def skewed_groups(request, monkeypatch):
 
     def skewed(series, m):
         roots = [(t, mult + request.param if t == first else mult) for t, mult in m.roots]
-        return original(series, ManifoldModel(m.name, m.real_dimension, m.ring, roots, m.pairing_exponents, m.spin))
+        return original(series, ManifoldModel(m.name, m.real_dimension, m.ring, roots, m.integral, m.spin))
 
     monkeypatch.setattr(CharacteristicSeries, "evaluate_at", skewed)
 

@@ -5,8 +5,9 @@ Oracles: hand-expanded Pontryagin classes from the root description
 (frozen below), classical total Pontryagin classes of quaternionic
 projective space recomputed here with independent list arithmetic,
 classical spin criteria, for a product, which has no ring, the ring it
-would have (``ring_model`` in ``symmetric_reference``), and for a ring the
-builders keep, an equal ring built by hand with a cold table.
+would have (``ring_model`` in ``symmetric_reference``), and for the
+integral of P(E), the relation it must kill and its normalization, read
+off the elementary symmetric functions of the twists.
 """
 import copy
 import pickle
@@ -15,7 +16,7 @@ import re
 import sys
 import threading
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import combinations
 from math import comb, prod
 
 import pytest
@@ -23,8 +24,8 @@ from hypothesis import given, settings, strategies as st
 
 import symmetric_reference as ref
 from ellcob import manifolds
-from ellcob.algebra import GradedElement, RingSpec
-from ellcob.cobordism import Partition, basis_manifolds, x12
+from ellcob.algebra import GradedElement, RationalMatrix, RingSpec
+from ellcob.cobordism import Partition, basis_manifolds, partitions_of, pontryagin_numbers, x12
 from ellcob.genera import elliptic_q_coefficients, signature
 from ellcob.manifolds import (
     LineBundleSum,
@@ -53,7 +54,7 @@ class TestBuilders:
         m = build_cp(3)
         assert m.real_dimension == 6
         assert m.name == "cp:3"
-        # pairing monomial is the top power of the hyperplane class
+        # the integral reads the top power of the hyperplane class
         x = m.ring.gen(m.ring.generators[0])
         assert pair(m, x ** 3) == F(1)
         assert pair(m, x ** 2) == F(0)
@@ -94,151 +95,42 @@ class TestBuilders:
         u = m.ring.gen(m.ring.generators[0])
         assert pair(m, u * u) == F(1)
 
+    def test_models_of_one_shape_share_a_ring(self):
+        # a ring depends on the base and the rank alone: the twists live in the integral and roots
+        bundles = [build_proj_bundle(LineBundleSum(2, degrees)) for degrees in ((1, 0), (0, 1), (3, -7), (5, 5))]
+        assert all(m.ring is bundles[0].ring for m in bundles)
+        assert bundles[0].integral == bundles[1].integral != bundles[2].integral != bundles[3].integral
+        assert build_cp(3).ring is build_cp(3).ring and build_hp(2).ring is build_hp(2).ring
+        others = [build_proj_bundle(LineBundleSum(2, (1, 0, 0))).ring, build_proj_bundle(LineBundleSum(3, (1, 0))).ring,
+                  build_cp(2).ring, build_hp(1).ring, bundles[0].ring]
+        assert len({id(ring) for ring in others}) == len(set(others)) == 5
 
-FRESH = count(1000)  # inputs no other test builds: n of CP^n and HP^n, twists d of P(L^d + 1) over CP^1
-FRESH_BUILDS = {"cp": build_cp, "hp": build_hp, "pb": lambda d: build_proj_bundle(LineBundleSum(1, (d, 0)))}
-
-
-def fresh_bundle():
-    """P(L^d + 1) over CP^1 for a d no other build uses; its ring has the rule a^2 = -d a b."""
-    return LineBundleSum(1, (next(FRESH), 0))
-
-
-def newest():
-    """The registry's newest entry: (input, None or the ring its builds share)."""
-    return next(reversed(manifolds._RINGS.items()))
-
-
-def kept_rings():
-    return [ring for ring in manifolds._RINGS.values() if ring is not None]
-
-
-@pytest.fixture
-def inits(monkeypatch):
-    """The arguments of every RingSpec built from here on, in order."""
-    calls, init = [], RingSpec.__init__
-    monkeypatch.setattr(RingSpec, "__init__", lambda ring, *args: calls.append(args) or init(ring, *args))
-    return calls
-
-
-def cold_twin(ring):
-    """A ring equal to ``ring`` built by hand, so with a cold table of its own."""
-    return RingSpec(list(zip(ring.generators, ring.degrees)), ring.truncation_dimension,
-                    {ring.generators[g]: (p, rhs) for g, (p, rhs) in ring.rules.items()})
-
-
-class TestSharedRings:
-    """The builders hand out one ring per input they keep building: the first build of an input
-    leaves only its key in ``manifolds._RINGS``, the second build's ring is kept there, and every
-    later build returns that ring and builds none.  The registry keeps the inputs built last."""
-
-    def test_a_one_off_input_keeps_only_its_key(self):
-        bundle = fresh_bundle()
-        m = build_proj_bundle(bundle)
-        a, b = m.ring.gen("a"), m.ring.gen("b")
-        assert a * a == b * a * -bundle.degrees[0] and m.ring._table  # the model's own table is filled
-        assert newest()[1] is None
-        assert all(ring is not m.ring for ring in kept_rings())
-
-    @pytest.mark.parametrize("builder", FRESH_BUILDS)
-    def test_the_third_build_returns_the_second_builds_ring(self, builder, inits):
-        n = next(FRESH)
-        first, second, third, fourth = (FRESH_BUILDS[builder](n) for _ in range(4))
-        assert len(inits) == 2  # the first two builds; the third and fourth build no ring
-        assert first.ring == second.ring and first.ring is not second.ring
-        assert second.ring is third.ring is fourth.ring is newest()[1]
-        assert first.ring._table is not second.ring._table
-        assert third is not fourth and pair(fourth, fourth.ring.element({fourth.pairing_exponents: 1})) == 1
-
-    @pytest.mark.parametrize("build", [build_cp, build_hp, lambda n: build_proj_bundle(LineBundleSum(3, (n, 0)))],
+    @pytest.mark.parametrize("build", [build_cp, build_hp, lambda n: build_proj_bundle(LineBundleSum(n, (1, 0)))],
                              ids=["cp", "hp", "pb"])
-    def test_a_float_is_refused_after_its_int_was_built_three_times(self, build):
-        # 2.0 equals 2 and hashes alike: a lookup by it would serve the ring kept for 2
-        built = [build(2) for _ in range(3)]
-        assert built[1].ring is built[2].ring
+    def test_a_float_is_refused_after_its_int_was_built(self, build):
+        # 2.0 equals 2 and hashes alike: a lookup by it would serve the ring shared by 2
+        assert build(2).ring is build(2).ring
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             build(2.0)
 
-    def test_rings_differing_in_a_twist_or_a_builder_never_share(self):
-        d = next(FRESH)
-        builds = [lambda: build_cp(d), lambda: build_hp(d), lambda: build_proj_bundle(LineBundleSum(1, (d, 0))),
-                  lambda: build_proj_bundle(LineBundleSum(1, (-d, 0))), lambda: build_proj_bundle(LineBundleSum(1, (0, d)))]
-        rings = [[build().ring for _ in range(3)][1:] for build in builds]
-        assert all(second is third for second, third in rings)
-        assert len({id(second) for second, _ in rings}) == 4
-        # P(L^d + 1) and P(1 + L^d) give the builder one ring input, so the second is its fourth build
-        assert rings[2][0] is rings[4][0] and rings[2][0] != rings[3][0]
+    def test_the_shape_cache_is_bounded(self):
+        bound = manifolds._shape_ring.cache_info().maxsize
+        rings = [build_cp(n).ring for n in range(1, bound + 11)]
+        assert manifolds._shape_ring.cache_info().currsize == bound
+        assert build_cp(bound + 10).ring is rings[-1] and build_cp(1).ring == rings[0]
 
-    def test_the_registry_holds_at_most_the_bound(self):
-        bound, kept = manifolds._KEPT, []
-        for _ in range(3 * bound):
-            bundle = fresh_bundle()
-            build_proj_bundle(bundle)
-            kept.append(build_proj_bundle(bundle).ring)
-        assert len(manifolds._RINGS) == bound
-        assert all(ring is last for ring, last in zip(manifolds._RINGS.values(), kept[-bound:], strict=True))
-
-    def test_the_bound_counts_one_off_and_kept_inputs_together(self):
-        bound, kept = manifolds._KEPT, []
-        for _ in range(bound):
-            bundle = fresh_bundle()
-            kept.append([build_proj_bundle(bundle) for _ in range(2)][1].ring)
-        for _ in range(bound // 2):
-            build_proj_bundle(fresh_bundle())
-        rings = list(manifolds._RINGS.values())
-        assert len(rings) == bound and rings[bound // 2:] == [None] * (bound // 2)
-        assert all(ring is last for ring, last in zip(rings[:bound // 2], kept[bound // 2:], strict=True))
-
-    def test_the_input_built_least_recently_is_forgotten_first(self, inits):
-        bound = manifolds._KEPT
-        bundles = [fresh_bundle() for _ in range(bound)]
-        kept = [[build_proj_bundle(bundle) for _ in range(2)][1].ring for bundle in bundles]
-        # built again, the oldest input becomes the newest
-        assert build_proj_bundle(bundles[0]).ring is kept[0] is newest()[1]
-        build_proj_bundle(fresh_bundle())  # one input past the bound
-        rings = list(manifolds._RINGS.values())
-        assert rings[-2:] == [kept[0], None]
-        assert any(ring is kept[0] for ring in rings) and all(ring is not kept[1] for ring in rings)
-        # a forgotten input starts again from its first build
-        built = len(inits)
-        again = build_proj_bundle(bundles[1]).ring
-        assert len(inits) == built + 1 and again == kept[1] and again is not kept[1] and newest()[1] is None
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 3), st.lists(st.integers(-3, 3), min_size=1, max_size=4), st.randoms(use_true_random=False))
-    def test_products_on_a_kept_ring_filled_by_earlier_models_match_a_cold_ring(self, l, degrees, rng):
-        bundle = LineBundleSum(l, tuple(degrees))
-        ring = [build_proj_bundle(bundle) for _ in range(3)][2].ring
-        for code in range(prod(ring._bases)):  # an earlier model fills every entry
-            if code not in ring._table:
-                ring._reduce(code)
-        assert build_proj_bundle(bundle).ring is ring
-        twin = cold_twin(ring)
-        x, y = ({tuple(rng.randint(0, 3) for _ in ring.generators): F(rng.randint(-5, 5), rng.randint(1, 3))
-                 for _ in range(5)} for _ in range(2))
-        on_kept = GradedElement(ring, x) * GradedElement(ring, y)
-        assert dict(on_kept.terms) == dict((GradedElement(twin, x) * GradedElement(twin, y)).terms)
-
-    def test_threads_building_equal_rings_at_once(self):
-        # inputs no other test builds, each built once here and then once by every worker, all
-        # workers on one input at a time: every worker's build returns the ring the second build kept
-        bundles = [fresh_bundle() for _ in range(16)]
-        rng = random.Random("threads")
-        cases = []
-        for bundle in bundles:
-            twin = cold_twin(build_proj_bundle(bundle).ring)
-            x, y = ({(rng.randint(0, 2), rng.randint(0, 2)): F(rng.randint(-5, 5), rng.randint(1, 3))
-                     for _ in range(4)} for _ in range(2))
-            cases.append((bundle, x, y, GradedElement(twin, x) * GradedElement(twin, y)))
-        workers, built, errors = 8, [[] for _ in bundles], []
+    def test_threads_building_one_shape_at_once(self):
+        # every worker builds the same fresh shapes at once and fills their memos together
+        bundles = [LineBundleSum(4, (d, 0, 1)) for d in range(-3, 5)]
+        expected = [pontryagin_numbers(build_proj_bundle(bundle)) for bundle in bundles]
+        manifolds._shape_ring.cache_clear()
+        workers, results, errors = 4, [], []
         together = threading.Barrier(workers, timeout=60)
 
         def work():
             try:
-                for i, (bundle, x, y, expected) in enumerate(cases):
-                    together.wait()
-                    ring = build_proj_bundle(bundle).ring
-                    built[i].append((ring, (GradedElement(ring, x) * GradedElement(ring, y)).terms == expected.terms))
+                together.wait()
+                results.append([pontryagin_numbers(build_proj_bundle(bundle)) for bundle in bundles])
             except Exception as error:  # reported below; a thread cannot raise into the test
                 errors.append(error)
 
@@ -252,12 +144,8 @@ class TestSharedRings:
                 thread.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
-        for rings in built:
-            assert len(rings) == workers and all(ok for _, ok in rings)
-            assert all(ring is rings[0][0] for ring, _ in rings)
-            assert any(ring is rings[0][0] for ring in kept_rings())
+        assert not any(thread.is_alive() for thread in threads) and errors == []
+        assert results == [expected] * workers
 
 
 class TestProjBundle:
@@ -288,25 +176,48 @@ class TestProjBundle:
             expected = {e: v for e, v in expected.items() if v}
             assert p1.terms == expected, c
 
-    def test_defining_relation(self):
-        # a^4 = -c a^3 b for degrees (c,0,0,0): e_1 = c, higher e_i vanish
-        m = build_proj_bundle(LineBundleSum(3, (2, 0, 0, 0)))
-        a = m.ring.gen("a")
-        assert (a ** 4).terms == {(3, 1): F(-2)}
+    @staticmethod
+    def seeded_bundles(r):
+        """Rank-r bundles over CP^1..CP^6, four each with twists small, large and huge."""
+        rng = random.Random(r)
+        for bound in (3, 10 ** 3, 10 ** 30):
+            for _ in range(4):
+                yield LineBundleSum(rng.randint(1, 6), tuple(rng.randint(-bound, bound) for _ in range(r)))
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=1, max_size=8))
-    def test_relation_coefficients_are_elementary_symmetric(self, degrees):
-        # a^r = -sum e_i(d) a^(r-i) b^i, each e_i summed here over all i-subsets of the degrees
-        r = len(degrees)
-        m = build_proj_bundle(LineBundleSum(1, tuple(degrees)))
-        e = {i: sum(prod(subset) for subset in combinations(degrees, i)) for i in range(1, r + 1)}
-        assert m.ring.rules[0] == (r, {(r - i, i): F(-e[i]) for i in e if e[i]})
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_the_integral_kills_the_defining_relation(self, r):
+        # a^r + sum e_i(d) a^(r-i) b^i = 0 in H*(P(E)), each e_i summed here over all i-subsets of
+        # the degrees, so the integral kills it times every monomial of complementary degree
+        for bundle in self.seeded_bundles(r):
+            l, degrees = bundle.base_dim, bundle.degrees
+            m = build_proj_bundle(bundle)
+            relation = m.ring.element({(r - i, i): sum(map(prod, combinations(degrees, i))) for i in range(r + 1)})
+            for j in range(l):
+                assert pair(m, relation * m.ring.element({(j, l - 1 - j): 1})) == 0, (bundle, j)
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_the_integral_of_the_fibre_times_the_base_is_one(self, r):
+        # <a^(r-1) b^l> = 1: a^(r-1) restricts to the fibre's top class, b^l is the base's
+        for bundle in self.seeded_bundles(r):
+            m = build_proj_bundle(bundle)
+            assert pair(m, m.ring.element({(r - 1, bundle.base_dim): 1})) == 1, bundle
 
     @pytest.mark.parametrize("d", [1, -7, 10 ** 100])
-    def test_relation_coefficients_of_sixteen_equal_degrees(self, d):
-        m = build_proj_bundle(LineBundleSum(1, (d,) * 16))
-        assert m.ring.rules[0] == (16, {(16 - i, i): F(-comb(16, i) * d ** i) for i in range(1, 17)})
+    def test_the_integral_of_sixteen_equal_degrees(self, d):
+        # h_j of sixteen equal twists d is C(15 + j, j) d^j
+        m = build_proj_bundle(LineBundleSum(4, (d,) * 16))
+        assert m.integral.terms == {(15 + j, 4 - j): F((-1) ** j * comb(15 + j, j) * d ** j) for j in range(5)}
+
+    @pytest.mark.parametrize("l", range(1, 9))
+    def test_a_rank_one_bundle_is_the_base(self, l):
+        # P(L^d) = CP^l, with a = -d b; every partition of weight up to dim/4, the Pontryagin numbers
+        # among them when 4 | 2l
+        cp = build_cp(l)
+        partitions = [tuple(I) for k in range(l // 2 + 1) for I in partitions_of(k)]
+        for d in (-3, 0, 2, 7):
+            m = build_proj_bundle(LineBundleSum(l, (d,)))
+            assert is_spin(m) == is_spin(cp), (l, d)
+            assert pontryagin_products(m, partitions) == pontryagin_products(cp, partitions), (l, d)
 
     def test_pairing_normalization(self):
         # <a^(r-1) b^l> = 1: the fibre-times-base fundamental monomial
@@ -314,17 +225,15 @@ class TestProjBundle:
         a, b = m.ring.gen("a"), m.ring.gen("b")
         assert pair(m, a ** 3 * b ** 3) == F(1)
 
-    def test_normal_monomial_basis(self):
-        # normal monomials a^i b^j, i <= r-1, j <= l: free module of rank r(l+1)
-        m = build_proj_bundle(LineBundleSum(3, (2, 0, 0, 0)))
-        normal = [
-            (i, j)
-            for i in range(10)
-            for j in range(10)
-            if m.ring.element({(i, j): 1}).terms == {(i, j): F(1)}
-        ]
-        assert len(normal) == 16
-        assert all(i <= 3 and j <= 3 for i, j in normal)
+    @pytest.mark.parametrize("l, degrees", [(3, (2, 0, 0, 0)), (1, (5,)), (2, (1, -3, 4)), (4, (0, 0))])
+    def test_the_integral_pairs_with_rank_r_times_l_plus_1(self, l, degrees):
+        # Poincare duality: H*(P(E)) is free of rank r(l+1), so the pairing <x y> on the monomials
+        # a^i b^j of Q[a, b]/(b^(l+1)) up to the top has that rank, its kernel the defining relation
+        m = build_proj_bundle(LineBundleSum(l, degrees))
+        r = len(degrees)
+        monomials = [m.ring.element({(i, j): 1}) for j in range(l + 1) for i in range(l + r - j)]
+        rows = [[pair(m, x * y) for y in monomials] for x in monomials]
+        assert RationalMatrix(rows).rank() == r * (l + 1)
 
     def test_tangent_data_read_off_the_twist_degrees(self):
         # seeded bundles over CP^1..CP^8 of rank 1..8, rank-1 bundles over
@@ -346,9 +255,11 @@ class TestProjBundle:
                 counts[d] = counts.get(d, 0) + 1
             fibre = tuple(((a + b * d) * (a + b * d), n) for d, n in counts.items())
             assert m.roots == ((b * b, l + 1),) + fibre, (l, degrees)
-            # spin iff the sum of all l + 1 + r complex roots has even integer coefficients
+            # spin iff the sum of all l + 1 + r complex roots has even integer coefficients,
+            # with a = -d b substituted on a rank-1 bundle
+            fibre_class = b * -degrees[0] if len(degrees) == 1 else a
             c1 = m.ring.zero()
-            for x in [b] * (l + 1) + [a + b * d for d in degrees]:
+            for x in [b] * (l + 1) + [fibre_class + b * d for d in degrees]:
                 c1 = c1 + x
             even = all(c.denominator == 1 and c.numerator % 2 == 0 for c in c1.terms.values())
             assert is_spin(m) == even, (l, degrees)
@@ -457,29 +368,33 @@ class TestProducts:
 
 
 class TestModelValidation:
-    def test_pairing_monomial_must_match_dimension(self):
-        ring = build_cp(2).ring
-        with pytest.raises(ValueError):
-            ManifoldModel("bad", 4, ring, (), (1,), spin=False)
+    def test_integral_must_be_a_top_class_of_the_ring(self):
+        cp2 = build_cp(2)
+        b = cp2.ring.gen("b")
+        for integral, reason in ((b, "of degree the real dimension"), (b * b + b, "of degree the real dimension"),
+                                 (cp2.ring.zero(), "nonzero"), ((1,), "not an element of the ring"),
+                                 (build_cp(3).ring.gen("b") ** 2, "not an element of the ring")):
+            with pytest.raises(ValueError, match=reason):
+                ManifoldModel("bad", 4, cp2.ring, (), integral, spin=False)
+        assert pair(ManifoldModel("twice", 4, cp2.ring, (), b * b * 2, spin=False), b * b) == 2
 
     def test_odd_dimension_rejected(self):
         ring = build_cp(2).ring
         with pytest.raises(ValueError):
-            ManifoldModel("bad", 3, ring, (), (2,), spin=False)
+            ManifoldModel("bad", 3, ring, (), ring.gen("b") ** 2, spin=False)
 
     @pytest.mark.parametrize("ring,roots", [(None, ()), ("cp2", None)], ids=["no_ring", "no_roots"])
     def test_prime_without_ring_or_roots_is_value_error(self, ring, roots):
         # refused like a product of the wrong shape, not by an AttributeError or TypeError on None
         ring = build_cp(2).ring if ring == "cp2" else ring
         with pytest.raises(ValueError, match="^a prime model has a ring and roots$"):
-            ManifoldModel("bad", 4, ring, roots, (2,), spin=False)
+            ManifoldModel("bad", 4, ring, roots, build_cp(2).integral, spin=False)
 
     @pytest.mark.parametrize("value", [0.5, Fraction(5, 2), "7"], ids=["float", "fraction", "str"])
     @pytest.mark.parametrize("build", [
         lambda v: RingSpec([("a", v)], 4),
         lambda v: RingSpec([("a", 2)], v),
         lambda v: RingSpec([("a", 2)], 4, {"a": (v, {})}),
-        lambda v: RingSpec([("a", 2)], 4, {"a": (2, {(v,): 1})}),
         lambda v: RingSpec([("a", 2)], 4).element({(v,): 1}),
         lambda v: LineBundleSum(3, (v, 0, 0, 0)),
         lambda v: Partition([v, 2]),
@@ -487,7 +402,7 @@ class TestModelValidation:
         lambda v: LineBundleSum(v, (1, 0)),
         lambda v: build_cp(v),
         lambda v: build_hp(v),
-    ], ids=["degree", "truncation", "rule_power", "rule_exponent", "exponent", "bundle_degree", "part", "x12",
+    ], ids=["degree", "truncation", "rule_power", "exponent", "bundle_degree", "part", "x12",
             "base_dim", "cp", "hp"])
     def test_non_integer_is_type_error(self, build, value):
         # int() would truncate a float or Fraction and parse a str, building a wrong model
@@ -517,8 +432,8 @@ class TestModelCopies:
         m = build()
         t = round_trip(m)
         assert type(t) is ManifoldModel and t is not m
-        assert (t.name, t.real_dimension, t.pairing_exponents, t.spin, t.curvature_certificate) == (
-            m.name, m.real_dimension, m.pairing_exponents, m.spin, m.curvature_certificate)
+        assert (t.name, t.real_dimension, t.integral, t.spin, t.curvature_certificate) == (
+            m.name, m.real_dimension, m.integral, m.spin, m.curvature_certificate)
         assert t.ring == m.ring and len(t.factors) == len(m.factors)
         assert signature(t) == signature(m)
         assert elliptic_q_coefficients(t, 4) == elliptic_q_coefficients(m, 4)

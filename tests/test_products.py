@@ -252,7 +252,7 @@ class TestNesting:
         # the oracle's ring: with plain digit suffixes the first factor's b1 and the eleventh's b would both be b11
         ring = RingSpec([("b1", 2)], 2, {"b1": (2, {})})
         b1 = ring.gen("b1")
-        m = ManifoldModel("hand-built cp:1", 2, ring, ((b1 * b1, 2),), (1,), spin=True)
+        m = ManifoldModel("hand-built cp:1", 2, ring, ((b1 * b1, 2),), b1, spin=True)
         for _ in range(10):
             m = product(m, build_cp(1))
         own = ref.ring_model(m)
@@ -359,34 +359,34 @@ class TestProductIsItsFactors:
                              ids=["pontryagin_classes", "total_pontryagin", "pair"])
     def test_ring_readers_refuse_a_product(self, read):
         m = parse_manifold("prod(cp:2,prod(hp:1,pb:1:[1,0]))")[0]
-        assert m.ring is None and m.roots is None and m.pairing_exponents == ()
+        assert m.ring is None and m.roots is None and m.integral is None
         with pytest.raises(ValueError, match=re.escape("is a product and has no ring of its own; "
                                                        "its factors are cp:2, hp:1, pb:1:[1,0]")):
             read(m)
 
     def test_a_product_is_checked_against_its_factors(self):
         cp, hp = build_cp(2), build_hp(1)  # dimension 4 + 4
-        for dim, ring, roots, pairing in ((8, cp.ring, None, ()), (8, None, (), ()), (8, None, None, (2,)),
-                                          (10, None, None, ())):
+        for dim, ring, roots, integral in ((8, cp.ring, None, None), (8, None, (), None), (8, None, None, cp.integral),
+                                           (10, None, None, None)):
             with pytest.raises(ValueError, match="a product has prime factors, their dimension"):
-                ManifoldModel("bad", dim, ring, roots, pairing, spin=False, factors=(cp, hp))
+                ManifoldModel("bad", dim, ring, roots, integral, spin=False, factors=(cp, hp))
         # product() flattens nested products; a hand-built model with a product among its factors is refused
         with pytest.raises(ValueError, match="a product has prime factors"):
-            ManifoldModel("nested", 12, None, None, (), spin=False, factors=(cp, product(cp, hp)))
-        assert ManifoldModel("good", 8, None, None, (), spin=False, factors=(cp, hp)).factors == (cp, hp)
+            ManifoldModel("nested", 12, None, None, None, spin=False, factors=(cp, product(cp, hp)))
+        assert ManifoldModel("good", 8, None, None, None, spin=False, factors=(cp, hp)).factors == (cp, hp)
 
     def test_parsing_numbers_and_genera_build_only_the_primes(self, monkeypatch):
-        # rings the builders ask for, kept or not, and rings built (the builders may hand out kept
-        # rings, so what ran before decides how many of theirs are built)
+        # rings the builders ask for, shared or not, and rings built (the builders share one ring
+        # per shape, so what ran before decides how many of theirs are built)
         requested, built = [], []
-        ring, init = manifolds._ring, RingSpec.__init__
+        ring, init = manifolds._shape_ring, RingSpec.__init__
 
         def counting(r, generators, *args):
             init(r, generators, *args)
             if r.generators != ("q",):  # a q-series ring, built once per q-order
                 built.append(r.ngens)
 
-        monkeypatch.setattr(manifolds, "_ring", lambda generators, *args: requested.append(len(generators))
+        monkeypatch.setattr(manifolds, "_shape_ring", lambda generators, *args: requested.append(len(generators))
                             or ring(generators, *args))
         monkeypatch.setattr(RingSpec, "__init__", counting)
         m, _ = parse_manifold(EIGHT_GENERATORS)
@@ -408,8 +408,8 @@ class TestProductIsItsFactors:
         m, _ = parse_manifold(EIGHT_GENERATORS)
         c = clone(m)
         assert type(c) is ManifoldModel and c is not m
-        assert (c.name, c.real_dimension, c.ring, c.roots, c.pairing_exponents, c.spin, c.curvature_certificate) == \
-            (m.name, m.real_dimension, None, None, (), m.spin, m.curvature_certificate)
+        assert (c.name, c.real_dimension, c.ring, c.roots, c.integral, c.spin, c.curvature_certificate) == \
+            (m.name, m.real_dimension, None, None, None, m.spin, m.curvature_certificate)
         assert [f.name for f in c.factors] == [f.name for f in m.factors]
         assert pontryagin_numbers(c) == pontryagin_numbers(m)
         for genus in (signature, ahat, twisted_ahat_tangent, lambda m: elliptic_q_coefficients(m, 4)):
